@@ -1,0 +1,136 @@
+"""Golden CLI outputs: every subcommand on the committed demo inputs must
+print exactly the bytes stored under tests/golden/, and every ``--out``
+file must match its stored copy.
+
+The cases run in order in one scratch directory, so later cases (compare,
+distinguish) read the series files that earlier ones wrote.  To rebuild
+the golden files after an intended output change, run from the
+repository root:
+
+    PYTHONPATH=src python tests/test_golden.py --regen
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from reebzeta import cli, serialize, zeta_good_orbits
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
+GOLDEN = ROOT / "tests" / "golden"
+
+#: Input of the mobius-transform case: the good-orbit count series of
+#: demos/data/orbits_mixed.json, written by ``write_inputs``.
+GOOD_ORBITS = "good_orbits_mixed.json"
+GOOD_ORBITS_CUTOFF = 12
+
+# (case name, argv); "{data}", "{golden}" and "{tmp}" are directories.
+# A case with --out writes "{tmp}/<case name>.json".
+CASES = (
+    ("zeta-orbits-both", ["zeta-orbits", "{data}/orbits_mixed.json",
+                          "--cutoff", "12"]),
+    ("zeta-orbits-exp", ["zeta-orbits", "{data}/orbits_mixed.json",
+                         "--cutoff", "12", "--form", "exp",
+                         "--out", "{tmp}/zeta-orbits-exp.json"]),
+    ("zeta-orbits-product", ["zeta-orbits", "{data}/orbits_mixed.json",
+                             "--cutoff", "12", "--form", "product",
+                             "--out", "{tmp}/zeta-orbits-product.json"]),
+    ("zeta-orbits-ech", ["zeta-orbits", "{data}/orbits_mixed.json",
+                         "--cutoff", "12", "--form", "ech"]),
+    ("mobius-transform", ["mobius-transform", "{golden}/" + GOOD_ORBITS,
+                          "--cutoff", "12",
+                          "--out", "{tmp}/mobius-transform.json"]),
+    ("zeta-toric", ["zeta-toric", "--a", "1", "--b", "3/2", "--cutoff", "6",
+                    "--out", "{tmp}/zeta-toric.json"]),
+    ("zeta-s1", ["zeta-s1", "{data}/morse_saddle.json", "--cutoff", "6",
+                 "--out", "{tmp}/zeta-s1.json"]),
+    ("barcode", ["barcode", "{data}/complex_pair.json",
+                 "--out", "{tmp}/barcode.json"]),
+    ("zeta-persistence", ["zeta-persistence", "{data}/complex_pair.json",
+                          "--cutoff", "3",
+                          "--out", "{tmp}/zeta-persistence.json"]),
+    ("compare-exp-product", ["compare", "{tmp}/zeta-orbits-exp.json",
+                             "{tmp}/zeta-orbits-product.json",
+                             "--cutoff", "12"]),
+    ("compare-mobius-product", ["compare", "{tmp}/mobius-transform.json",
+                                "{tmp}/zeta-orbits-product.json",
+                                "--cutoff", "12"]),
+    ("compare-s1-toric", ["compare", "{tmp}/zeta-s1.json",
+                          "{tmp}/zeta-toric.json", "--cutoff", "6"]),
+    ("distinguish-s1", ["distinguish", "{tmp}/zeta-s1.json",
+                        "--cutoff", "6"]),
+    ("distinguish-toric", ["distinguish", "{tmp}/zeta-toric.json",
+                           "--cutoff", "6"]),
+)
+
+
+def write_inputs() -> None:
+    orbit_set = serialize.orbit_set_from_obj(
+        serialize.load_json(str(DATA / "orbits_mixed.json")))
+    series = zeta_good_orbits(orbit_set, GOOD_ORBITS_CUTOFF)
+    serialize.dump_json(serialize.series_to_obj(series),
+                        str(GOLDEN / GOOD_ORBITS))
+
+
+def run_cases() -> dict:
+    """{file name: text} for each case's stdout and each --out file.
+    Raises if a case exits nonzero or writes to stderr."""
+    produced = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {"data": DATA, "golden": GOLDEN, "tmp": tmp}
+        for name, argv in CASES:
+            argv = [arg.format(**dirs) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if code != 0 or err.getvalue():
+                raise RuntimeError(f"{name}: exit {code}, stderr "
+                                   f"{err.getvalue()!r}")
+            produced[f"{name}.stdout"] = out.getvalue()
+            if "--out" in argv:
+                written = pathlib.Path(argv[argv.index("--out") + 1])
+                produced[f"{name}.json"] = written.read_text(encoding="utf-8")
+    return produced
+
+
+@pytest.fixture(scope="module")
+def produced():
+    return run_cases()
+
+
+def test_every_subcommand_is_covered():
+    covered = {argv[0] for _, argv in CASES}
+    subcommands = set(cli.build_parser()._subparsers._group_actions[0].choices)
+    assert covered == subcommands
+
+
+def test_golden_directory_has_no_stale_files(produced):
+    stored = {p.name for p in GOLDEN.iterdir()} - {GOOD_ORBITS}
+    assert stored == set(produced)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_stdout_matches_golden(produced, name):
+    expected = (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    assert produced[f"{name}.stdout"] == expected
+
+
+@pytest.mark.parametrize("name", [name for name, argv in CASES
+                                  if "--out" in argv])
+def test_out_file_matches_golden(produced, name):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert produced[f"{name}.json"] == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regen")
+    GOLDEN.mkdir(exist_ok=True)
+    write_inputs()
+    for file_name, text in run_cases().items():
+        (GOLDEN / file_name).write_text(text, encoding="utf-8")
