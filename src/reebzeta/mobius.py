@@ -15,10 +15,23 @@ factors with n*A beyond the cutoff being 1.  Per single action with count
 
 which is exactly what makes the transform invert the orbit-iterate
 bookkeeping of the zeta function.
+
+Many factors share a level m = n*A, so ``mobius_product`` merges their
+exponents first and applies one factor per level:
+
+    prod_m (1 - t^m) ** E(m),    E(m) = -sum_{n*A = m} mu(n) * a(A).
+
+The merge runs on the integer grid of step 1/q, q the lcm of the input
+exponent denominators and the cutoff denominator, in int arithmetic:
+sum_A floor(cutoff / A) steps in all.  Only levels with E(m) != 0 cost a
+series power and product, and there are at most floor(q*cutoff) of them.
+For one orbit of action 1/N the N*log(N) factors of the unmerged product
+cancel to the single level m = 1/N.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import orbits as _orbits
@@ -61,6 +74,11 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
     """The Moebius product transform of an integer series supported on
     positive exponents; see the module docstring for the factor formula.
 
+    Computed as prod_m (1 - t^m) ** E(m) over levels m <= cutoff in
+    ascending order, with E(m) = -sum_{n*A = m} mu(n) * a(A) merged on
+    the integer grid first, so each level costs one power and one product
+    however many pairs (A, n) reach it.
+
     The result is valid modulo min(cutoff, a.cutoff) and carries that
     cutoff; its constant term is 1.
     """
@@ -71,18 +89,25 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
     if not a.is_positively_supported:
         raise NonPositiveSupport(
             "transform input must be supported on positive exponents")
-    result = NovikovSeries.one(cutoff)
-    for action, coeff in a.items():
-        if action > cutoff:
-            continue
+    terms = a.items()
+    q = math.lcm(cutoff.denominator, *(s.denominator for s, _ in terms))
+    bound = cutoff.numerator * q // cutoff.denominator
+    merged = {}
+    for action, coeff in terms:
+        key = action.numerator * (q // action.denominator)
         count = int(coeff)
-        n = 1
-        while n * action <= cutoff:
+        for n in range(1, bound // key + 1):
             mu = mobius(n)
             if mu:
-                base = NovikovSeries({Fraction(0): 1, n * action: -1}, cutoff)
-                result = result * base ** (-count * mu)
-            n += 1
+                level = n * key
+                merged[level] = merged.get(level, 0) - mu * count
+    result = NovikovSeries.one(cutoff)
+    for level in sorted(merged):
+        power = merged[level]
+        if power:
+            base = NovikovSeries({Fraction(0): 1, Fraction(level, q): -1},
+                                 cutoff)
+            result = result * base ** power
     return result
 
 

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction as F
 
 from reebzeta import (Bar, Barcode, FilteredComplex, INFINITE_DEATH,
-                      NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit)
+                      NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
+                      mobius)
 
 PARITY_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -42,6 +43,27 @@ def dict_exp(a: dict, cutoff) -> dict:
             acc[s] = acc.get(s, F(0)) + c
         k += 1
     return {s: c for s, c in acc.items() if c}
+
+
+def mobius_product_reference(a: NovikovSeries, cutoff) -> NovikovSeries:
+    """The Moebius product transform factor by factor: one
+    (1 - t^(n*A)) ** (-a(A) * mu(n)) per support action A and n >= 1 with
+    n*A <= cutoff, in Fraction exponents.  Same preconditions as
+    ``mobius_product`` (not re-checked here)."""
+    cutoff = min(F(cutoff), a.cutoff)
+    result = NovikovSeries.one(cutoff)
+    for action, coeff in a.items():
+        if action > cutoff:
+            continue
+        count = int(coeff)
+        n = 1
+        while n * action <= cutoff:
+            mu = mobius(n)
+            if mu:
+                base = NovikovSeries({F(0): 1, n * action: -1}, cutoff)
+                result = result * base ** (-count * mu)
+            n += 1
+    return result
 
 
 # -- random inputs -------------------------------------------------------

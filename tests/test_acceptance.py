@@ -21,7 +21,8 @@ from reebzeta import (MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       homology_dims, log, mobius, mobius_product,
                       s1_invariant_zeta, toric_euler, toric_zeta,
                       zeta_barcode, zeta_ech_form, zeta_exp_form,
-                      zeta_good_orbits, zeta_persistence, zeta_product_form)
+                      zeta_good_orbits, zeta_persistence, zeta_product_form,
+                      zeta_via_mobius)
 
 
 @contextmanager
@@ -202,3 +203,10 @@ def test_criterion_8_novikov_algebra():
                 {s: c for s, c in a.items() if s > 0}, 10)
             assert log(exp(positive)) == positive
             assert exp(log(one + positive)) == one + positive
+
+
+def test_criterion_9_mobius_on_a_fine_grid():
+    with criterion(9, "Moebius route = product form for one elliptic orbit "
+                      "of action 1/1000 at cutoff 1", budget=2.0):
+        fine = OrbitSet([elliptic("e", F(1, 1000))])
+        assert zeta_via_mobius(fine, 1) == zeta_product_form(fine, 1)

@@ -3,8 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import fresh_rng, random_orbit_set, random_series
+from helpers import (fresh_rng, mobius_product_reference, random_orbit_set,
+                     random_series)
 from reebzeta import (NovikovSeries, OrbitSet, SimpleOrbit, elliptic,
                       mobius, mobius_product, negative_hyperbolic,
                       positive_hyperbolic, zeta_good_orbits,
@@ -92,6 +94,68 @@ class TestMobiusProduct:
                     for n in range(1, int(cutoff / s) + 1) if n * s <= cutoff)
         expected = sum(int(cutoff / s) for s, _ in series.items())
         assert pairs == expected == 20 + 4 + 2
+
+
+def stored(series):
+    """Cutoff and stored terms with coefficient types: equal exactly when
+    two series are the same bits, not only the same value."""
+    return series.cutoff, sorted((s, type(c), c)
+                                 for s, c in series._terms.items())
+
+
+@st.composite
+def transform_inputs(draw):
+    """(series, cutoff) for the transform: exponents on mixed denominators
+    or on one fine 1/N grid, nonzero counts of both signs, optionally a
+    full or odd tower of counts (which cancel to E(m) = 0 above its base),
+    series terms above the transform cutoff and cutoffs off the grid."""
+    if draw(st.booleans()):
+        series_cutoff = draw(st.integers(1, 8))
+        denominators = st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12))
+    else:
+        series_cutoff = draw(st.integers(1, 2))
+        denominators = st.just(draw(st.integers(10, 40)))
+    counts = st.integers(-3, 3).filter(bool)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        den = draw(denominators)
+        exponent = F(draw(st.integers(1, series_cutoff * den)), den)
+        terms[exponent] = terms.get(exponent, 0) + draw(counts)
+    if draw(st.booleans()):
+        den = draw(denominators)
+        base = F(draw(st.integers(1, series_cutoff * den)), den)
+        count = draw(counts)
+        step = draw(st.sampled_from((1, 2)))  # every or odd multiple
+        for j in range(1, int(series_cutoff / base) + 1, step):
+            terms[j * base] = terms.get(j * base, 0) + count
+    cutoff_den = draw(st.sampled_from((1, 7, 11)))
+    cutoff = F(draw(st.integers(1, (series_cutoff + 1) * cutoff_den)),
+               cutoff_den)
+    return S(terms, series_cutoff), cutoff
+
+
+class TestMergedMatchesReference:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(transform_inputs())
+    def test_bit_equal_to_per_pair_product(self, case):
+        series, cutoff = case
+        assert stored(mobius_product(series, cutoff)) == \
+            stored(mobius_product_reference(series, cutoff))
+
+    def test_cancelling_tower_needs_one_factor(self):
+        # counts 2 on every multiple of 1/30 merge to E(1/30) = -2 alone
+        tower = S({F(j, 30): 2 for j in range(1, 61)}, 2)
+        expected = S({F(j, 30): j + 1 for j in range(61)}, 2)
+        assert mobius_product(tower, 2) == expected
+        assert stored(mobius_product(tower, 2)) == \
+            stored(mobius_product_reference(tower, 2))
+
+    def test_off_grid_cutoff_below_series_terms(self):
+        series = S({F(1, 2): 1, F(3, 4): -2, 3: 1}, 4)
+        cutoff = F(13, 7)
+        out = mobius_product(series, cutoff)
+        assert out.cutoff == cutoff
+        assert stored(out) == stored(mobius_product_reference(series, cutoff))
 
 
 class TestZetaViaMobius:
