@@ -126,26 +126,21 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load(path: str, from_obj):
-    """Read and validate an input file; any library error here counts as
-    a validation failure of the file, not a mathematical one."""
+def _load(path: str, decode):
+    """Read an input file and return ``decode(obj)`` of its JSON value.
+    Any library error here counts as a validation failure of the file,
+    not a mathematical one, and its message starts with the path."""
     obj = serialize.load_json(path)
     try:
-        return from_obj(obj, path)
-    except SchemaError:
-        raise
+        return decode(obj)
+    except SchemaError as exc:
+        raise SchemaError(path, str(exc)) from exc
     except ReebZetaError as exc:
         raise SchemaError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
-def _load_complex(path: str):
-    obj = serialize.load_json(path)
-    try:
-        return serialize.complex_from_obj(obj, path).validate()
-    except SchemaError:
-        raise
-    except ReebZetaError as exc:
-        raise SchemaError(path, f"{type(exc).__name__}: {exc}") from exc
+def _valid_complex(obj):
+    return serialize.complex_from_obj(obj).validate()
 
 
 def _print_series(series: NovikovSeries) -> None:
@@ -201,7 +196,7 @@ def _cmd_zeta_s1(args) -> int:
 
 
 def _cmd_barcode(args) -> int:
-    complex_ = _load_complex(args.file)
+    complex_ = _load(args.file, _valid_complex)
     barcode = persistence.barcode_decompose(complex_)
     obj = serialize.barcode_to_obj(barcode)
     print(json.dumps(obj, indent=2))
@@ -211,7 +206,7 @@ def _cmd_barcode(args) -> int:
 
 
 def _cmd_zeta_persistence(args) -> int:
-    complex_ = _load_complex(args.file)
+    complex_ = _load(args.file, _valid_complex)
     _emit_series(persistence.zeta_persistence(complex_, args.cutoff), args.out)
     return 0
 

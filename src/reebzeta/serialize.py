@@ -41,7 +41,10 @@ def format_ratio(value) -> str:
 def parse_ratio(text, where: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIO_RE.match(text):
         raise SchemaError(where, f"expected a rational 'p/q' string, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than int() accepts
+        raise SchemaError(where, str(exc)) from exc
 
 
 def _expect_obj(obj, where: str) -> dict:
@@ -63,9 +66,10 @@ def _expect_str(obj, where: str) -> str:
 
 
 def _expect_bit(obj, where: str) -> int:
-    if obj not in (0, 1):
+    # type(...) is int: JSON true/false decode to bools, which are ints.
+    if type(obj) is not int or obj not in (0, 1):
         raise SchemaError(where, f"expected 0 or 1, got {obj!r}")
-    return int(obj)
+    return obj
 
 
 def _no_extra_keys(obj: dict, allowed, where: str) -> None:
@@ -241,11 +245,11 @@ def morse_from_obj(obj, where: str = "morse") -> MorseData:
         entry = _expect_obj(entry, loc)
         _no_extra_keys(entry, ("label", "action", "index"), loc)
         index = entry.get("index")
-        if index not in (0, 1, 2):
+        if type(index) is not int or index not in (0, 1, 2):
             raise SchemaError(f"{loc}.index", f"expected 0, 1 or 2, got {index!r}")
         points.append((_expect_str(entry.get("label"), f"{loc}.label"),
                        parse_ratio(entry.get("action"), f"{loc}.action"),
-                       int(index)))
+                       index))
     return MorseData(points)
 
 
@@ -263,6 +267,8 @@ def load_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise SchemaError(path, str(exc)) from exc
 
 
 def dump_json(obj, path: str) -> None:

@@ -154,6 +154,52 @@ class TestExitCodes:
         code, _, err = run(capsys, "barcode", path)
         assert code == 1 and "FiltrationViolation" in err
 
+    def test_invalid_complex_message_is_unchanged(self, tmp_path, capsys):
+        bad = {"generators": [{"label": "x", "eps": 1, "filtration": "1"},
+                              {"label": "y", "eps": 0, "filtration": "1"}],
+               "differential": [{"from": "x", "to": "y", "coeff": "1"}]}
+        path = write(tmp_path, "cx.json", bad)
+        expected = (f"reebzeta: error: {path}: FiltrationViolation: "
+                    "<d 'x', 'y'> = 1 but filtration 1 <= 1\n")
+        for argv in (["barcode", path],
+                     ["zeta-persistence", path, "--cutoff", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", expected)
+
+    def test_boolean_parity_bit_is_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path, "orbits.json",
+                     [{"label": "x", "action": "1", "eps1": True, "eps2": 0}])
+        code, _, err = run(capsys, "zeta-orbits", path, "--cutoff", "2")
+        assert code == 1 and "orbits[0].eps1" in err
+
+    def test_boolean_morse_index_is_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path, "morse.json",
+                     [{"label": "m", "action": "1", "index": False}])
+        code, _, err = run(capsys, "zeta-s1", path, "--cutoff", "2")
+        assert code == 1 and "morse[0].index" in err
+
+    def test_oversized_rational_is_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path, "orbits.json",
+                     [{"label": "x", "action": "1" + "0" * 5000,
+                       "type": "elliptic"}])
+        code, _, err = run(capsys, "zeta-orbits", path, "--cutoff", "2")
+        assert code == 1
+        assert err.startswith("reebzeta: error:")
+        assert "orbits[0].action" in err and "Traceback" not in err
+
+    def test_oversized_json_integer_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "orbits.json"
+        path.write_text('[{"label": "x", "action": "1", "eps1": 1'
+                        + "0" * 5000 + ', "eps2": 0}]')
+        code, _, err = run(capsys, "zeta-orbits", str(path), "--cutoff", "2")
+        assert code == 1 and err.startswith("reebzeta: error:")
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "orbits.json"
+        path.write_bytes(b"\xff\xfe[]")
+        code, _, err = run(capsys, "zeta-orbits", str(path), "--cutoff", "2")
+        assert code == 1 and "orbits.json" in err
+
     def test_nonpositive_action_in_file_is_parse_error(self, tmp_path, capsys):
         path = write(tmp_path, "orbits.json",
                      [{"label": "x", "action": "-1", "type": "elliptic"}])

@@ -34,6 +34,10 @@ class TestRatios:
             with pytest.raises(SchemaError):
                 parse_ratio(bad)
 
+    def test_too_many_digits_is_a_located_schema_error(self):
+        with pytest.raises(SchemaError, match=r"^x\.action: "):
+            parse_ratio("1" + "0" * 5000, "x.action")
+
 
 class TestSeriesSchema:
     def test_round_trip_is_bit_exact(self):
@@ -105,6 +109,12 @@ class TestOrbitSchema:
             orbit_set_from_obj([{"label": "x", "action": "1",
                                  "eps1": 2, "eps2": 0}])
 
+    def test_boolean_parity_bit_rejected(self):
+        for bit in (True, False):
+            with pytest.raises(SchemaError, match=r"orbits\[0\].eps2"):
+                orbit_set_from_obj([{"label": "x", "action": "1",
+                                     "eps1": 0, "eps2": bit}])
+
 
 class TestComplexSchema:
     def test_round_trip(self):
@@ -164,3 +174,6 @@ class TestDomainSchemas:
     def test_morse_index_validation(self):
         with pytest.raises(SchemaError, match=r"morse\[0\].index"):
             morse_from_obj([{"label": "p", "action": "1", "index": 3}])
+        for index in (True, False, 1.0):
+            with pytest.raises(SchemaError, match=r"morse\[0\].index"):
+                morse_from_obj([{"label": "p", "action": "1", "index": index}])
