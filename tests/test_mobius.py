@@ -150,13 +150,6 @@ class TestMergedMatchesReference:
         assert stored(mobius_product(tower, 2)) == \
             stored(mobius_product_reference(tower, 2))
 
-    def test_off_grid_cutoff_below_series_terms(self):
-        series = S({F(1, 2): 1, F(3, 4): -2, 3: 1}, 4)
-        cutoff = F(13, 7)
-        out = mobius_product(series, cutoff)
-        assert out.cutoff == cutoff
-        assert stored(out) == stored(mobius_product_reference(series, cutoff))
-
 
 class TestZetaViaMobius:
     def test_single_elliptic(self):
