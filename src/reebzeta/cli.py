@@ -14,6 +14,7 @@ failure (the exp and product zeta forms disagree under --form both).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -249,9 +250,15 @@ def _cmd_distinguish(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the eight subparsers costs more than many whole jobs, and
+    # parse_args keeps no state between calls, so one parser serves them all.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, SchemaError) as exc:

@@ -16,7 +16,22 @@ Two independent computations are implemented on purpose:
                          filtration order, producing the barcode.
 
 The zeta function of a complex collects the Euler characteristic jumps of
-its persistence module; it equals the zeta function of the barcode.
+its persistence module.  By the Euler-Poincare principle the jump of
+chi(H) at a level equals the jump of chi of the chain complex, the signed
+count (-1)^eps of the generators entering there, so ``zeta_persistence``
+is one O(generators) pass that never reduces the differential.  The
+barcode route ``zeta_barcode(barcode_decompose(c))`` is a genuinely
+different computation of the same series, and the tests check one against
+the other and both against rank-nullity.
+
+``FilteredComplex.validate`` is memoised: once it has succeeded, later
+calls return at once, so loading, decomposing and computing the zeta of
+one complex check it once.  A failed check is not remembered and raises
+again on every call.
+
+``barcode_decompose`` orders generators on the integer grid of step 1/q,
+q the lcm of the filtration denominators, so sorting compares ints rather
+than Fractions.
 """
 
 from __future__ import annotations
@@ -54,7 +69,7 @@ class FilteredComplex:
     ``validate_complex`` (or any operation that needs a valid complex).
     """
 
-    __slots__ = ("generators", "_index", "_columns")
+    __slots__ = ("generators", "_index", "_columns", "_valid")
 
     def __init__(self, generators: Iterable, boundary: Iterable[Tuple] = ()):
         gens = []
@@ -70,15 +85,19 @@ class FilteredComplex:
             self._index[g.label] = i
         # column j -> {row i: coefficient of generator i in boundary of j}
         self._columns: Dict[int, Dict[int, Fraction]] = {}
+        self._valid = False
         for x, y, coeff in boundary:
             coeff = as_ratio(coeff)
             if coeff == 0:
                 continue
             j, i = self._lookup(x), self._lookup(y)
             col = self._columns.setdefault(j, {})
-            col[i] = col.get(i, Fraction(0)) + coeff
-            if not col[i]:
-                del col[i]
+            if i in col:
+                coeff += col[i]
+                if not coeff:
+                    del col[i]
+                    continue
+            col[i] = coeff
 
     def _lookup(self, label: str) -> int:
         try:
@@ -110,6 +129,10 @@ class FilteredComplex:
     # -- validity --------------------------------------------------------
 
     def validate(self) -> "FilteredComplex":
+        """Check grading, filtration and d^2 = 0; returns self when valid.
+        Only a successful check is remembered."""
+        if self._valid:
+            return self
         gens = self.generators
         for j, col in self._columns.items():
             for i, c in col.items():
@@ -132,6 +155,7 @@ class FilteredComplex:
                 if c:
                     raise NotSquareZero(
                         f"<d(d {gens[j].label!r}), {gens[i2].label!r}> = {c}")
+        self._valid = True
         return self
 
 
@@ -250,6 +274,15 @@ class Barcode:
         return (dims[0], dims[1])
 
 
+def _grid_keys(generators) -> Tuple[int, List[int]]:
+    """(q, keys): q is the lcm of the filtration denominators and keys[i]
+    the int q * filtration of generator i, so keys order and group the
+    generators exactly as their filtrations do."""
+    q = math.lcm(*{g.filtration.denominator for g in generators})
+    return q, [g.filtration.numerator * (q // g.filtration.denominator)
+               for g in generators]
+
+
 def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     """Barcode of a valid filtered complex by boundary-matrix reduction.
 
@@ -258,12 +291,18 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     surviving row, giving a finite bar; unpaired cycles give infinite bars.
     The output is the unique barcode realizing the complex's persistence
     module.
+
+    Filtrations are compared as int keys on the 1/q grid (see
+    ``_grid_keys``): the stable sort keeps equal levels in input order,
+    and the bars are emitted already in ``Barcode`` order.
     """
     complex_.validate()
     gens = complex_.generators
-    order = sorted(range(len(gens)),
-                   key=lambda i: (gens[i].filtration, i))
-    pos = {i: p for p, i in enumerate(order)}
+    _, keys = _grid_keys(gens)
+    order = sorted(range(len(gens)), key=keys.__getitem__)
+    pos = [0] * len(gens)
+    for p, i in enumerate(order):
+        pos[i] = p
 
     reduced: Dict[int, Dict[int, Fraction]] = {}   # low position -> column
     killed: Dict[int, int] = {}                     # birth index -> death index
@@ -286,15 +325,17 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
             reduced[low] = col
             killed[order[low]] = i
 
-    bars = []
-    for birth, death in killed.items():
-        bars.append(Bar(gens[birth].filtration, gens[death].filtration,
-                        gens[birth].eps))
+    # (birth key, infinite?, death key, eps, birth index, death index)
+    rows = [(keys[b], False, keys[d], gens[b].eps, b, d)
+            for b, d in killed.items()]
     deaths = set(killed.values())
-    for i in order:
-        if i not in killed and i not in deaths:
-            bars.append(Bar(gens[i].filtration, INFINITE_DEATH, gens[i].eps))
-    return Barcode(bars)
+    rows.extend((keys[i], True, 0, gens[i].eps, i, i) for i in order
+                if i not in killed and i not in deaths)
+    rows.sort()
+    return Barcode([
+        Bar(gens[b].filtration,
+            INFINITE_DEATH if infinite else gens[d].filtration, eps)
+        for _, infinite, _, eps, b, d in rows])
 
 
 def euler_jump(barcode: Barcode, at: RatioLike) -> int:
@@ -329,14 +370,26 @@ def zeta_persistence(complex_: FilteredComplex,
                      cutoff: RatioLike) -> NovikovSeries:
     """Zeta of the persistence module of a filtered complex: the sum of
     Euler characteristic jumps t^level over the finitely many levels where
-    the module changes.  Equals ``zeta_barcode`` of the decomposition."""
+    the module changes, up to the cutoff.
+
+    By Euler-Poincare the jump at a level is the signed count (-1)^eps of
+    the generators with that filtration, so this is one O(generators) pass
+    on the integer grid after ``validate()`` (memoised, and still raising
+    on an invalid complex); no decomposition runs.  Equals ``zeta_barcode``
+    of ``barcode_decompose``, an independent route the tests compare.
+    """
     cutoff = as_ratio(cutoff)
-    barcode = barcode_decompose(complex_)
-    levels = set()
-    for bar in barcode:
-        if bar.birth <= cutoff:
-            levels.add(bar.birth)
-        if bar.is_finite and bar.death <= cutoff:
-            levels.add(bar.death)
-    terms = {level: euler_jump(barcode, level) for level in sorted(levels)}
-    return NovikovSeries(terms, cutoff)
+    complex_.validate()
+    q, keys = _grid_keys(complex_.generators)
+    # key <= bound exactly when the level is <= cutoff
+    bound = cutoff.numerator * q // cutoff.denominator
+    jumps: Dict[int, int] = {}
+    levels: Dict[int, Fraction] = {}
+    for key, g in zip(keys, complex_.generators):
+        if key <= bound:
+            jumps[key] = jumps.get(key, 0) + (-1 if g.eps else 1)
+            levels[key] = g.filtration
+    # Exponents are the generators' own Fractions: rebuilding key/q would
+    # cost a gcd on q, which has many digits when the denominators do.
+    return NovikovSeries({levels[key]: c for key, c in jumps.items()},
+                         cutoff)

@@ -41,8 +41,11 @@ def format_ratio(value) -> str:
 def parse_ratio(text, where: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIO_RE.match(text):
         raise SchemaError(where, f"expected a rational 'p/q' string, got {text!r}")
+    # The regex has vetted the text, so build the Fraction from its two
+    # ints rather than re-parse it through Fraction's own regex.
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError as exc:  # more digits than int() accepts
         raise SchemaError(where, str(exc)) from exc
 

@@ -66,6 +66,13 @@ def mobius_product_reference(a: NovikovSeries, cutoff) -> NovikovSeries:
     return result
 
 
+def stored(series):
+    """Cutoff and stored terms with coefficient types: equal exactly when
+    two series are the same bits, not only the same value."""
+    return series.cutoff, sorted((s, type(c), c)
+                                 for s, c in series._terms.items())
+
+
 # -- random inputs -------------------------------------------------------
 
 
@@ -182,6 +189,72 @@ def random_complex(rng, max_gens=12):
     flat = [(gens[j][0], gens[r][0], c)
             for j, col in columns.items() for r, c in col.items()]
     return FilteredComplex(gens, flat), Barcode(bars)
+
+
+def planted_complex(rng, n):
+    """A valid filtered complex on n generators with known barcode, built
+    in O(n) basis changes so that n can be in the thousands.
+
+    Levels are k/8 with k in [8, 40*n], coefficients are rational.
+    Consecutive generators are paired into finite bars, about half of
+    them, the rest are cycles; then n filtered basis changes
+    e_u <- e_u + r*e_v (same grading, F(v) < F(u)) conjugate the
+    differential: column u += r * column v and row v -= r * row u.
+    Returns (complex, expected barcode)."""
+    levels = [F(rng.randint(8, 40 * n), 8) for _ in range(n)]
+    gens, cols, bars = [], {}, []
+    k = 0
+    while k + 1 < n and len(bars) < 0.45 * n:
+        birth, death = sorted(levels[k:k + 2])
+        k += 2
+        if birth == death:
+            continue
+        eps = rng.randint(0, 1)
+        gens += [(eps, birth), (1 - eps, death)]
+        cols[len(gens) - 1] = {len(gens) - 2: F(rng.choice((1, -2, 3)),
+                                                rng.choice((1, 2, 5)))}
+        bars.append(Bar(birth, death, eps))
+    for level in levels[k:]:
+        eps = rng.randint(0, 1)
+        gens.append((eps, level))
+        bars.append(Bar(level, INFINITE_DEATH, eps))
+
+    rows = {}
+    for j, col in cols.items():
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+
+    def add(matrix, a, b, value):
+        line = matrix.setdefault(a, {})
+        value += line.get(b, 0)
+        if value:
+            line[b] = value
+        else:
+            line.pop(b, None)
+
+    by_eps = ([j for j, g in enumerate(gens) if g[0] == 0],
+              [j for j, g in enumerate(gens) if g[0] == 1])
+    for _ in range(n):
+        group = by_eps[rng.randint(0, 1)]
+        if len(group) < 2:
+            continue
+        v, u = rng.sample(group, 2)
+        if gens[v][1] == gens[u][1]:
+            continue
+        if gens[v][1] > gens[u][1]:
+            u, v = v, u
+        r = F(rng.choice((1, -1, 2)), rng.choice((1, 3)))
+        for row, c in list(cols.get(v, {}).items()):
+            add(cols, u, row, r * c)
+            add(rows, row, u, r * c)
+        for col, c in list(rows.get(u, {}).items()):
+            add(rows, v, col, -r * c)
+            add(cols, col, v, -r * c)
+
+    labelled = [(f"g{j}", eps, level) for j, (eps, level) in enumerate(gens)]
+    flat = [(f"g{j}", f"g{i}", c)
+            for j, col in cols.items() for i, c in col.items()]
+    return FilteredComplex(labelled, flat), Barcode(bars)
 
 
 def probe_levels(complex_):

@@ -13,8 +13,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (PARITY_PAIRS, fresh_rng, probe_levels, random_3d_orbit_set,
-                     random_complex, random_orbit_set, random_series)
+from helpers import (PARITY_PAIRS, fresh_rng, planted_complex, probe_levels,
+                     random_3d_orbit_set, random_complex, random_orbit_set,
+                     random_series)
 from reebzeta import (MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       ToricDomain, ToricVerdict, barcode_decompose,
                       distinguish_from_toric, elliptic, euler_jump, exp,
@@ -210,3 +211,15 @@ def test_criterion_9_mobius_on_a_fine_grid():
                       "of action 1/1000 at cutoff 1", budget=2.0):
         fine = OrbitSet([elliptic("e", F(1, 1000))])
         assert zeta_via_mobius(fine, 1) == zeta_product_form(fine, 1)
+
+
+def test_criterion_10_persistence_zeta_on_a_large_complex():
+    complex_, planted = planted_complex(fresh_rng(20260815), 2000)
+    cutoff = max(g.filtration for g in complex_.generators) + 1
+    with criterion(10, "persistence zeta = barcode zeta on one planted "
+                       "complex of 2000 generators, every level below the "
+                       "cutoff", budget=0.5):
+        barcode = barcode_decompose(complex_)
+        assert zeta_persistence(complex_, cutoff) == \
+            zeta_barcode(barcode, cutoff)
+    assert barcode == planted

@@ -155,16 +155,28 @@ class TestExitCodes:
         assert code == 1 and "FiltrationViolation" in err
 
     def test_invalid_complex_message_is_unchanged(self, tmp_path, capsys):
-        bad = {"generators": [{"label": "x", "eps": 1, "filtration": "1"},
-                              {"label": "y", "eps": 0, "filtration": "1"}],
-               "differential": [{"from": "x", "to": "y", "coeff": "1"}]}
-        path = write(tmp_path, "cx.json", bad)
-        expected = (f"reebzeta: error: {path}: FiltrationViolation: "
-                    "<d 'x', 'y'> = 1 but filtration 1 <= 1\n")
-        for argv in (["barcode", path],
-                     ["zeta-persistence", path, "--cutoff", "2"]):
-            code, out, err = run(capsys, *argv)
-            assert (code, out, err) == (1, "", expected)
+        # One complex per check in validate(); each subcommand runs twice
+        # in the process, so a remembered validation would show.
+        cases = [
+            ([("x", 1, "1"), ("y", 0, "1")], [("x", "y", "1")],
+             "FiltrationViolation: <d 'x', 'y'> = 1 but filtration 1 <= 1"),
+            ([("x", 1, "2"), ("y", 1, "1")], [("x", "y", "3/2")],
+             "GradingViolation: <d 'x', 'y'> = 3/2 with equal gradings"),
+            ([("x", 1, "3"), ("y", 0, "2"), ("w", 1, "1")],
+             [("x", "y", "1"), ("y", "w", "-2")],
+             "NotSquareZero: <d(d 'x'), 'w'> = -2"),
+        ]
+        for gens, entries, message in cases:
+            bad = {"generators": [{"label": label, "eps": eps, "filtration": f}
+                                  for label, eps, f in gens],
+                   "differential": [{"from": x, "to": y, "coeff": c}
+                                    for x, y, c in entries]}
+            path = write(tmp_path, "cx.json", bad)
+            expected = f"reebzeta: error: {path}: {message}\n"
+            for argv in (["barcode", path],
+                         ["zeta-persistence", path, "--cutoff", "2"]) * 2:
+                code, out, err = run(capsys, *argv)
+                assert (code, out, err) == (1, "", expected)
 
     def test_boolean_parity_bit_is_parse_error(self, tmp_path, capsys):
         path = write(tmp_path, "orbits.json",
@@ -270,3 +282,28 @@ class TestDeterminism:
             "--out", second)
         with open(first) as fa, open(second) as fb:
             assert fa.read() == fb.read()
+
+
+class TestParserReuse:
+    def test_help_is_unchanged_on_every_call(self, capsys):
+        expected = cli.build_parser().format_help()
+        for _ in range(2):
+            code, out, err = run(capsys, "--help")
+            assert (code, out, err) == (0, expected, "")
+
+    def test_flag_errors_exit_1_on_every_call(self, capsys):
+        results = [run(capsys, "zeta-toric", "--a", "1", "--b", "0",
+                       "--cutoff", "3") for _ in range(2)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 1 and out == ""
+        assert err.endswith("reebzeta zeta-toric: error: argument --b: "
+                            "must be positive, got 0\n")
+
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        path = write(tmp_path, "cx.json", COMPLEX_PAIR)
+        assert run(capsys, "barcode", path)[0] == 0
+        parser = cli._parser()
+        assert run(capsys, "zeta-persistence", path, "--cutoff", "3") == \
+            (0, "1\t1\n2\t-1\ncutoff\t3\n", "")
+        assert cli._parser() is parser

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (fresh_rng, mobius_product_reference, random_orbit_set,
-                     random_series)
+                     random_series, stored)
 from reebzeta import (NovikovSeries, OrbitSet, SimpleOrbit, elliptic,
                       mobius, mobius_product, negative_hyperbolic,
                       positive_hyperbolic, zeta_good_orbits,
@@ -85,22 +85,50 @@ class TestMobiusProduct:
             assert mobius_product(a + b, 6) == \
                 mobius_product(a, 6) * mobius_product(b, 6)
 
-    def test_candidate_factor_count(self):
-        # Finitely many candidate factors reach below the cutoff: one per
-        # (support action A, n) with n*A <= cutoff.
+    def test_candidate_factor_count(self, monkeypatch):
+        # One factor power per level whose merged exponent
+        # E(m) = -sum_{n*A = m} mu(n) * a(A) is nonzero, not one per
+        # candidate pair (A, n) with n*A <= cutoff (26 pairs here).
         cutoff = F(10)
         series = S({F(1, 2): 3, F(7, 3): -2, 4: 1}, cutoff)
-        pairs = sum(1 for s, _ in series.items()
-                    for n in range(1, int(cutoff / s) + 1) if n * s <= cutoff)
-        expected = sum(int(cutoff / s) for s, _ in series.items())
-        assert pairs == expected == 20 + 4 + 2
+        mu = [None, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1,
+              -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]          # mu(1..20) by hand
+        merged, pairs = {}, 0
+        for action, count in series.items():
+            n = 1
+            while n * action <= cutoff:
+                merged[n * action] = merged.get(n * action, 0) - mu[n] * count
+                n += 1
+                pairs += 1
+        assert pairs == 20 + 4 + 2
+        # E(7) = -3*mu(14) + 2*mu(3) and E(4) = -3*mu(8) - mu(1) merge
+        # two actions; E(28/3) = 2*mu(4) = 0 and E(m) = 0 wherever
+        # mu(2m) = 0 on the 1/2 tower.
+        assert (merged[7], merged[4], merged[F(28, 3)]) == (-5, -1, 0)
+        nonzero = sum(1 for e in merged.values() if e)
+        assert nonzero == 17
 
+        powers, depth = [], [0]
+        original = NovikovSeries.__pow__
 
-def stored(series):
-    """Cutoff and stored terms with coefficient types: equal exactly when
-    two series are the same bits, not only the same value."""
-    return series.cutoff, sorted((s, type(c), c)
-                                 for s, c in series._terms.items())
+        def counting_pow(self, k):
+            # a negative power recurses once on the inverse: count the
+            # outer call, as one factor
+            if not depth[0]:
+                powers.append(k)
+            depth[0] += 1
+            try:
+                return original(self, k)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(NovikovSeries, "__pow__", counting_pow)
+        result = mobius_product(series, cutoff)
+        monkeypatch.undo()
+        assert len(powers) == nonzero
+        assert sorted(powers) == sorted(e for e in merged.values() if e)
+        assert stored(result) == \
+            stored(mobius_product_reference(series, cutoff))
 
 
 @st.composite

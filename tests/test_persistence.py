@@ -4,8 +4,9 @@ persistence zeta function, cross-checked against the rank-nullity oracle."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import fresh_rng, probe_levels, random_complex
+from helpers import fresh_rng, probe_levels, random_complex, stored
 from reebzeta import (Bar, Barcode, FilteredComplex, INFINITE_DEATH,
                       NovikovSeries, barcode_decompose, euler_jump,
                       homology_dims, validate_complex, zeta_barcode,
@@ -55,6 +56,51 @@ class TestValidation:
     def test_unknown_label_in_boundary(self):
         with pytest.raises(KeyError):
             FilteredComplex([("x", 0, 1)], [("x", "nope", 1)])
+
+    def test_repeated_entries_accumulate(self):
+        c = FilteredComplex([("x", 1, 2), ("y", 0, 1)],
+                            [("x", "y", F(1, 2)), ("x", "y", F(1, 3)),
+                             ("x", "y", 0)])
+        assert c.boundary_entries() == [("x", "y", F(5, 6))]
+        cancelled = FilteredComplex([("x", 1, 2), ("y", 0, 1)],
+                                    [("x", "y", 2), ("x", "y", -2)])
+        assert cancelled.boundary_entries() == []
+
+
+def invalid_complexes():
+    """One complex per violated check: grading, filtration, d^2 = 0."""
+    return [
+        (GradingViolation,
+         FilteredComplex([("x", 1, 2), ("y", 1, 1)], [("x", "y", 1)])),
+        (FiltrationViolation,
+         FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])),
+        (NotSquareZero,
+         FilteredComplex([("x", 1, 3), ("y", 0, 2), ("w", 1, 1)],
+                         [("x", "y", 1), ("y", "w", 1)])),
+    ]
+
+
+class TestValidationMemo:
+    def test_success_is_remembered(self):
+        c = pair_complex()
+        assert not c._valid
+        assert c.validate() is c and c._valid
+        assert c.validate() is c
+
+    @pytest.mark.parametrize("error, complex_", invalid_complexes(),
+                             ids=["grading", "filtration", "square"])
+    def test_failure_raises_on_every_call(self, error, complex_):
+        for call in (FilteredComplex.validate, FilteredComplex.validate,
+                     barcode_decompose,
+                     lambda c: zeta_persistence(c, 5),
+                     FilteredComplex.validate):
+            with pytest.raises(error):
+                call(complex_)
+            assert not complex_._valid
+
+    def test_shifted_copy_is_validated_afresh(self):
+        c = pair_complex().validate()
+        assert not c.shifted(1)._valid
 
 
 class TestHomologyDims:
@@ -157,6 +203,51 @@ class TestZetaPersistence:
         c = FilteredComplex([("z", 0, F(7, 3))])
         assert zeta_persistence(c, 4) == NovikovSeries({F(7, 3): 1}, 4)
 
+    def test_empty_complex(self):
+        assert zeta_persistence(FilteredComplex([]), F(3, 7)) == \
+            NovikovSeries.zero(F(3, 7))
+
+    def test_levels_above_an_off_grid_cutoff_are_dropped(self):
+        c = FilteredComplex([("a", 0, F(1, 2)), ("b", 1, F(2, 3)),
+                             ("c", 0, F(5, 7)), ("d", 0, F(5, 7))])
+        assert zeta_persistence(c, F(5, 7)) == \
+            NovikovSeries({F(1, 2): 1, F(2, 3): -1, F(5, 7): 2}, F(5, 7))
+        assert zeta_persistence(c, F(7, 10)) == \
+            NovikovSeries({F(1, 2): 1, F(2, 3): -1}, F(7, 10))
+
+
+def chi(dims):
+    even, odd = dims
+    return even - odd
+
+
+def assert_zeta_routes_agree(complex_, cutoff):
+    """The signed-generator zeta equals the barcode zeta bit for bit, and
+    each coefficient is the jump of the rank-nullity Euler characteristic
+    from the previous filtration level."""
+    zeta = zeta_persistence(complex_, cutoff)
+    assert stored(zeta) == \
+        stored(zeta_barcode(barcode_decompose(complex_), cutoff))
+    levels = sorted({g.filtration for g in complex_.generators
+                     if g.filtration <= cutoff})
+    assert set(zeta.support()) <= set(levels)
+    previous = 0
+    for level in levels:
+        current = chi(homology_dims(complex_, level))
+        assert zeta.coefficient(level) == current - previous
+        previous = current
+
+
+@st.composite
+def complexes_with_cutoffs(draw):
+    """A random valid complex (levels on denominators 1-4, so repeated
+    levels are common; rational coefficients; possibly empty) and a cutoff
+    that may sit off that grid and below some levels."""
+    rng = draw(st.randoms(use_true_random=False))
+    complex_, _ = random_complex(rng, max_gens=draw(st.integers(0, 12)))
+    den = draw(st.sampled_from((1, 2, 5, 7)))
+    return complex_, F(draw(st.integers(0, 6 * den)), den)
+
 
 class TestNormalFormOracle:
     def test_decomposition_recovers_construction_barcode(self):
@@ -191,6 +282,12 @@ class TestNormalFormOracle:
                 signed = sum(-1 if g.eps else 1
                              for g in c.generators if g.filtration == level)
                 assert euler_jump(barcode, level) == signed
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(complexes_with_cutoffs())
+    @example((FilteredComplex([]), F(3, 7)))
+    def test_routes_agree_on_random_complexes(self, case):
+        assert_zeta_routes_agree(*case)
 
     def test_shift_reindexes_exponents(self):
         rng = fresh_rng(306)

@@ -4,14 +4,15 @@ validation with located errors."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import fresh_rng, random_complex, random_orbit_set, random_series
 from reebzeta import (Bar, Barcode, INFINITE_DEATH, MorseData, NovikovSeries,
                       ToricDomain, barcode_decompose, s1_invariant_zeta,
                       toric_zeta)
 from reebzeta.errors import DuplicateLabel
-from reebzeta.serialize import (SchemaError, barcode_from_obj, barcode_to_obj,
-                                complex_from_obj, complex_to_obj,
+from reebzeta.serialize import (_RATIO_RE, SchemaError, barcode_from_obj,
+                                barcode_to_obj, complex_from_obj, complex_to_obj,
                                 format_ratio, morse_from_obj, morse_to_obj,
                                 orbit_set_from_obj, orbit_set_to_obj,
                                 parse_ratio, series_from_obj, series_to_obj,
@@ -35,8 +36,22 @@ class TestRatios:
                 parse_ratio(bad)
 
     def test_too_many_digits_is_a_located_schema_error(self):
-        with pytest.raises(SchemaError, match=r"^x\.action: "):
-            parse_ratio("1" + "0" * 5000, "x.action")
+        for text in ("1" + "0" * 5000, "3/1" + "0" * 5000):
+            with pytest.raises(SchemaError, match=r"^x\.action: "):
+                parse_ratio(text, "x.action")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.from_regex(_RATIO_RE))
+    @example("-0")
+    @example("007")
+    @example("6/4")
+    @example("-3/9")
+    def test_value_is_bit_equal_to_fraction_of_the_text(self, text):
+        value, reference = parse_ratio(text), F(text)
+        assert (type(value), type(value.numerator), value.numerator,
+                type(value.denominator), value.denominator) == \
+            (type(reference), type(reference.numerator), reference.numerator,
+             type(reference.denominator), reference.denominator)
 
 
 class TestSeriesSchema:
