@@ -4,6 +4,7 @@ inversion, exp/log."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import dict_exp, dict_mul, dict_terms, fresh_rng, \
     random_series, random_unit
@@ -232,3 +233,98 @@ class TestRingLaws:
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError):
             S({1: 1}, 3).truncate(4)
+
+
+# -- property tests on mixed denominators --------------------------------
+#
+# Exponents are drawn over several denominators, so two operands usually
+# have different lcm grids and a sum or product lands on a third one.
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7)
+CUTOFFS = (F(3), F(5, 2), F(7, 3))
+
+
+@st.composite
+def series(draw, cutoff, positive=False, max_terms=4):
+    """A series modulo ``cutoff`` whose exponents have mixed denominators
+    and whose coefficients are rational."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        den = draw(st.sampled_from(DENOMINATORS))
+        top = int(cutoff * den)
+        exponent = F(draw(st.integers(1 if positive else 0, top)), den)
+        coeff = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        terms[exponent] = coeff
+    return NovikovSeries(terms, cutoff)
+
+
+@st.composite
+def triples(draw):
+    cutoff = draw(st.sampled_from(CUTOFFS))
+    return tuple(draw(series(cutoff)) for _ in range(3))
+
+
+@st.composite
+def units(draw):
+    """A unit: nonzero leading coefficient at a nonnegative exponent."""
+    cutoff = draw(st.sampled_from(CUTOFFS))
+    den = draw(st.sampled_from(DENOMINATORS))
+    lead = F(draw(st.integers(0, den)), den)
+    rest = draw(series(cutoff, max_terms=3))
+    terms = {s: c for s, c in rest.items() if s > lead}
+    terms[lead] = F(draw(st.sampled_from((1, -1, 2, -3))),
+                    draw(st.integers(1, 2)))
+    return NovikovSeries(terms, cutoff)
+
+
+@st.composite
+def positive_series(draw):
+    cutoff = draw(st.sampled_from(CUTOFFS))
+    return draw(series(cutoff, positive=True))
+
+
+PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(triples())
+    def test_ring_axioms(self, abc):
+        a, b, c = abc
+        zero, one = NovikovSeries.zero(a.cutoff), NovikovSeries.one(a.cutoff)
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert a + zero == a and a - a == zero
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a * one == a
+
+    @PROPERTY
+    @given(units())
+    def test_unit_times_inverse_is_one(self, a):
+        assert a * a.inverse() == 1
+        assert a.inverse() * a == NovikovSeries.one(a.cutoff)
+
+    @PROPERTY
+    @given(positive_series())
+    def test_exp_log_round_trip(self, a):
+        assert log(exp(a)) == a
+        one_plus = 1 + a
+        assert exp(log(one_plus)) == one_plus
+
+    @PROPERTY
+    @given(triples())
+    def test_equal_series_on_different_grids_hash_alike(self, abc):
+        a, b, _ = abc
+        # (a + b) - b is computed on the lcm grid of a and b, a on its own.
+        rebuilt = (a + b) - b
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        doubled = a * 2 * F(1, 2)
+        assert doubled == a and hash(doubled) == hash(a)
+
+    def test_cancelled_fine_terms_equal_coarse_series(self):
+        fine = S({F(1, 6): 1, F(1, 2): 1}, 2) + S({F(1, 6): -1}, 2)
+        coarse = S({F(1, 2): 1}, 2)
+        assert fine == coarse and hash(fine) == hash(coarse)
+        assert fine.items() == coarse.items()

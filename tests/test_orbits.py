@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import fresh_rng, random_3d_orbit_set, random_orbit_set
 from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
@@ -248,3 +249,24 @@ class TestFormAgreement:
                 zeta_product_form(left, 6) * zeta_product_form(right, 6)
             assert zeta_exp_form(both, 6) == \
                 zeta_exp_form(left, 6) * zeta_exp_form(right, 6)
+
+
+@st.composite
+def orbit_sets_3d(draw):
+    """Up to four 3D orbits of any type, actions p/q with q <= 7 in [1, 3]."""
+    orbits = []
+    for i in range(draw(st.integers(0, 4))):
+        den = draw(st.integers(1, 7))
+        action = F(draw(st.integers(den, 3 * den)), den)
+        kind = draw(st.sampled_from(list(OrbitType3D)))
+        orbits.append(SimpleOrbit.of_type(f"g{i}", action, kind))
+    return OrbitSet(orbits)
+
+
+class TestFormAgreementProperties:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(orbit_sets_3d(), st.sampled_from((F(4), F(7, 2), F(10, 3))))
+    def test_exp_product_and_ech_agree(self, orbit_set, cutoff):
+        product = zeta_product_form(orbit_set, cutoff)
+        assert zeta_exp_form(orbit_set, cutoff) == product
+        assert zeta_ech_form(orbit_set, cutoff) == product
