@@ -10,8 +10,7 @@ records the signed jump of the Euler characteristic at each level.
 from fractions import Fraction as F
 
 from reebzeta import (FilteredComplex, barcode_decompose, euler_jump,
-                      homology_dims, validate_complex, zeta_barcode,
-                      zeta_persistence)
+                      homology_dims, zeta_barcode, zeta_persistence)
 
 complex_ = FilteredComplex(
     generators=[
@@ -27,7 +26,7 @@ complex_ = FilteredComplex(
         ("v", "cycle", -1),     # extra entry; reduction clears it
     ],
 )
-validate_complex(complex_)
+complex_.validate()
 
 print("graded homology dimensions by level (rank-nullity over Q):")
 for level in (F(1, 2), 1, F(3, 2), 2, F(5, 2), 3):
@@ -37,7 +36,7 @@ barcode = barcode_decompose(complex_)
 print()
 print("barcode (normal form of the persistence module):")
 for bar in barcode:
-    death = "inf" if not bar.is_finite else str(bar.death)
+    death = "inf" if bar.death is None else str(bar.death)
     print(f"  [{bar.birth}, {death})  parity {bar.eps}")
 
 print()

@@ -2,9 +2,10 @@
 """Drive the command line tool end to end.
 
 Writes the sample inputs from demos/data into a scratch directory, then
-runs the installed ``reebzeta`` commands: computing a zeta three ways,
+runs the command line tool as ``python -m reebzeta.cli`` (the entry point
+of the installed ``reebzeta`` script): computing a zeta three ways,
 comparing series files, decomposing a barcode, and testing a domain
-against the toric form.
+against the toric form.  From a checkout, run it with PYTHONPATH=src.
 """
 
 import pathlib
@@ -17,9 +18,9 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(*args):
-    command = ["reebzeta", *args]
-    print("$", " ".join(command))
-    result = subprocess.run(command, capture_output=True, text=True)
+    print("$ python -m reebzeta.cli", " ".join(args))
+    result = subprocess.run([sys.executable, "-m", "reebzeta.cli", *args],
+                            capture_output=True, text=True)
     sys.stdout.write(result.stdout)
     if result.stderr:
         sys.stdout.write(result.stderr)

@@ -1,7 +1,7 @@
 """Exact-arithmetic dynamical zeta functions from Reeb orbit data,
 persistence barcodes, and closed-form domain descriptions."""
 
-from .novikov import Action, NovikovSeries, as_ratio, exp, log
+from .novikov import NovikovSeries, as_ratio, exp, log
 from .orbits import (EchGenerator, OrbitSet, OrbitType3D, SimpleOrbit,
                      classify_orbit_3d, ech_generators, elliptic,
                      good_orbit_count, is_good, iterate_parity,
@@ -9,9 +9,8 @@ from .orbits import (EchGenerator, OrbitSet, OrbitType3D, SimpleOrbit,
                      zeta_ech_form, zeta_exp_form, zeta_good_orbits,
                      zeta_product_form)
 from .persistence import (Bar, Barcode, ChainGenerator, FilteredComplex,
-                          INFINITE_DEATH, barcode_decompose, euler_jump,
-                          homology_dims, validate_complex, zeta_barcode,
-                          zeta_persistence)
+                          barcode_decompose, euler_jump, homology_dims,
+                          zeta_barcode, zeta_persistence)
 from .mobius import mobius, mobius_product, zeta_via_mobius
 from .domains import (DistinguishResult, MomentProfilePoint,
                       MorseCriticalPoint, MorseData, ToricDomain,
@@ -23,14 +22,13 @@ from . import errors, serialize
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "NovikovSeries", "as_ratio", "exp", "log",
+    "NovikovSeries", "as_ratio", "exp", "log",
     "SimpleOrbit", "OrbitSet", "OrbitType3D", "EchGenerator",
     "elliptic", "positive_hyperbolic", "negative_hyperbolic",
     "iterate_parity", "is_good", "classify_orbit_3d",
     "zeta_exp_form", "zeta_product_form", "zeta_ech_form",
     "ech_generators", "good_orbit_count", "zeta_good_orbits",
-    "ChainGenerator", "FilteredComplex", "Bar", "Barcode",
-    "INFINITE_DEATH", "validate_complex", "homology_dims",
+    "ChainGenerator", "FilteredComplex", "Bar", "Barcode", "homology_dims",
     "barcode_decompose", "euler_jump", "zeta_barcode", "zeta_persistence",
     "mobius", "mobius_product", "zeta_via_mobius",
     "ToricDomain", "MomentProfilePoint", "MorseCriticalPoint", "MorseData",

@@ -21,18 +21,15 @@ exponents first and applies one factor per level:
 
     prod_m (1 - t^m) ** E(m),    E(m) = -sum_{n*A = m} mu(n) * a(A).
 
-The merge runs on the integer grid of step 1/q, q the lcm of the input
-exponent denominators and the cutoff denominator, in int arithmetic:
-sum_A floor(cutoff / A) steps in all.  Only levels with E(m) != 0 cost a
-series power and product, and there are at most floor(q*cutoff) of them.
+The merge runs on the input series' own integer grid of step 1/q (see
+``novikov``), in int arithmetic on its keys and bound: sum_A
+floor(cutoff / A) steps in all.  Only levels with E(m) != 0 cost a series
+power and product, and there are at most floor(q*cutoff) of them.
 For one orbit of action 1/N the N*log(N) factors of the unmerged product
 cancel to the single level m = 1/N.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from . import orbits as _orbits
 from .errors import NonIntegerCoefficients, NonPositiveSupport
@@ -75,9 +72,9 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
     positive exponents; see the module docstring for the factor formula.
 
     Computed as prod_m (1 - t^m) ** E(m) over levels m <= cutoff in
-    ascending order, with E(m) = -sum_{n*A = m} mu(n) * a(A) merged on
-    the integer grid first, so each level costs one power and one product
-    however many pairs (A, n) reach it.
+    ascending order, with E(m) = -sum_{n*A = m} mu(n) * a(A) merged first
+    on the int keys of a's own grid, so each level costs one power and one
+    product however many pairs (A, n) reach it.
 
     The result is valid modulo min(cutoff, a.cutoff) and carries that
     cutoff; its constant term is 1.
@@ -89,14 +86,11 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
     if not a.is_positively_supported:
         raise NonPositiveSupport(
             "transform input must be supported on positive exponents")
-    terms = a.items()
-    q = math.lcm(cutoff.denominator, *(s.denominator for s, _ in terms))
-    bound = cutoff.numerator * q // cutoff.denominator
+    a = a.truncate(cutoff)
     merged = {}
-    for action, coeff in terms:
-        key = action.numerator * (q // action.denominator)
+    for key, coeff in a._terms.items():
         count = int(coeff)
-        for n in range(1, bound // key + 1):
+        for n in range(1, a._bound // key + 1):
             mu = mobius(n)
             if mu:
                 level = n * key
@@ -105,8 +99,7 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
     for level in sorted(merged):
         power = merged[level]
         if power:
-            base = NovikovSeries({Fraction(0): 1, Fraction(level, q): -1},
-                                 cutoff)
+            base = NovikovSeries._raw(a._q, {0: 1, level: -1}, cutoff)
             result = result * base ** power
     return result
 

@@ -6,8 +6,18 @@ and rational exponents s ("actions"), considered modulo the ideal of terms
 with exponent greater than a fixed rational cutoff.  Addition is pointwise,
 multiplication is convolution of exponents, units are inverted by summing a
 geometric series, and exp/log connect additive and multiplicative pictures.
-Everything is exact: equality of two series is structural equality of their
-canonical forms, never an approximation.
+Everything is exact: equality of two series is equality of their terms,
+never an approximation.
+
+Exponents are stored on an integer grid: a series keeps an int q and a
+dict {n: coefficient} where key n stands for t^(n/q), plus its cutoff and
+the int bound floor(q * cutoff), so a term is inside the truncation window
+exactly when n <= bound.  ``grid`` is the one function that puts rationals
+on such a grid.  The inner loops of *, inverse, exp and log run on int
+keys only; Fraction exponents exist at the API edge (construction,
+``items``, ``support``, ``coefficient``, ``min_exponent`` and ``repr``).
+q need not be minimal, so ``==`` compares two series on the lcm of their
+grids.
 
 Exponents may be negative in storage (the ring allows it), but exp, log and
 the downstream zeta constructions only ever use series supported on
@@ -21,9 +31,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
-
-#: Exponents ("symplectic actions") and coefficients are exact rationals.
-Action = Fraction
 
 RatioLike = Union[int, str, Fraction]
 
@@ -44,6 +51,15 @@ def as_ratio(value: RatioLike) -> Fraction:
     return Fraction(value)
 
 
+def grid(fractions: Iterable[Fraction]) -> Tuple[int, list]:
+    """(q, keys): q is the lcm of the denominators and keys[i] the int
+    q * fractions[i], so keys order and group the rationals exactly as
+    the rationals themselves do."""
+    fractions = list(fractions)
+    q = math.lcm(*{f.denominator for f in fractions})
+    return q, [f.numerator * (q // f.denominator) for f in fractions]
+
+
 def _norm_coeff(c):
     # Keep integer coefficients as plain ints: arithmetic on ints is much
     # cheaper than on Fractions and the two compare equal.
@@ -52,45 +68,49 @@ def _norm_coeff(c):
     return c
 
 
+def _quotient(a, b):
+    """Exact a / b for int or Fraction coefficients, an int when whole."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a // b if a % b == 0 else Fraction(a, b)
+    return _norm_coeff(a / b)
+
+
 class NovikovSeries:
-    """A truncated Novikov series: finite map {exponent: coefficient} plus
-    a cutoff.
+    """A truncated Novikov series: the terms sum_n c_n * t^(n/q) on the
+    integer grid of step 1/q (see the module docstring), plus a cutoff.
 
     Canonical form is maintained on construction: no zero coefficients are
-    stored, no exponent exceeds the cutoff, so ``==`` is exact equality of
-    values modulo the cutoff.  Instances are immutable in spirit; all
-    operations return new series.  Binary operations produce the minimum of
-    the two cutoffs.
+    stored and no key exceeds the bound floor(q * cutoff), so ``==`` is
+    exact equality of values modulo the cutoff.  Instances are immutable in
+    spirit; all operations return new series.  Binary operations produce
+    the minimum of the two cutoffs and work on the lcm of the two grids.
     """
 
-    __slots__ = ("_terms", "_cutoff")
+    __slots__ = ("_q", "_terms", "_cutoff", "_bound")
 
     def __init__(self, terms: Union[Mapping, Iterable[Tuple]] = (), cutoff: RatioLike = 0):
         cut = as_ratio(cutoff)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc = {}
-        for s, c in items:
-            s = as_ratio(s)
-            if s > cut:
-                continue
-            c = _norm_coeff(as_ratio(c) if not isinstance(c, int) else c)
-            c = acc.get(s, 0) + c
-            if c:
-                acc[s] = c
-            elif s in acc:
-                del acc[s]
-        self._terms = acc
-        self._cutoff = cut
+        pairs = [(as_ratio(s), c) for s, c in items]
+        q, keys = grid(s for s, _ in pairs)
+        self._set(q, {}, cut)
+        acc, bound = self._terms, self._bound
+        for n, (_, c) in zip(keys, pairs):
+            if n <= bound:
+                c = c if isinstance(c, int) else _norm_coeff(as_ratio(c))
+                acc[n] = acc.get(n, 0) + c
+        _prune(acc)
 
     # -- construction helpers ------------------------------------------
 
     @classmethod
     def zero(cls, cutoff: RatioLike) -> "NovikovSeries":
-        return cls((), cutoff)
+        return cls._raw(1, {}, as_ratio(cutoff))
 
     @classmethod
     def one(cls, cutoff: RatioLike) -> "NovikovSeries":
-        return cls({Fraction(0): 1}, cutoff)
+        cut = as_ratio(cutoff)
+        return cls._raw(1, {0: 1} if cut >= 0 else {}, cut)
 
     @classmethod
     def monomial(cls, exponent: RatioLike, coefficient: RatioLike = 1, *,
@@ -99,12 +119,17 @@ class NovikovSeries:
         return cls({as_ratio(exponent): as_ratio(coefficient)}, cutoff)
 
     @classmethod
-    def _raw(cls, terms: dict, cutoff: Fraction) -> "NovikovSeries":
-        # Internal: terms already canonical (no zeros, exponents <= cutoff).
+    def _raw(cls, q: int, terms: dict, cutoff: Fraction) -> "NovikovSeries":
+        # Internal: terms already canonical on the 1/q grid (no zeros, no
+        # key above the bound).
         self = object.__new__(cls)
-        self._terms = terms
-        self._cutoff = cutoff
+        self._set(q, terms, cutoff)
         return self
+
+    def _set(self, q: int, terms: dict, cutoff: Fraction) -> None:
+        self._q, self._terms, self._cutoff = q, terms, cutoff
+        # key n <= bound exactly when n/q <= cutoff
+        self._bound = cutoff.numerator * q // cutoff.denominator
 
     # -- inspection ----------------------------------------------------
 
@@ -114,38 +139,36 @@ class NovikovSeries:
 
     def items(self):
         """Terms as (exponent, coefficient) pairs, exponents ascending."""
-        return [(s, as_ratio(self._terms[s])) for s in sorted(self._terms)]
+        q, terms = self._q, self._terms
+        return [(Fraction(n, q), as_ratio(terms[n])) for n in sorted(terms)]
 
     def support(self):
         """Sorted tuple of exponents carrying a nonzero coefficient."""
-        return tuple(sorted(self._terms))
+        return tuple(Fraction(n, self._q) for n in sorted(self._terms))
 
     def coefficient(self, exponent: RatioLike) -> Fraction:
-        return as_ratio(self._terms.get(as_ratio(exponent), 0))
+        n = as_ratio(exponent) * self._q
+        if n.denominator != 1:
+            return Fraction(0)
+        return as_ratio(self._terms.get(n.numerator, 0))
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coefficient(0)
+        return as_ratio(self._terms.get(0, 0))
 
     def min_exponent(self):
         """Smallest exponent with nonzero coefficient, or None if zero."""
-        return min(self._terms) if self._terms else None
+        return Fraction(min(self._terms), self._q) if self._terms else None
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     @property
-    def is_unit(self) -> bool:
-        """True when the series is invertible, i.e. nonzero modulo cutoff
-        (over the rationals any nonzero leading coefficient inverts)."""
-        return bool(self._terms)
-
-    @property
     def is_positively_supported(self) -> bool:
         """True when every exponent is strictly positive (the condition
         for membership in the positive part of the ring)."""
-        return all(s > 0 for s in self._terms)
+        return all(n > 0 for n in self._terms)
 
     @property
     def has_integer_coefficients(self) -> bool:
@@ -162,14 +185,20 @@ class NovikovSeries:
         return iter(self.items())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, NovikovSeries):
-            return self._cutoff == other._cutoff and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == NovikovSeries({Fraction(0): other}, self._cutoff)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self._cutoff != other._cutoff or len(self) != len(other):
+            return False
+        _, a, b = _common_grid(self, other)
+        return a == b
 
     def __hash__(self):
-        return hash((self._cutoff, frozenset(self._terms.items())))
+        # Hash on the coarsest grid holding every key, so that equal
+        # series stored on different grids hash alike.
+        g = math.gcd(self._q, *self._terms)
+        return hash((self._cutoff, self._q // g,
+                     frozenset((n // g, c) for n, c in self._terms.items())))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -201,23 +230,21 @@ class NovikovSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        cutoff = min(self._cutoff, other._cutoff)
-        acc = {s: c for s, c in self._terms.items() if s <= cutoff}
-        for s, c in other._terms.items():
-            if s > cutoff:
-                continue
-            c = acc.get(s, 0) + c
-            if c:
-                acc[s] = c
-            elif s in acc:
-                del acc[s]
-        return NovikovSeries._raw(acc, cutoff)
+        q, a, b = _common_grid(self, other)
+        out = NovikovSeries._raw(q, {}, min(self._cutoff, other._cutoff))
+        acc, bound = out._terms, out._bound
+        for terms in (a, b):
+            for n, c in terms.items():
+                if n <= bound:
+                    acc[n] = acc.get(n, 0) + c
+        _prune(acc)
+        return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovSeries._raw({s: -c for s, c in self._terms.items()},
-                                  self._cutoff)
+        return NovikovSeries._raw(
+            self._q, {n: -c for n, c in self._terms.items()}, self._cutoff)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -237,19 +264,16 @@ class NovikovSeries:
                 return NovikovSeries.zero(self._cutoff)
             other = _norm_coeff(other)
             return NovikovSeries._raw(
-                {s: _norm_coeff(c) for s in self._terms
-                 if (c := self._terms[s] * other)},
+                self._q, {n: _norm_coeff(c) for n in self._terms
+                          if (c := self._terms[n] * other)},
                 self._cutoff)
         if not isinstance(other, NovikovSeries):
             return NotImplemented
-        cutoff = min(self._cutoff, other._cutoff)
-        if not self._terms or not other._terms:
-            return NovikovSeries.zero(cutoff)
-        q = _common_scale(self._terms, other._terms)
-        a = _scaled(self._terms, q)
-        b = _scaled(other._terms, q)
-        acc = _conv(a, b, _scaled_bound(cutoff, q))
-        return _unscaled(acc, q, cutoff)
+        q, a, b = _common_grid(self, other)
+        out = NovikovSeries._raw(q, {}, min(self._cutoff, other._cutoff))
+        if a and b:
+            out._terms = _conv(sorted(a.items()), sorted(b.items()), out._bound)
+        return out
 
     __rmul__ = __mul__
 
@@ -274,8 +298,9 @@ class NovikovSeries:
         if cut > self._cutoff:
             raise ValueError(
                 f"cannot extend validity: new cutoff {cut} exceeds {self._cutoff}")
-        return NovikovSeries({s: c for s, c in self._terms.items() if s <= cut},
-                             cut)
+        out = NovikovSeries._raw(self._q, {}, cut)
+        out._terms = {n: c for n, c in self._terms.items() if n <= out._bound}
+        return out
 
     def inverse(self) -> "NovikovSeries":
         """Multiplicative inverse modulo the cutoff.
@@ -286,27 +311,21 @@ class NovikovSeries:
         window.  When s0 > 0 the inverse picks up exponents down to -s0,
         and a * a.inverse() is exactly 1 modulo the cutoff.  A negative
         leading exponent is rejected: no truncation of the inverse could
-        satisfy the unit law modulo the cutoff.
+        satisfy the unit law modulo the cutoff.  Runs on the series' own
+        grid.
         """
         if not self._terms:
             raise NotAUnit("series is zero modulo its cutoff")
-        s0 = min(self._terms)
-        if s0 < 0:
+        n0 = min(self._terms)
+        if n0 < 0:
             raise NotAUnit(
-                f"leading exponent {s0} is negative; the inverse is not "
-                "determined modulo the cutoff")
-        c0 = as_ratio(self._terms[s0])
-        cutoff = self._cutoff
-        q = _common_scale(self._terms)
-        n0 = _scaled_key(s0, q)
-        # shifted = a / (c0 t^s0) - 1, supported on positive scaled keys
-        neg_r = []
-        for s, c in self._terms.items():
-            if s == s0:
-                continue
-            neg_r.append((_scaled_key(s, q) - n0, _norm_coeff(-as_ratio(c) / c0)))
-        neg_r.sort()
-        bound = _scaled_bound(cutoff, q) + n0  # inner sum runs to cutoff + s0
+                f"leading exponent {self.min_exponent()} is negative; the "
+                "inverse is not determined modulo the cutoff")
+        c0 = self._terms[n0]
+        # neg_r = 1 - a / (c0 t^s0), supported on positive keys
+        neg_r = sorted((n - n0, _quotient(-c, c0))
+                       for n, c in self._terms.items() if n != n0)
+        bound = self._bound + n0  # inner sum runs to cutoff + s0
         acc = {0: 1}
         if neg_r:
             power = dict(neg_r)
@@ -319,39 +338,26 @@ class NovikovSeries:
                 if k * m <= bound:
                     power = _conv(sorted(power.items()), neg_r, bound)
             _prune(acc)
-        inv_c0 = _norm_coeff(1 / c0)
-        terms = {}
-        for n, c in acc.items():
-            terms[Fraction(n - n0, q)] = c * inv_c0
-        out = _unscaled_terms(terms, cutoff)
-        return NovikovSeries._raw(out, cutoff)
+        inv_c0 = _quotient(1, c0)
+        return NovikovSeries._raw(
+            self._q, {n - n0: _norm_coeff(c * inv_c0) for n, c in acc.items()},
+            self._cutoff)
 
 
-# -- scaled-integer internals ------------------------------------------
+# -- integer-key internals ---------------------------------------------
 #
-# Heavy operations rescale all exponents to a common denominator q so the
-# inner loops run on integer keys; coefficients stay exact (ints whenever
-# the value is an integer, Fractions otherwise).
+# Inner loops run on sorted lists of (int key, coeff) on one grid;
+# coefficients stay exact (ints whenever the value is an integer,
+# Fractions otherwise).
 
 
-def _common_scale(*term_dicts) -> int:
-    q = 1
-    for terms in term_dicts:
-        for s in terms:
-            q = math.lcm(q, s.denominator)
-    return q
-
-
-def _scaled_key(s: Fraction, q: int) -> int:
-    return s.numerator * (q // s.denominator)
-
-
-def _scaled(terms: dict, q: int):
-    return sorted((_scaled_key(s, q), c) for s, c in terms.items())
-
-
-def _scaled_bound(cutoff: Fraction, q: int) -> int:
-    return math.floor(cutoff * q)
+def _common_grid(a: NovikovSeries, b: NovikovSeries):
+    """(q, terms of a, terms of b) with both key sets moved to the lcm q
+    of the two grids."""
+    q = math.lcm(a._q, b._q)
+    sa, sb = q // a._q, q // b._q
+    return (q, {n * sa: c for n, c in a._terms.items()} if sa > 1 else a._terms,
+            {n * sb: c for n, c in b._terms.items()} if sb > 1 else b._terms)
 
 
 def _conv(a, b, bound: int) -> dict:
@@ -375,15 +381,6 @@ def _prune(acc: dict) -> None:
         del acc[n]
 
 
-def _unscaled(acc: dict, q: int, cutoff: Fraction) -> NovikovSeries:
-    return NovikovSeries._raw({Fraction(n, q): c for n, c in acc.items()},
-                              cutoff)
-
-
-def _unscaled_terms(terms: dict, cutoff: Fraction) -> dict:
-    return {s: _norm_coeff(c) for s, c in terms.items() if c and s <= cutoff}
-
-
 # -- exponential and logarithm -----------------------------------------
 
 
@@ -393,17 +390,13 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     Computed through the formal identity exp(a)' = a' * exp(a), which gives
     the coefficients by a single pass over the (finitely many) exponents
     reachable as sums of exponents of a below the cutoff; the value agrees
-    exactly with the truncated factorial sum.
+    exactly with the truncated factorial sum.  Runs on the grid of a.
     """
     if not a.is_positively_supported:
         raise NotPositivelySupported(
             "exp needs every exponent strictly positive")
-    cutoff = a.cutoff
-    if a.is_zero:
-        return NovikovSeries.one(cutoff)
-    q = _common_scale(a._terms)
-    bound = _scaled_bound(cutoff, q)
-    g = _scaled(a._terms, q)
+    bound = a._bound
+    g = sorted(a._terms.items())
     weighted = [(j, _norm_coeff(j * c)) for j, c in g]
     reachable = _semigroup([j for j, _ in g], bound)
     f = {0: 1}
@@ -416,12 +409,8 @@ def exp(a: NovikovSeries) -> NovikovSeries:
             if prev:
                 total += jc * prev
         if total:
-            f[n] = _norm_coeff(total / n if isinstance(total, Fraction)
-                               else Fraction(total, n))
-    del f[0]
-    terms = {Fraction(n, q): c for n, c in f.items()}
-    terms[Fraction(0)] = 1
-    return NovikovSeries._raw(terms, cutoff)
+            f[n] = _quotient(total, n)
+    return NovikovSeries._raw(a._q, f, a.cutoff)
 
 
 def _semigroup(generators, bound: int):
@@ -441,20 +430,17 @@ def log(a: NovikovSeries) -> NovikovSeries:
     """log(1 + r) = sum_{k>=1} (-1)^{k+1} r^k / k  for r supported on
     positive exponents; inverse of exp on its domain, computed by the
     direct power sum (deliberately a different route than exp, so the
-    round-trip tests cross-check the two)."""
+    round-trip tests cross-check the two).  Runs on the grid of a."""
     terms = a._terms
-    if any(s < 0 for s in terms):
+    if any(n < 0 for n in terms):
         raise BadLeadingTerm("log input has a negative exponent")
     if a.constant_term != 1:
         raise BadLeadingTerm(
             f"log needs constant term 1, got {a.constant_term}")
-    cutoff = a.cutoff
-    r_terms = {s: c for s, c in terms.items() if s != 0}
-    if not r_terms:
-        return NovikovSeries.zero(cutoff)
-    q = _common_scale(r_terms)
-    bound = _scaled_bound(cutoff, q)
-    r = _scaled(r_terms, q)
+    r = sorted((n, c) for n, c in terms.items() if n != 0)
+    if not r:
+        return NovikovSeries.zero(a.cutoff)
+    bound = a._bound
     m = r[0][0]
     acc = {}
     power = dict(r)
@@ -462,9 +448,10 @@ def log(a: NovikovSeries) -> NovikovSeries:
     while k * m <= bound and power:
         sign = 1 if k % 2 else -1
         for n, c in power.items():
-            acc[n] = acc.get(n, 0) + Fraction(sign, k) * c
+            acc[n] = acc.get(n, 0) + _quotient(sign * c, k)
         k += 1
         if k * m <= bound:
             power = _conv(sorted(power.items()), r, bound)
     _prune(acc)
-    return _unscaled({n: _norm_coeff(c) for n, c in acc.items()}, q, cutoff)
+    return NovikovSeries._raw(a._q, {n: _norm_coeff(c) for n, c in acc.items()},
+                              a.cutoff)

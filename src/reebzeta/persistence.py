@@ -6,7 +6,7 @@ Z/2 grading and a rational filtration level; every differential entry must
 flip the grading and strictly decrease the filtration.  Its homology below
 each level is a persistence module; the normal form theorem says that
 module is classified by a barcode, a multiset of graded intervals
-[birth, death) or [birth, inf).
+[birth, death) or [birth, inf); a bar that never dies has death None.
 
 Two independent computations are implemented on purpose:
 
@@ -19,7 +19,9 @@ The zeta function of a complex collects the Euler characteristic jumps of
 its persistence module.  By the Euler-Poincare principle the jump of
 chi(H) at a level equals the jump of chi of the chain complex, the signed
 count (-1)^eps of the generators entering there, so ``zeta_persistence``
-is one O(generators) pass that never reduces the differential.  The
+is one O(generators) pass that never reduces the differential: the
+series constructor puts the levels on the integer grid of
+``novikov.grid`` and sums the signed counts per level.  The
 barcode route ``zeta_barcode(barcode_decompose(c))`` is a genuinely
 different computation of the same series, and the tests check one against
 the other and both against rank-nullity.
@@ -29,24 +31,20 @@ calls return at once, so loading, decomposing and computing the zeta of
 one complex check it once.  A failed check is not remembered and raises
 again on every call.
 
-``barcode_decompose`` orders generators on the integer grid of step 1/q,
-q the lcm of the filtration denominators, so sorting compares ints rather
-than Fractions.
+``barcode_decompose`` orders generators by their keys on the same grid,
+``novikov.grid`` of the filtrations, so sorting compares ints rather than
+Fractions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (DuplicateLabel, FiltrationViolation, GradingViolation,
                      NotSquareZero)
-from .novikov import NovikovSeries, RatioLike, as_ratio
-
-#: Death value of a bar that never dies; compares above every rational.
-INFINITE_DEATH = math.inf
+from .novikov import NovikovSeries, RatioLike, as_ratio, grid
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class FilteredComplex:
 
     ``boundary`` entries are triples (x, y, coeff) meaning the coefficient
     of y in the boundary of x is coeff.  Entries are validated lazily: use
-    ``validate_complex`` (or any operation that needs a valid complex).
+    ``validate`` (or any operation that needs a valid complex).
     """
 
     __slots__ = ("generators", "_index", "_columns", "_valid")
@@ -159,11 +157,6 @@ class FilteredComplex:
         return self
 
 
-def validate_complex(complex_: FilteredComplex) -> FilteredComplex:
-    """Check all invariants; returns the complex unchanged when valid."""
-    return complex_.validate()
-
-
 def _rank(columns: List[Dict[int, Fraction]]) -> int:
     """Rank over Q of a matrix given as sparse columns."""
     pivots: Dict[int, Dict[int, Fraction]] = {}
@@ -211,38 +204,39 @@ def homology_dims(complex_: FilteredComplex, level: RatioLike) -> Tuple[int, int
 
 # -- bars and barcodes ---------------------------------------------------
 
-Death = Union[Fraction, float]
-
-
 @dataclass(frozen=True)
 class Bar:
-    """A graded interval [birth, death) with death possibly infinite."""
+    """A graded interval [birth, death); death is None for a bar that
+    never dies."""
 
     birth: Fraction
-    death: Death
+    death: Optional[Fraction]
     eps: int
 
     def __post_init__(self):
         object.__setattr__(self, "birth", as_ratio(self.birth))
-        if self.death != INFINITE_DEATH:
+        if self.death is not None:
             object.__setattr__(self, "death", as_ratio(self.death))
-        if not self.birth < self.death:
-            raise ValueError(
-                f"bar needs birth < death, got [{self.birth}, {self.death})")
+            if not self.birth < self.death:
+                raise ValueError(
+                    f"bar needs birth < death, got [{self.birth}, {self.death})")
         if self.eps not in (0, 1):
             raise ValueError("bar eps must be 0 or 1")
 
     @property
     def is_finite(self) -> bool:
-        return self.death != INFINITE_DEATH
+        return self.death is not None
 
     def _key(self):
-        return (self.birth, self.death, self.eps)
+        # infinite bars sort after the finite bars of the same birth
+        infinite = self.death is None
+        return (self.birth, infinite, 0 if infinite else self.death, self.eps)
 
 
 class Barcode:
-    """A finite multiset of bars, kept in sorted order (birth, death, eps)
-    so equal barcodes are structurally equal."""
+    """A finite multiset of bars, kept in sorted order (birth, death, eps),
+    infinite bars after the finite ones of the same birth, so equal
+    barcodes are structurally equal."""
 
     __slots__ = ("bars",)
 
@@ -269,18 +263,9 @@ class Barcode:
         level = as_ratio(level)
         dims = [0, 0]
         for bar in self.bars:
-            if bar.birth <= level < bar.death:
+            if bar.birth <= level and (bar.death is None or level < bar.death):
                 dims[bar.eps] += 1
         return (dims[0], dims[1])
-
-
-def _grid_keys(generators) -> Tuple[int, List[int]]:
-    """(q, keys): q is the lcm of the filtration denominators and keys[i]
-    the int q * filtration of generator i, so keys order and group the
-    generators exactly as their filtrations do."""
-    q = math.lcm(*{g.filtration.denominator for g in generators})
-    return q, [g.filtration.numerator * (q // g.filtration.denominator)
-               for g in generators]
 
 
 def barcode_decompose(complex_: FilteredComplex) -> Barcode:
@@ -293,12 +278,12 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     module.
 
     Filtrations are compared as int keys on the 1/q grid (see
-    ``_grid_keys``): the stable sort keeps equal levels in input order,
+    ``novikov.grid``): the stable sort keeps equal levels in input order,
     and the bars are emitted already in ``Barcode`` order.
     """
     complex_.validate()
     gens = complex_.generators
-    _, keys = _grid_keys(gens)
+    _, keys = grid(g.filtration for g in gens)
     order = sorted(range(len(gens)), key=keys.__getitem__)
     pos = [0] * len(gens)
     for p, i in enumerate(order):
@@ -334,7 +319,7 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     rows.sort()
     return Barcode([
         Bar(gens[b].filtration,
-            INFINITE_DEATH if infinite else gens[d].filtration, eps)
+            None if infinite else gens[d].filtration, eps)
         for _, infinite, _, eps, b, d in rows])
 
 
@@ -374,22 +359,12 @@ def zeta_persistence(complex_: FilteredComplex,
 
     By Euler-Poincare the jump at a level is the signed count (-1)^eps of
     the generators with that filtration, so this is one O(generators) pass
-    on the integer grid after ``validate()`` (memoised, and still raising
-    on an invalid complex); no decomposition runs.  Equals ``zeta_barcode``
-    of ``barcode_decompose``, an independent route the tests compare.
+    after ``validate()`` (memoised, and still raising on an invalid
+    complex): the series constructor sums the counts per level on the
+    integer grid and drops the levels above the cutoff; no decomposition
+    runs.  Equals ``zeta_barcode`` of ``barcode_decompose``, an independent
+    route the tests compare.
     """
-    cutoff = as_ratio(cutoff)
     complex_.validate()
-    q, keys = _grid_keys(complex_.generators)
-    # key <= bound exactly when the level is <= cutoff
-    bound = cutoff.numerator * q // cutoff.denominator
-    jumps: Dict[int, int] = {}
-    levels: Dict[int, Fraction] = {}
-    for key, g in zip(keys, complex_.generators):
-        if key <= bound:
-            jumps[key] = jumps.get(key, 0) + (-1 if g.eps else 1)
-            levels[key] = g.filtration
-    # Exponents are the generators' own Fractions: rebuilding key/q would
-    # cost a gcd on q, which has many digits when the denominators do.
-    return NovikovSeries({levels[key]: c for key, c in jumps.items()},
-                         cutoff)
+    return NovikovSeries([(g.filtration, -1 if g.eps else 1)
+                          for g in complex_.generators], cutoff)

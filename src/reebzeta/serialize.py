@@ -1,5 +1,5 @@
 """JSON file schemas for series, orbit sets, filtered complexes, Morse
-data, toric domains and barcodes.
+data and barcodes.
 
 All rationals travel as canonical strings "p/q" (gcd(p,q)=1, q>0) or "p"
 when the denominator is 1, so serialized files are diff-friendly and
@@ -13,11 +13,11 @@ import json
 import re
 from fractions import Fraction
 
-from .domains import MorseData, ToricDomain
+from .domains import MorseData
 from .errors import ReebZetaError
 from .novikov import NovikovSeries, as_ratio
 from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
-from .persistence import Bar, Barcode, FilteredComplex, INFINITE_DEATH
+from .persistence import Bar, Barcode, FilteredComplex
 
 _RATIO_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -207,7 +207,7 @@ def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
 
 def barcode_to_obj(barcode: Barcode) -> list:
     return [{"birth": format_ratio(bar.birth),
-             "death": "inf" if not bar.is_finite else format_ratio(bar.death),
+             "death": "inf" if bar.death is None else format_ratio(bar.death),
              "eps": bar.eps}
             for bar in barcode]
 
@@ -220,7 +220,7 @@ def barcode_from_obj(obj, where: str = "barcode") -> Barcode:
         _no_extra_keys(entry, ("birth", "death", "eps"), loc)
         birth = parse_ratio(entry.get("birth"), f"{loc}.birth")
         death_raw = entry.get("death")
-        death = (INFINITE_DEATH if death_raw == "inf"
+        death = (None if death_raw == "inf"
                  else parse_ratio(death_raw, f"{loc}.death"))
         bars.append(Bar(birth, death, _expect_bit(entry.get("eps"),
                                                   f"{loc}.eps")))
@@ -228,17 +228,6 @@ def barcode_from_obj(obj, where: str = "barcode") -> Barcode:
 
 
 # -- domains --------------------------------------------------------------
-
-
-def toric_from_obj(obj, where: str = "toric") -> ToricDomain:
-    obj = _expect_obj(obj, where)
-    _no_extra_keys(obj, ("a", "b"), where)
-    return ToricDomain(parse_ratio(obj.get("a"), f"{where}.a"),
-                       parse_ratio(obj.get("b"), f"{where}.b"))
-
-
-def toric_to_obj(domain: ToricDomain) -> dict:
-    return {"a": format_ratio(domain.a), "b": format_ratio(domain.b)}
 
 
 def morse_from_obj(obj, where: str = "morse") -> MorseData:

@@ -5,9 +5,8 @@ independent of the library's own arithmetic."""
 import random
 from fractions import Fraction as F
 
-from reebzeta import (Bar, Barcode, FilteredComplex, INFINITE_DEATH,
-                      NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
-                      mobius)
+from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries, OrbitSet,
+                      OrbitType3D, SimpleOrbit, mobius)
 
 PARITY_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -68,9 +67,11 @@ def mobius_product_reference(a: NovikovSeries, cutoff) -> NovikovSeries:
 
 def stored(series):
     """Cutoff and stored terms with coefficient types: equal exactly when
-    two series are the same bits, not only the same value."""
-    return series.cutoff, sorted((s, type(c), c)
-                                 for s, c in series._terms.items())
+    two series are the same bits, not only the same value.  Exponents are
+    read back from the int keys on the series' 1/q grid, so the grid
+    itself (which need not be minimal) does not enter the comparison."""
+    return series.cutoff, sorted((F(n, series._q), type(c), c)
+                                 for n, c in series._terms.items())
 
 
 # -- random inputs -------------------------------------------------------
@@ -160,7 +161,7 @@ def random_complex(rng, max_gens=12):
         bars.append(Bar(gens[y][2], gens[x][2], gens[y][1]))
     for i in range(n):
         if i not in used:
-            bars.append(Bar(gens[i][2], INFINITE_DEATH, gens[i][1]))
+            bars.append(Bar(gens[i][2], None, gens[i][1]))
 
     columns = {}
     for x, y, coeff in entries:
@@ -217,7 +218,7 @@ def planted_complex(rng, n):
     for level in levels[k:]:
         eps = rng.randint(0, 1)
         gens.append((eps, level))
-        bars.append(Bar(level, INFINITE_DEATH, eps))
+        bars.append(Bar(level, None, eps))
 
     rows = {}
     for j, col in cols.items():

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import fresh_rng, probe_levels, random_complex, stored
-from reebzeta import (Bar, Barcode, FilteredComplex, INFINITE_DEATH,
-                      NovikovSeries, barcode_decompose, euler_jump,
-                      homology_dims, validate_complex, zeta_barcode,
-                      zeta_persistence)
+from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries,
+                      barcode_decompose, euler_jump, homology_dims,
+                      zeta_barcode, zeta_persistence)
 from reebzeta.errors import (DuplicateLabel, FiltrationViolation,
                              GradingViolation, NotSquareZero)
 
@@ -23,31 +22,31 @@ def pair_complex():
 class TestValidation:
     def test_valid_two_generator_complex(self):
         c = pair_complex()
-        assert validate_complex(c) is c
+        assert c.validate() is c
 
     def test_equal_filtration_is_a_violation(self):
         c = FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])
         with pytest.raises(FiltrationViolation):
-            validate_complex(c)
+            c.validate()
 
     def test_grading_must_change(self):
         c = FilteredComplex([("x", 1, 2), ("y", 1, 1)], [("x", "y", 1)])
         with pytest.raises(GradingViolation):
-            validate_complex(c)
+            c.validate()
 
     def test_square_zero_enforced(self):
         c = FilteredComplex(
             [("x", 1, 3), ("y", 0, 2), ("w", 1, 1)],
             [("x", "y", 1), ("y", "w", 1)])
         with pytest.raises(NotSquareZero):
-            validate_complex(c)
+            c.validate()
 
     def test_square_zero_cancellation_is_fine(self):
         c = FilteredComplex(
             [("x", 0, 4), ("y1", 1, 3), ("y2", 1, 2), ("z", 0, 1)],
             [("x", "y1", 1), ("x", "y2", 1),
              ("y1", "z", 1), ("y2", "z", -1)])
-        assert validate_complex(c) is c
+        assert c.validate() is c
 
     def test_duplicate_generator_labels(self):
         with pytest.raises(DuplicateLabel):
@@ -121,12 +120,12 @@ class TestBarcodeDecompose:
 
     def test_single_immortal_class(self):
         c = FilteredComplex([("z", 0, F(5, 2))])
-        assert barcode_decompose(c) == Barcode([Bar(F(5, 2), INFINITE_DEATH, 0)])
+        assert barcode_decompose(c) == Barcode([Bar(F(5, 2), None, 0)])
 
     def test_direct_sum_same_filtration(self):
         c = FilteredComplex([("a", 0, 1), ("b", 1, 1)])
         assert barcode_decompose(c) == Barcode([
-            Bar(1, INFINITE_DEATH, 0), Bar(1, INFINITE_DEATH, 1)])
+            Bar(1, None, 0), Bar(1, None, 1)])
 
     def test_propagates_validation_errors(self):
         c = FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])
@@ -148,14 +147,14 @@ class TestBars:
             Bar(1, 1, 0)
 
     def test_infinite_death_allowed(self):
-        bar = Bar(1, INFINITE_DEATH, 1)
+        bar = Bar(1, None, 1)
         assert not bar.is_finite
 
     def test_barcode_sorted_multiset(self):
-        bars = [Bar(2, INFINITE_DEATH, 0), Bar(1, 2, 1), Bar(1, 2, 0)]
+        bars = [Bar(2, None, 0), Bar(1, 2, 1), Bar(1, 2, 0)]
         ordered = list(Barcode(bars))
         assert ordered == [Bar(1, 2, 0), Bar(1, 2, 1),
-                           Bar(2, INFINITE_DEATH, 0)]
+                           Bar(2, None, 0)]
 
 
 class TestEulerJump:
@@ -165,12 +164,12 @@ class TestEulerJump:
         assert euler_jump(barcode, 2) == -1
 
     def test_zero_away_from_endpoints(self):
-        barcode = Barcode([Bar(1, 2, 0), Bar(F(1, 2), INFINITE_DEATH, 1)])
+        barcode = Barcode([Bar(1, 2, 0), Bar(F(1, 2), None, 1)])
         assert euler_jump(barcode, F(3, 2)) == 0
         assert euler_jump(barcode, 17) == 0
 
     def test_odd_immortal_class(self):
-        assert euler_jump(Barcode([Bar(1, INFINITE_DEATH, 1)]), 1) == -1
+        assert euler_jump(Barcode([Bar(1, None, 1)]), 1) == -1
 
 
 class TestZetaBarcode:
@@ -182,7 +181,7 @@ class TestZetaBarcode:
         assert zeta_barcode(Barcode(), 3) == NovikovSeries.zero(3)
 
     def test_odd_infinite_bar(self):
-        assert zeta_barcode(Barcode([Bar(1, INFINITE_DEATH, 1)]), 3) == \
+        assert zeta_barcode(Barcode([Bar(1, None, 1)]), 3) == \
             NovikovSeries({1: -1}, 3)
 
     def test_death_beyond_cutoff_truncated(self):

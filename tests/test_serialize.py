@@ -7,16 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import fresh_rng, random_complex, random_orbit_set, random_series
-from reebzeta import (Bar, Barcode, INFINITE_DEATH, MorseData, NovikovSeries,
-                      ToricDomain, barcode_decompose, s1_invariant_zeta,
-                      toric_zeta)
+from reebzeta import (Bar, Barcode, MorseData, NovikovSeries,
+                      barcode_decompose, s1_invariant_zeta)
 from reebzeta.errors import DuplicateLabel
 from reebzeta.serialize import (_RATIO_RE, SchemaError, barcode_from_obj,
                                 barcode_to_obj, complex_from_obj, complex_to_obj,
                                 format_ratio, morse_from_obj, morse_to_obj,
                                 orbit_set_from_obj, orbit_set_to_obj,
-                                parse_ratio, series_from_obj, series_to_obj,
-                                toric_from_obj, toric_to_obj)
+                                parse_ratio, series_from_obj, series_to_obj)
 
 
 class TestRatios:
@@ -157,27 +155,20 @@ class TestComplexSchema:
 
 class TestBarcodeSchema:
     def test_round_trip_with_infinite_bars(self):
-        barcode = Barcode([Bar(1, 2, 0), Bar(F(1, 2), INFINITE_DEATH, 1)])
+        barcode = Barcode([Bar(1, 2, 0), Bar(F(1, 2), None, 1)])
         obj = barcode_to_obj(barcode)
         assert obj == [{"birth": "1/2", "death": "inf", "eps": 1},
                        {"birth": "1", "death": "2", "eps": 0}]
         assert barcode_from_obj(obj) == barcode
 
     def test_sorted_by_birth_death_eps(self):
-        barcode = Barcode([Bar(1, INFINITE_DEATH, 0), Bar(1, 2, 1),
+        barcode = Barcode([Bar(1, None, 0), Bar(1, 2, 1),
                            Bar(1, 2, 0)])
         deaths = [entry["death"] for entry in barcode_to_obj(barcode)]
         assert deaths == ["2", "2", "inf"]
 
 
 class TestDomainSchemas:
-    def test_toric_round_trip(self):
-        domain = ToricDomain(F(3, 2), 2)
-        assert toric_from_obj(toric_to_obj(domain)) == domain
-        assert toric_to_obj(domain) == {"a": "3/2", "b": "2"}
-        serialized = toric_zeta(toric_from_obj({"a": "1", "b": "1"}), 2)
-        assert serialized == NovikovSeries({0: 1, 1: 2, 2: 3}, 2)
-
     def test_morse_round_trip(self):
         morse = MorseData([("min", 1, 0), ("sad", F(3, 2), 1),
                            ("max", 3, 2), ("pad", 4, 0)])
