@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 from .errors import (BadMorseCounts, NonPositiveAction, NotCoprime,
                      OnSpectrum)
-from .novikov import NovikovSeries, RatioLike, as_ratio
+from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class ToricDomain:
 
 def toric_zeta(domain: ToricDomain, cutoff: RatioLike) -> NovikovSeries:
     """1 / ((1 - t^a)(1 - t^b)) modulo the cutoff."""
-    cutoff = as_ratio(cutoff)
-    fa = NovikovSeries({Fraction(0): 1, domain.a: -1}, cutoff)
-    fb = NovikovSeries({Fraction(0): 1, domain.b: -1}, cutoff)
-    return (fa * fb).inverse()
+    return binomial_product([(domain.a, 1, -1), (domain.b, 1, -1)], cutoff)
 
 
 def toric_euler(domain: ToricDomain, at: RatioLike) -> int:
@@ -143,14 +140,9 @@ def s1_invariant_zeta(morse: MorseData, cutoff: RatioLike) -> NovikovSeries:
     """Zeta of the circle-invariant domain with the given critical point
     data: the product over critical points of (1 - t^action), inverted
     for indices 0 and 2 and kept as-is for saddles (index 1)."""
-    cutoff = as_ratio(cutoff)
-    result = NovikovSeries.one(cutoff)
-    for p in sorted(morse, key=lambda p: (p.action, p.label)):
-        if p.action > cutoff:
-            continue
-        factor = NovikovSeries({Fraction(0): 1, p.action: -1}, cutoff)
-        result = result * (factor if p.index == 1 else factor.inverse())
-    return result
+    return binomial_product(
+        [(p.action, 1, 1 if p.index == 1 else -1)
+         for p in sorted(morse, key=lambda p: (p.action, p.label))], cutoff)
 
 
 class ToricVerdict(enum.Enum):

@@ -5,7 +5,7 @@ characteristic jumps, one term per action level) into the multiplicative
 zeta function: for input a = sum_A a(A) t^A it forms the finite truncated
 product over actions A in the support and integers n >= 1 of
 
-    (1 - t^(n*A)) ** (-a(A) * mu(n)),
+    (1 - t^(n*A))^(-a(A) * mu(n)),
 
 factors with n*A beyond the cutoff being 1.  Per single action with count
 +1 this reproduces the classical identities
@@ -19,21 +19,23 @@ bookkeeping of the zeta function.
 Many factors share a level m = n*A, so ``mobius_product`` merges their
 exponents first and applies one factor per level:
 
-    prod_m (1 - t^m) ** E(m),    E(m) = -sum_{n*A = m} mu(n) * a(A).
+    prod_m (1 - t^m)^E(m),    E(m) = -sum_{n*A = m} mu(n) * a(A).
 
 The merge runs on the input series' own integer grid of step 1/q (see
 ``novikov``), in int arithmetic on its keys and bound: sum_A
-floor(cutoff / A) steps in all.  Only levels with E(m) != 0 cost a series
-power and product, and there are at most floor(q*cutoff) of them.
+floor(cutoff / A) steps in all.  Only levels with E(m) != 0 cost a
+binomial factor, and there are at most floor(q*cutoff) of them.
 For one orbit of action 1/N the N*log(N) factors of the unmerged product
 cancel to the single level m = 1/N.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import orbits as _orbits
 from .errors import NonIntegerCoefficients, NonPositiveSupport
-from .novikov import NovikovSeries, RatioLike, as_ratio
+from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
 
 _memo = {1: 1}
 
@@ -71,10 +73,10 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
     """The Moebius product transform of an integer series supported on
     positive exponents; see the module docstring for the factor formula.
 
-    Computed as prod_m (1 - t^m) ** E(m) over levels m <= cutoff in
+    Computed as prod_m (1 - t^m)^E(m) over levels m <= cutoff in
     ascending order, with E(m) = -sum_{n*A = m} mu(n) * a(A) merged first
-    on the int keys of a's own grid, so each level costs one power and one
-    product however many pairs (A, n) reach it.
+    on the int keys of a's own grid, so each level is one factor of
+    ``novikov.binomial_product`` however many pairs (A, n) reach it.
 
     The result is valid modulo min(cutoff, a.cutoff) and carries that
     cutoff; its constant term is 1.
@@ -95,13 +97,9 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
             if mu:
                 level = n * key
                 merged[level] = merged.get(level, 0) - mu * count
-    result = NovikovSeries.one(cutoff)
-    for level in sorted(merged):
-        power = merged[level]
-        if power:
-            base = NovikovSeries._raw(a._q, {0: 1, level: -1}, cutoff)
-            result = result * base ** power
-    return result
+    return binomial_product([(Fraction(level, a._q), 1, merged[level])
+                             for level in sorted(merged) if merged[level]],
+                            cutoff)
 
 
 def zeta_via_mobius(orbit_set, cutoff: RatioLike) -> NovikovSeries:

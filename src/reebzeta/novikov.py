@@ -6,6 +6,8 @@ and rational exponents s ("actions"), considered modulo the ideal of terms
 with exponent greater than a fixed rational cutoff.  Addition is pointwise,
 multiplication is convolution of exponents, units are inverted by summing a
 geometric series, and exp/log connect additive and multiplicative pictures.
+``binomial_product`` forms the products of factors (1 - c * t^a)^k that
+every product-formula zeta in the library is made of.
 Everything is exact: equality of two series is equality of their terms,
 never an approximation.
 
@@ -282,15 +284,14 @@ class NovikovSeries:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = NovikovSeries.one(self._cutoff)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return NovikovSeries.one(self._cutoff) if result is None else result
 
     def truncate(self, cutoff: RatioLike) -> "NovikovSeries":
         """Restrict validity to a smaller cutoff, dropping terms above it."""
@@ -325,23 +326,27 @@ class NovikovSeries:
         # neg_r = 1 - a / (c0 t^s0), supported on positive keys
         neg_r = sorted((n - n0, _quotient(-c, c0))
                        for n, c in self._terms.items() if n != n0)
-        bound = self._bound + n0  # inner sum runs to cutoff + s0
-        acc = {0: 1}
-        if neg_r:
-            power = dict(neg_r)
-            m = neg_r[0][0]
-            k = 1
-            while k * m <= bound and power:
-                for n, c in power.items():
-                    acc[n] = acc.get(n, 0) + c
-                k += 1
-                if k * m <= bound:
-                    power = _conv(sorted(power.items()), neg_r, bound)
-            _prune(acc)
+        # the inner sum runs to cutoff + s0; its keys are all positive
+        acc = _power_sum(neg_r, self._bound + n0, lambda k: 1)
+        acc[0] = 1
         inv_c0 = _quotient(1, c0)
         return NovikovSeries._raw(
             self._q, {n - n0: _norm_coeff(c * inv_c0) for n, c in acc.items()},
             self._cutoff)
+
+
+def binomial_product(factors: Iterable[Tuple], cutoff: RatioLike) -> NovikovSeries:
+    """prod (1 - c * t^a)^k over the (a, c, k) triples, in the given
+    order, modulo the cutoff; a factor with a above the cutoff is 1 and
+    is skipped.  The product-formula zetas (orbits, toric and
+    circle-invariant domains, the Moebius transform) all go through here.
+    """
+    cutoff = as_ratio(cutoff)
+    result = NovikovSeries.one(cutoff)
+    for a, c, k in factors:
+        if as_ratio(a) <= cutoff:
+            result = result * NovikovSeries({0: 1, a: -c}, cutoff) ** k
+    return result
 
 
 # -- integer-key internals ---------------------------------------------
@@ -377,8 +382,28 @@ def _conv(a, b, bound: int) -> dict:
 
 
 def _prune(acc: dict) -> None:
-    for n in [n for n, c in acc.items() if not c]:
-        del acc[n]
+    # Canonical form: no zero coefficients, whole Fractions stored as ints.
+    for n in [n for n, c in acc.items()
+              if not c or type(c) is Fraction and c.denominator == 1]:
+        if acc[n]:
+            acc[n] = acc[n].numerator
+        else:
+            del acc[n]
+
+
+def _power_sum(r, bound: int, weight) -> dict:
+    """sum_{k>=1} weight(k) * r^k on keys <= bound, for r a sorted list
+    of (int key, coeff) with positive keys: the sum is finite because the
+    lowest key of r^k grows with k and the powers leave the window."""
+    acc, power, k = {}, dict(r), 1
+    while power:
+        w = weight(k)
+        for n, c in power.items():
+            acc[n] = acc.get(n, 0) + w * c
+        k += 1
+        power = _conv(sorted(power.items()), r, bound)
+    _prune(acc)
+    return acc
 
 
 # -- exponential and logarithm -----------------------------------------
@@ -438,20 +463,6 @@ def log(a: NovikovSeries) -> NovikovSeries:
         raise BadLeadingTerm(
             f"log needs constant term 1, got {a.constant_term}")
     r = sorted((n, c) for n, c in terms.items() if n != 0)
-    if not r:
-        return NovikovSeries.zero(a.cutoff)
-    bound = a._bound
-    m = r[0][0]
-    acc = {}
-    power = dict(r)
-    k = 1
-    while k * m <= bound and power:
-        sign = 1 if k % 2 else -1
-        for n, c in power.items():
-            acc[n] = acc.get(n, 0) + _quotient(sign * c, k)
-        k += 1
-        if k * m <= bound:
-            power = _conv(sorted(power.items()), r, bound)
-    _prune(acc)
-    return NovikovSeries._raw(a._q, {n: _norm_coeff(c) for n, c in acc.items()},
-                              a.cutoff)
+    return NovikovSeries._raw(
+        a._q, _power_sum(r, a._bound, lambda k: Fraction(1 if k % 2 else -1, k)),
+        a.cutoff)

@@ -179,16 +179,9 @@ def zeta_exp_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     """Zeta via the exponential: exp of the sum, over all orbit iterates
     with action below the cutoff, of (-1)^parity / d * t^(d*A)."""
     cutoff = as_ratio(cutoff)
-    terms: dict = {}
-    for o in orbit_set:
-        for d, action in _iterates(o, cutoff):
-            sign = -1 if iterate_parity(o, d) else 1
-            c = terms.get(action, 0) + Fraction(sign, d)
-            if c:
-                terms[action] = c
-            elif action in terms:
-                del terms[action]
-    return novikov.exp(NovikovSeries(terms, cutoff))
+    return novikov.exp(NovikovSeries(
+        [(action, Fraction(-1 if iterate_parity(o, d) else 1, d))
+         for o in orbit_set for d, action in _iterates(o, cutoff)], cutoff))
 
 
 def zeta_product_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
@@ -199,16 +192,9 @@ def zeta_product_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     cutoff contribute 1.  The result always has integer coefficients and
     constant term 1.
     """
-    cutoff = as_ratio(cutoff)
-    result = NovikovSeries.one(cutoff)
-    for o in sorted(orbit_set, key=_orbit_key):
-        if o.action > cutoff:
-            continue
-        sign = -1 if (o.eps1 + o.eps2) % 2 else 1
-        power = 1 if o.eps2 else -1
-        factor = NovikovSeries({Fraction(0): 1, o.action: -sign}, cutoff)
-        result = result * factor ** power
-    return result
+    return novikov.binomial_product(
+        [(o.action, -1 if (o.eps1 + o.eps2) % 2 else 1, 1 if o.eps2 else -1)
+         for o in sorted(orbit_set, key=_orbit_key)], cutoff)
 
 
 @dataclass(frozen=True)
@@ -254,27 +240,27 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]
     3-dimensional orbit type and is rejected.
     """
     cutoff = as_ratio(cutoff)
-    orbits = sorted(orbit_set, key=_orbit_key)
-    for o in orbits:
+    for o in orbit_set:
         if (o.eps1, o.eps2) == (1, 0):
             raise NotThreeDimensional(
                 f"orbit {o.label!r} has parities (1, 0)")
+    orbits = sorted((o for o in orbit_set if o.action <= cutoff),
+                    key=_orbit_key)
     out: List[EchGenerator] = []
-
-    def extend(i: int, chosen, total: Fraction):
-        if i == len(orbits):
-            out.append(EchGenerator.from_pairs(chosen))
-            return
-        o = orbits[i]
-        extend(i + 1, chosen, total)
+    # Depth-first on an explicit stack of (next orbit, pairs, total action).
+    stack = [(0, (), Fraction(0))]
+    while stack:
+        i, chosen, total = stack.pop()
         budget = cutoff - total
-        if o.action > budget:
-            return
-        max_mult = 1 if o.is_hyperbolic else math.floor(budget / o.action)
-        for m in range(1, max_mult + 1):
-            extend(i + 1, chosen + [(o, m)], total + m * o.action)
-
-    extend(0, [], Fraction(0))
+        # Actions ascend, so once orbit i is over budget every later one is.
+        if i == len(orbits) or orbits[i].action > budget:
+            out.append(EchGenerator.from_pairs(chosen))
+            continue
+        o = orbits[i]
+        stack.append((i + 1, chosen, total))
+        max_mult = 1 if o.is_hyperbolic else budget // o.action
+        stack.extend((i + 1, chosen + ((o, m),), total + m * o.action)
+                     for m in range(1, max_mult + 1))
     out.sort(key=lambda g: (g.total_action, g.labels, g.multiplicities))
     return out
 
@@ -282,16 +268,8 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]
 def zeta_ech_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     """Zeta as the signed sum (-1)^grading * t^(total action) over all ECH
     generators below the cutoff."""
-    cutoff = as_ratio(cutoff)
-    terms: dict = {}
-    for gen in ech_generators(orbit_set, cutoff):
-        sign = -1 if gen.grading else 1
-        c = terms.get(gen.total_action, 0) + sign
-        if c:
-            terms[gen.total_action] = c
-        elif gen.total_action in terms:
-            del terms[gen.total_action]
-    return NovikovSeries(terms, cutoff)
+    return NovikovSeries([(gen.total_action, -1 if gen.grading else 1)
+                          for gen in ech_generators(orbit_set, cutoff)], cutoff)
 
 
 def good_orbit_count(orbit_set: OrbitSet, at: RatioLike) -> int:
@@ -317,17 +295,10 @@ def zeta_good_orbits(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     it to the Moebius product transform recovers the zeta function.
     """
     cutoff = as_ratio(cutoff)
-    terms: dict = {}
-    for o in orbit_set:
-        for d, action in _iterates(o, cutoff):
-            if not is_good(o, d):
-                continue
-            c = terms.get(action, 0) + (-1 if iterate_parity(o, d) else 1)
-            if c:
-                terms[action] = c
-            elif action in terms:
-                del terms[action]
-    return NovikovSeries(terms, cutoff)
+    return NovikovSeries([(action, -1 if iterate_parity(o, d) else 1)
+                          for o in orbit_set
+                          for d, action in _iterates(o, cutoff)
+                          if is_good(o, d)], cutoff)
 
 
 def classify_orbit_3d(trace: RatioLike) -> OrbitType3D:

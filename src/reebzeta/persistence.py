@@ -341,14 +341,13 @@ def euler_jump(barcode: Barcode, at: RatioLike) -> int:
 def zeta_barcode(barcode: Barcode, cutoff: RatioLike) -> NovikovSeries:
     """Zeta of a barcode: each finite bar contributes
     (-1)^eps (t^birth - t^death), each infinite bar (-1)^eps t^birth."""
-    cutoff = as_ratio(cutoff)
-    terms: dict = {}
+    pairs = []
     for bar in barcode:
         sign = -1 if bar.eps else 1
-        terms[bar.birth] = terms.get(bar.birth, 0) + sign
+        pairs.append((bar.birth, sign))
         if bar.is_finite:
-            terms[bar.death] = terms.get(bar.death, 0) - sign
-    return NovikovSeries(terms, cutoff)
+            pairs.append((bar.death, -sign))
+    return NovikovSeries(pairs, cutoff)
 
 
 def zeta_persistence(complex_: FilteredComplex,

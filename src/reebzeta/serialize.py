@@ -222,8 +222,11 @@ def barcode_from_obj(obj, where: str = "barcode") -> Barcode:
         death_raw = entry.get("death")
         death = (None if death_raw == "inf"
                  else parse_ratio(death_raw, f"{loc}.death"))
-        bars.append(Bar(birth, death, _expect_bit(entry.get("eps"),
-                                                  f"{loc}.eps")))
+        eps = _expect_bit(entry.get("eps"), f"{loc}.eps")
+        try:
+            bars.append(Bar(birth, death, eps))
+        except ValueError as exc:  # birth >= death
+            raise SchemaError(loc, str(exc)) from exc
     return Barcode(bars)
 
 
@@ -261,6 +264,8 @@ def load_json(path: str):
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     except ValueError as exc:  # not UTF-8, or an integer past the digit limit
         raise SchemaError(path, str(exc)) from exc
+    except RecursionError as exc:
+        raise SchemaError(path, "JSON nested too deeply") from exc
 
 
 def dump_json(obj, path: str) -> None:

@@ -223,3 +223,20 @@ def test_criterion_10_persistence_zeta_on_a_large_complex():
         assert zeta_persistence(complex_, cutoff) == \
             zeta_barcode(barcode, cutoff)
     assert barcode == planted
+
+
+def test_criterion_11_toric_zeta_on_a_fine_grid():
+    a, b = F(1, 300), F(1, 301)
+    # t^s counts the points (i, j) >= 0 with i*a + j*b = s, on the 1/90300
+    # grid where s = (301*i + 300*j) / 90300
+    lattice = {}
+    for i in range(301):
+        for j in range((90300 - 301 * i) // 300 + 1):
+            key = 301 * i + 300 * j
+            lattice[key] = lattice.get(key, 0) + 1
+    expected = NovikovSeries([(F(key, 90300), count)
+                              for key, count in lattice.items()], 1)
+    with criterion(11, "toric zeta of axis actions 1/300, 1/301 at cutoff 1 "
+                       "= lattice-point counts (45,451 terms)", budget=0.5):
+        assert toric_zeta(ToricDomain(a, b), 1) == expected
+    assert len(expected) == 45451 and expected.coefficient(1) == 2

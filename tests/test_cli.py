@@ -242,6 +242,19 @@ class TestExitCodes:
                            "--form", "ech")
         assert code == 2 and "NotThreeDimensional" in err
 
+    def test_ech_on_many_orbits(self, tmp_path, capsys):
+        # more orbits than the interpreter's recursion limit
+        far = write(tmp_path, "far.json",
+                    [{"label": f"h{i}", "action": "1000",
+                      "type": "pos-hyperbolic"} for i in range(1200)])
+        assert run(capsys, "zeta-orbits", far, "--cutoff", "1",
+                   "--form", "ech") == (0, "0\t1\ncutoff\t1\n", "")
+        near = write(tmp_path, "near.json",
+                     [{"label": f"h{i}", "action": "1",
+                       "type": "pos-hyperbolic"} for i in range(1100)])
+        assert run(capsys, "zeta-orbits", near, "--cutoff", "1",
+                   "--form", "ech") == (0, "0\t1\n1\t-1100\ncutoff\t1\n", "")
+
     def test_fractional_transform_input_is_math_error(self, tmp_path, capsys):
         path = write(tmp_path, "frac.json", {
             "terms": [{"exponent": "1", "coefficient": "1/2"}],

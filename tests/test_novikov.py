@@ -1,15 +1,17 @@
 """Truncated Novikov series: examples, canonical form, ring laws,
 inversion, exp/log."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import dict_exp, dict_mul, dict_terms, fresh_rng, \
-    random_series, random_unit
+    random_series, random_unit, stored
 from reebzeta import NovikovSeries, exp, log
 from reebzeta.errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
+from reebzeta.novikov import binomial_product
 
 
 def S(terms, cutoff):
@@ -43,6 +45,14 @@ class TestCanonicalForm:
             S({0.5: 1}, 2)
         with pytest.raises(TypeError):
             S({1: 1}, 2.5)
+
+    def test_whole_sums_stored_as_int(self):
+        half = F(1, 2)
+        built = S([(1, half), (1, half), (2, half)], 3)
+        assert stored(built) == (3, [(1, int, 1), (2, F, half)])
+        b = S({1: half}, 2)
+        assert stored(b + b) == (2, [(1, int, 1)])
+        assert stored(b * S({0: 2}, 2)) == (2, [(1, int, 1)])
 
     def test_negative_exponents_storable(self):
         series = S({-1: 2, 1: 1}, 3)
@@ -104,6 +114,39 @@ class TestPow:
         for _ in range(20):
             a = random_series(rng, cutoff=6, max_terms=4)
             assert a ** 3 == a * a * a
+
+
+def binomial_terms(a, c, k, cutoff) -> dict:
+    """(1 - c t^a)^k modulo the cutoff from the generalized binomial
+    series: the coefficient of t^(j*a) is C(k, j) * (-c)^j, which for
+    k < 0 is C(j - k - 1, j) * c^j."""
+    terms, j = {}, 0
+    while j * a <= cutoff and (k < 0 or j <= k):
+        coeff = (math.comb(j - k - 1, j) * F(c) ** j if k < 0
+                 else math.comb(k, j) * F(-c) ** j)
+        if coeff:
+            terms[j * a] = coeff
+        j += 1
+    return terms
+
+
+class TestBinomialProduct:
+    def test_empty_product_is_one(self):
+        assert binomial_product([], 3) == NovikovSeries.one(3)
+
+    def test_factors_above_the_cutoff_are_skipped(self, monkeypatch):
+        powers = []
+        original = NovikovSeries.__pow__
+
+        def counting_pow(self, k):
+            powers.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(NovikovSeries, "__pow__", counting_pow)
+        result = binomial_product([(5, 1, -1), (F(7, 2), 3, 2), (3, 1, 4)], 3)
+        monkeypatch.undo()
+        assert powers == [4]
+        assert result == S({0: 1, 3: -4}, 3)
 
 
 class TestInverse:
@@ -325,3 +368,17 @@ class TestProperties:
         assert rebuilt.items() == a.items()
         doubled = a * 2 * F(1, 2)
         assert doubled == a and hash(doubled) == hash(a)
+
+    @PROPERTY
+    @given(st.sampled_from(CUTOFFS),
+           st.lists(st.tuples(st.sampled_from(DENOMINATORS),
+                              st.integers(1, 14),
+                              st.sampled_from((1, -1, 2, F(1, 2))),
+                              st.integers(-3, 3)), max_size=4))
+    def test_binomial_product_matches_binomial_series(self, cutoff, draws):
+        factors = [(F(num, den), c, k) for den, num, c, k in draws]
+        expected = {F(0): F(1)}
+        for a, c, k in factors:
+            expected = dict_mul(expected, binomial_terms(a, c, k, cutoff),
+                                cutoff)
+        assert dict_terms(binomial_product(factors, cutoff)) == expected

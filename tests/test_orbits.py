@@ -147,6 +147,15 @@ class TestEchGenerators:
         gen = EchGenerator.from_pairs([(elliptic("e", F(1, 2)), 3)])
         assert gen.total_action == F(3, 2)
 
+    def test_many_orbits_at_the_cutoff(self):
+        orbit_set = OrbitSet(positive_hyperbolic(f"h{i:04}", 1)
+                             for i in range(1100))
+        gens = ech_generators(orbit_set, 1)
+        assert [g.labels for g in gens] == \
+            [()] + [(f"h{i:04}",) for i in range(1100)]
+        assert zeta_ech_form(orbit_set, 1) == S({0: 1, 1: -1100}, 1) == \
+            zeta_product_form(orbit_set, 1)
+
     def test_deterministic_order(self):
         orbit_set = OrbitSet([elliptic("b", 1), elliptic("a", 1)])
         keys = [(g.total_action, g.labels, g.multiplicities)

@@ -161,6 +161,13 @@ class TestBarcodeSchema:
                        {"birth": "1", "death": "2", "eps": 0}]
         assert barcode_from_obj(obj) == barcode
 
+    def test_birth_not_before_death_is_located(self):
+        for death in ("1", "1/2"):
+            with pytest.raises(SchemaError,
+                               match=r"^barcode\[1\]: bar needs birth < death"):
+                barcode_from_obj([{"birth": "0", "death": "inf", "eps": 0},
+                                  {"birth": "1", "death": death, "eps": 1}])
+
     def test_sorted_by_birth_death_eps(self):
         barcode = Barcode([Bar(1, None, 0), Bar(1, 2, 1),
                            Bar(1, 2, 0)])
