@@ -190,3 +190,180 @@ class TestDomainSchemas:
         for index in (True, False, 1.0):
             with pytest.raises(SchemaError, match=r"morse\[0\].index"):
                 morse_from_obj([{"label": "p", "action": "1", "index": index}])
+
+
+# -- exact messages -------------------------------------------------------
+
+TERM = {"exponent": "1", "coefficient": "1"}
+GEN = {"label": "x", "eps": 0, "filtration": "1"}
+EDGE = {"from": "x", "to": "x", "coeff": "1"}
+RATIO = "expected a rational 'p/q' string, got"
+
+
+def terms(*pairs, cutoff="2"):
+    return {"terms": [{"exponent": e, "coefficient": c} for e, c in pairs],
+            "cutoff": cutoff}
+
+
+def edges(*entries):
+    return {"generators": [GEN], "differential": list(entries)}
+
+
+def orbit(**fields):
+    return [dict({"label": "x", "action": "1", "type": "elliptic"}, **fields)]
+
+
+def parity(**fields):
+    return [dict({"label": "x", "action": "1", "eps1": 0, "eps2": 1}, **fields)]
+
+
+def bar(**fields):
+    return [dict({"birth": "1", "death": "inf", "eps": 0}, **fields)]
+
+
+def point(**fields):
+    return [dict({"label": "p", "action": "1", "index": 0}, **fields)]
+
+
+def without(entries, key):
+    return [{k: v for k, v in entry.items() if k != key} for entry in entries]
+
+
+# (decoder, malformed input, the exact SchemaError text), one row per
+# schema and kind of failure; earlier checks win when several apply.
+MESSAGES = [
+    # series files
+    (series_from_obj, [], "series: expected an object, got list"),
+    (series_from_obj, "1", "series: expected an object, got str"),
+    (series_from_obj, {"terms": [], "cutoff": "1", "extra": 1},
+     "series: unknown keys ['extra']"),
+    (series_from_obj, {"terms": []}, "series: missing 'cutoff'"),
+    (series_from_obj, {"cutoff": 2}, f"series.cutoff: {RATIO} 2"),
+    (series_from_obj, {"cutoff": "1.5"}, f"series.cutoff: {RATIO} '1.5'"),
+    (series_from_obj, {"terms": {}, "cutoff": "1"},
+     "series.terms: expected a list, got dict"),
+    (series_from_obj, {"terms": ["1"], "cutoff": "1"},
+     "series.terms[0]: expected an object, got str"),
+    (series_from_obj, {"terms": [dict(TERM, power=2)], "cutoff": "2"},
+     "series.terms[0]: unknown keys ['power']"),
+    (series_from_obj, {"terms": [{"exponent": "x", "extra": 0}], "cutoff": "2"},
+     "series.terms[0]: unknown keys ['extra']"),
+    (series_from_obj, {"terms": [{"coefficient": "1"}], "cutoff": "2"},
+     f"series.terms[0].exponent: {RATIO} None"),
+    (series_from_obj, terms(("1", 1)),
+     f"series.terms[0].coefficient: {RATIO} 1"),
+    (series_from_obj, terms(("1e3", "1")),
+     f"series.terms[0].exponent: {RATIO} '1e3'"),
+    (series_from_obj, terms(("1", "1"), ("3/2", "0")),
+     "series.terms[1]: zero coefficients must not be stored"),
+    (series_from_obj, terms(("1", "0"), ("x", "1")),
+     "series.terms[0]: zero coefficients must not be stored"),
+    (series_from_obj, terms(("2", "1"), ("1", "1"), cutoff="3"),
+     "series.terms[1]: exponents must be strictly increasing (1 after 2)"),
+    (series_from_obj, terms(("1", "1"), ("1", "2"), cutoff="3"),
+     "series.terms[1]: exponents must be strictly increasing (1 after 1)"),
+    (series_from_obj, terms(("3", "1")),
+     "series.terms[0]: exponent 3 exceeds cutoff 2"),
+    # orbit sets
+    (orbit_set_from_obj, {}, "orbits: expected a list, got dict"),
+    (orbit_set_from_obj, ["x"], "orbits[0]: expected an object, got str"),
+    (orbit_set_from_obj, [None], "orbits[0]: expected an object, got NoneType"),
+    (orbit_set_from_obj, orbit(extra=1), "orbits[0]: unknown keys ['extra']"),
+    (orbit_set_from_obj, parity(eps3=1), "orbits[0]: unknown keys ['eps3']"),
+    (orbit_set_from_obj, without(orbit(), "label"),
+     "orbits[0].label: expected a string, got None"),
+    (orbit_set_from_obj, orbit(label=3),
+     "orbits[0].label: expected a string, got 3"),
+    (orbit_set_from_obj, without(orbit(), "action"),
+     f"orbits[0].action: {RATIO} None"),
+    (orbit_set_from_obj, orbit(action="1/0"),
+     f"orbits[0].action: {RATIO} '1/0'"),
+    (orbit_set_from_obj, parity() + parity(label="y", action="-1/3/2"),
+     f"orbits[1].action: {RATIO} '-1/3/2'"),
+    (orbit_set_from_obj, orbit(type=1),
+     "orbits[0].type: expected a string, got 1"),
+    (orbit_set_from_obj, orbit(type="parabolic"),
+     "orbits[0].type: unknown orbit type 'parabolic'; expected one of "
+     "['elliptic', 'neg-hyperbolic', 'pos-hyperbolic']"),
+    (orbit_set_from_obj, parity(eps1=2), "orbits[0].eps1: expected 0 or 1, got 2"),
+    (orbit_set_from_obj, parity(eps2=True),
+     "orbits[0].eps2: expected 0 or 1, got True"),
+    (orbit_set_from_obj, without(parity(), "eps2"),
+     "orbits[0].eps2: expected 0 or 1, got None"),
+    # filtered complexes
+    (complex_from_obj, [], "complex: expected an object, got list"),
+    (complex_from_obj, {"generators": [], "extra": []},
+     "complex: unknown keys ['extra']"),
+    (complex_from_obj, {"generators": "x"},
+     "complex.generators: expected a list, got str"),
+    (complex_from_obj, {"generators": [0]},
+     "complex.generators[0]: expected an object, got int"),
+    (complex_from_obj, {"generators": [dict(GEN, degree=1)]},
+     "complex.generators[0]: unknown keys ['degree']"),
+    (complex_from_obj, {"generators": without([GEN], "label")},
+     "complex.generators[0].label: expected a string, got None"),
+    (complex_from_obj, {"generators": [dict(GEN, eps=2)]},
+     "complex.generators[0].eps: expected 0 or 1, got 2"),
+    (complex_from_obj, {"generators": [dict(GEN, eps=False)]},
+     "complex.generators[0].eps: expected 0 or 1, got False"),
+    (complex_from_obj, {"generators": [dict(GEN, filtration="oops")]},
+     f"complex.generators[0].filtration: {RATIO} 'oops'"),
+    (complex_from_obj, {"generators": [GEN], "differential": {}},
+     "complex.differential: expected a list, got dict"),
+    (complex_from_obj, edges([]),
+     "complex.differential[0]: expected an object, got list"),
+    (complex_from_obj, edges(dict(EDGE, weight=1)),
+     "complex.differential[0]: unknown keys ['weight']"),
+    (complex_from_obj, edges(dict(EDGE, **{"from": 1})),
+     "complex.differential[0].from: expected a string, got 1"),
+    (complex_from_obj, edges(*without([EDGE], "to")),
+     "complex.differential[0].to: expected a string, got None"),
+    (complex_from_obj, edges(dict(EDGE, to="ghost")),
+     "complex.differential[0]: unknown generator 'ghost'"),
+    (complex_from_obj, edges(EDGE, dict(EDGE, **{"from": "ghost"})),
+     "complex.differential[1]: unknown generator 'ghost'"),
+    (complex_from_obj, edges(dict(EDGE, coeff="01/2 ")),
+     f"complex.differential[0].coeff: {RATIO} '01/2 '"),
+    (complex_from_obj, edges(dict(EDGE, coeff=None)),
+     f"complex.differential[0].coeff: {RATIO} None"),
+    # barcodes
+    (barcode_from_obj, "inf", "barcode: expected a list, got str"),
+    (barcode_from_obj, [[]], "barcode[0]: expected an object, got list"),
+    (barcode_from_obj, bar(mult=2), "barcode[0]: unknown keys ['mult']"),
+    (barcode_from_obj, without(bar(), "birth"), f"barcode[0].birth: {RATIO} None"),
+    (barcode_from_obj, bar(birth=1), f"barcode[0].birth: {RATIO} 1"),
+    (barcode_from_obj, bar(death="infinity"),
+     f"barcode[0].death: {RATIO} 'infinity'"),
+    (barcode_from_obj, bar(eps=3), "barcode[0].eps: expected 0 or 1, got 3"),
+    (barcode_from_obj, bar() + bar(death="1", eps=1),
+     "barcode[1]: bar needs birth < death, got [1, 1)"),
+    (barcode_from_obj, bar(birth="2", death="1"),
+     "barcode[0]: bar needs birth < death, got [2, 1)"),
+    # Morse data
+    (morse_from_obj, {"label": "p"}, "morse: expected a list, got dict"),
+    (morse_from_obj, [1.5], "morse[0]: expected an object, got float"),
+    (morse_from_obj, point(kind="min"), "morse[0]: unknown keys ['kind']"),
+    (morse_from_obj, point(index=3), "morse[0].index: expected 0, 1 or 2, got 3"),
+    (morse_from_obj, point(index=True),
+     "morse[0].index: expected 0, 1 or 2, got True"),
+    (morse_from_obj, without(point(), "index"),
+     "morse[0].index: expected 0, 1 or 2, got None"),
+    (morse_from_obj, without(point(), "label"),
+     "morse[0].label: expected a string, got None"),
+    (morse_from_obj, point(label=["p"]),
+     "morse[0].label: expected a string, got ['p']"),
+    (morse_from_obj, point(action="3/01"), f"morse[0].action: {RATIO} '3/01'"),
+    (morse_from_obj, point(label=5, action="x", index=7),
+     "morse[0].index: expected 0, 1 or 2, got 7"),
+    # bare rationals
+    (parse_ratio, "1.5", f"value: {RATIO} '1.5'"),
+    (lambda text: parse_ratio(text, "x.cutoff"), ["1"], f"x.cutoff: {RATIO} ['1']"),
+]
+
+
+@pytest.mark.parametrize("decode, obj, message", MESSAGES,
+                         ids=[row[2] for row in MESSAGES])
+def test_schema_error_text_is_exact(decode, obj, message):
+    with pytest.raises(SchemaError) as info:
+        decode(obj)
+    assert str(info.value) == message
