@@ -26,7 +26,6 @@ complex_ = FilteredComplex(
         ("v", "cycle", -1),     # extra entry; reduction clears it
     ],
 )
-complex_.validate()
 
 print("graded homology dimensions by level (rank-nullity over Q):")
 for level in (F(1, 2), 1, F(3, 2), 2, F(5, 2), 3):

@@ -140,10 +140,6 @@ def _load(path: str, decode):
         raise SchemaError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
-def _valid_complex(obj):
-    return serialize.complex_from_obj(obj).validate()
-
-
 def _print_series(series: NovikovSeries) -> None:
     for s, c in series.items():
         print(f"{format_ratio(s)}\t{format_ratio(c)}")
@@ -157,11 +153,9 @@ def _emit_series(series: NovikovSeries, out_path) -> None:
 
 
 def _first_difference(a: NovikovSeries, b: NovikovSeries):
-    for s in sorted(set(a.support()) | set(b.support())):
-        ca, cb = a.coefficient(s), b.coefficient(s)
-        if ca != cb:
-            return s, ca, cb
-    return None
+    """Smallest exponent where two unequal series differ, and both coefficients."""
+    s = (a - b).min_exponent()
+    return s, a.coefficient(s), b.coefficient(s)
 
 
 def _cmd_zeta_orbits(args) -> int:
@@ -197,7 +191,7 @@ def _cmd_zeta_s1(args) -> int:
 
 
 def _cmd_barcode(args) -> int:
-    complex_ = _load(args.file, _valid_complex)
+    complex_ = _load(args.file, serialize.complex_from_obj)
     barcode = persistence.barcode_decompose(complex_)
     obj = serialize.barcode_to_obj(barcode)
     print(json.dumps(obj, indent=2))
@@ -207,7 +201,7 @@ def _cmd_barcode(args) -> int:
 
 
 def _cmd_zeta_persistence(args) -> int:
-    complex_ = _load(args.file, _valid_complex)
+    complex_ = _load(args.file, serialize.complex_from_obj)
     _emit_series(persistence.zeta_persistence(complex_, args.cutoff), args.out)
     return 0
 

@@ -163,10 +163,6 @@ class NovikovSeries:
         return Fraction(min(self._terms), self._q) if self._terms else None
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def is_positively_supported(self) -> bool:
         """True when every exponent is strictly positive (the condition
         for membership in the positive part of the ring)."""

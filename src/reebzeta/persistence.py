@@ -26,10 +26,9 @@ barcode route ``zeta_barcode(barcode_decompose(c))`` is a genuinely
 different computation of the same series, and the tests check one against
 the other and both against rank-nullity.
 
-``FilteredComplex.validate`` is memoised: once it has succeeded, later
-calls return at once, so loading, decomposing and computing the zeta of
-one complex check it once.  A failed check is not remembered and raises
-again on every call.
+Every ``FilteredComplex`` is valid: its constructor ends by running
+``validate``, so a complex that breaks a rule is never built, and the
+computations below take validity for granted.
 
 ``barcode_decompose`` orders generators by their keys on the same grid,
 ``novikov.grid`` of the filtrations, so sorting compares ints rather than
@@ -63,19 +62,16 @@ class FilteredComplex:
     """Chain complex over Q with graded, filtered basis.
 
     ``boundary`` entries are triples (x, y, coeff) meaning the coefficient
-    of y in the boundary of x is coeff.  Entries are validated lazily: use
-    ``validate`` (or any operation that needs a valid complex).
+    of y in the boundary of x is coeff.  The constructor checks grading,
+    filtration and d^2 = 0 through ``validate`` and raises on a violation.
     """
 
-    __slots__ = ("generators", "_index", "_columns", "_valid")
+    __slots__ = ("generators", "_index", "_columns")
 
     def __init__(self, generators: Iterable, boundary: Iterable[Tuple] = ()):
-        gens = []
-        for g in generators:
-            if not isinstance(g, ChainGenerator):
-                g = ChainGenerator(*g)
-            gens.append(g)
-        self.generators: Tuple[ChainGenerator, ...] = tuple(gens)
+        self.generators: Tuple[ChainGenerator, ...] = tuple(
+            g if isinstance(g, ChainGenerator) else ChainGenerator(*g)
+            for g in generators)
         self._index: Dict[str, int] = {}
         for i, g in enumerate(self.generators):
             if g.label in self._index:
@@ -83,12 +79,14 @@ class FilteredComplex:
             self._index[g.label] = i
         # column j -> {row i: coefficient of generator i in boundary of j}
         self._columns: Dict[int, Dict[int, Fraction]] = {}
-        self._valid = False
         for x, y, coeff in boundary:
             coeff = as_ratio(coeff)
             if coeff == 0:
                 continue
-            j, i = self._lookup(x), self._lookup(y)
+            try:
+                j, i = self._index[x], self._index[y]
+            except KeyError as exc:
+                raise KeyError(f"unknown generator label {exc.args[0]!r}") from None
             col = self._columns.setdefault(j, {})
             if i in col:
                 coeff += col[i]
@@ -96,41 +94,29 @@ class FilteredComplex:
                     del col[i]
                     continue
             col[i] = coeff
-
-    def _lookup(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown generator label {label!r}") from None
+        self.validate()
 
     def __len__(self) -> int:
         return len(self.generators)
 
     def boundary_entries(self):
         """Sorted (x_label, y_label, coeff) triples of the differential."""
-        out = []
-        for j in sorted(self._columns):
-            for i in sorted(self._columns[j]):
-                out.append((self.generators[j].label,
-                            self.generators[i].label,
-                            self._columns[j][i]))
-        return out
+        gens = self.generators
+        return [(gens[j].label, gens[i].label, c)
+                for j in sorted(self._columns)
+                for i, c in sorted(self._columns[j].items())]
 
     def shifted(self, delta: RatioLike) -> "FilteredComplex":
         """The same complex with every filtration level moved by delta."""
         delta = as_ratio(delta)
         gens = [ChainGenerator(g.label, g.eps, g.filtration + delta)
                 for g in self.generators]
-        entries = [(x, y, c) for x, y, c in self.boundary_entries()]
-        return FilteredComplex(gens, entries)
+        return FilteredComplex(gens, self.boundary_entries())
 
     # -- validity --------------------------------------------------------
 
-    def validate(self) -> "FilteredComplex":
-        """Check grading, filtration and d^2 = 0; returns self when valid.
-        Only a successful check is remembered."""
-        if self._valid:
-            return self
+    def validate(self) -> None:
+        """Check grading, filtration and d^2 = 0, raising on a violation."""
         gens = self.generators
         for j, col in self._columns.items():
             for i, c in col.items():
@@ -153,8 +139,6 @@ class FilteredComplex:
                 if c:
                     raise NotSquareZero(
                         f"<d(d {gens[j].label!r}), {gens[i2].label!r}> = {c}")
-        self._valid = True
-        return self
 
 
 def _rank(columns: List[Dict[int, Fraction]]) -> int:
@@ -269,7 +253,7 @@ class Barcode:
 
 
 def barcode_decompose(complex_: FilteredComplex) -> Barcode:
-    """Barcode of a valid filtered complex by boundary-matrix reduction.
+    """Barcode of a filtered complex by boundary-matrix reduction.
 
     Generators are processed by (filtration, input position); each reduced
     column pairs a death generator with the birth generator at its lowest
@@ -281,7 +265,6 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     ``novikov.grid``): the stable sort keeps equal levels in input order,
     and the bars are emitted already in ``Barcode`` order.
     """
-    complex_.validate()
     gens = complex_.generators
     _, keys = grid(g.filtration for g in gens)
     order = sorted(range(len(gens)), key=keys.__getitem__)
@@ -357,13 +340,11 @@ def zeta_persistence(complex_: FilteredComplex,
     the module changes, up to the cutoff.
 
     By Euler-Poincare the jump at a level is the signed count (-1)^eps of
-    the generators with that filtration, so this is one O(generators) pass
-    after ``validate()`` (memoised, and still raising on an invalid
-    complex): the series constructor sums the counts per level on the
-    integer grid and drops the levels above the cutoff; no decomposition
-    runs.  Equals ``zeta_barcode`` of ``barcode_decompose``, an independent
-    route the tests compare.
+    the generators with that filtration, so this is one O(generators)
+    pass: the series constructor sums the counts per level on the integer
+    grid and drops the levels above the cutoff; no decomposition runs.
+    Equals ``zeta_barcode`` of ``barcode_decompose``, an independent route
+    the tests compare.
     """
-    complex_.validate()
     return NovikovSeries([(g.filtration, -1 if g.eps else 1)
                           for g in complex_.generators], cutoff)

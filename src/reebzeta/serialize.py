@@ -5,6 +5,11 @@ All rationals travel as canonical strings "p/q" (gcd(p,q)=1, q>0) or "p"
 when the denominator is 1, so serialized files are diff-friendly and
 round-trip bit-exactly.  Loaders validate strictly and raise SchemaError
 carrying the location of the offending field.
+
+One loop, ``_records``, decodes every list of entries, each an object with
+no keys outside an ordered {key: parser} table.  Parsers raise location-free
+ValueErrors; the loop builds "where[k].key" only when one does.  A value
+quoted in a message is cut to 80 characters.
 """
 
 from __future__ import annotations
@@ -38,50 +43,77 @@ def format_ratio(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_ratio(text, where: str = "value") -> Fraction:
+def _echo(value) -> str:
+    """repr of a value quoted in a message, cut to 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _ratio(text) -> Fraction:
     if not isinstance(text, str) or not _RATIO_RE.match(text):
-        raise SchemaError(where, f"expected a rational 'p/q' string, got {text!r}")
-    # The regex has vetted the text, so build the Fraction from its two
-    # ints rather than re-parse it through Fraction's own regex.
+        raise ValueError(f"expected a rational 'p/q' string, got {_echo(text)}")
+    # The regex has vetted the text, so build the Fraction from two ints;
+    # int() raises ValueError on more digits than it accepts.
     num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+def parse_ratio(text, where: str = "value") -> Fraction:
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except ValueError as exc:  # more digits than int() accepts
-        raise SchemaError(where, str(exc)) from exc
+        return _ratio(text)
+    except ValueError as exc:
+        raise SchemaError(where, str(exc)) from None
 
 
-def _expect_obj(obj, where: str) -> dict:
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {_echo(value)}")
+    return value
+
+
+def _bit(value) -> int:
+    # type(...) is int: JSON true/false decode to bools, which are ints.
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"expected 0 or 1, got {_echo(value)}")
+    return value
+
+
+def _index(value) -> int:
+    if type(value) is not int or value not in (0, 1, 2):
+        raise ValueError(f"expected 0, 1 or 2, got {_echo(value)}")
+    return value
+
+
+def _object(obj, keys, where: str, k=None) -> None:
+    """Raise unless obj is a JSON object with keys among ``keys``."""
+    if isinstance(obj, dict) and obj.keys() <= keys:
+        return
+    where = where if k is None else f"{where}[{k}]"
     if not isinstance(obj, dict):
         raise SchemaError(where, f"expected an object, got {type(obj).__name__}")
-    return obj
+    raise SchemaError(where, f"unknown keys {_echo(sorted(obj.keys() - keys))}")
 
 
-def _expect_list(obj, where: str) -> list:
+def _records(obj, where: str, fields):
+    """Yield [parse(entry.get(key)) for each key of the table] per entry of
+    obj; ``fields`` is the table or a function of the entry returning it."""
     if not isinstance(obj, list):
         raise SchemaError(where, f"expected a list, got {type(obj).__name__}")
-    return obj
-
-
-def _expect_str(obj, where: str) -> str:
-    if not isinstance(obj, str):
-        raise SchemaError(where, f"expected a string, got {obj!r}")
-    return obj
-
-
-def _expect_bit(obj, where: str) -> int:
-    # type(...) is int: JSON true/false decode to bools, which are ints.
-    if type(obj) is not int or obj not in (0, 1):
-        raise SchemaError(where, f"expected 0 or 1, got {obj!r}")
-    return obj
-
-
-def _no_extra_keys(obj: dict, allowed, where: str) -> None:
-    extra = set(obj) - set(allowed)
-    if extra:
-        raise SchemaError(where, f"unknown keys {sorted(extra)}")
+    for k, entry in enumerate(obj):
+        table = fields(entry) if callable(fields) else fields
+        _object(entry, table.keys(), where, k)
+        row = []
+        try:
+            for key, parse in table.items():
+                row.append(parse(entry.get(key)))
+        except ValueError as exc:
+            raise SchemaError(f"{where}[{k}].{key}", str(exc)) from None
+        yield row
 
 
 # -- series ---------------------------------------------------------------
+
+_TERM = {"exponent": _ratio, "coefficient": _ratio}
 
 
 def series_to_obj(series: NovikovSeries) -> dict:
@@ -93,28 +125,25 @@ def series_to_obj(series: NovikovSeries) -> dict:
 
 
 def series_from_obj(obj, where: str = "series") -> NovikovSeries:
-    obj = _expect_obj(obj, where)
-    _no_extra_keys(obj, ("terms", "cutoff"), where)
+    _object(obj, {"terms", "cutoff"}, where)
     if "cutoff" not in obj:
         raise SchemaError(where, "missing 'cutoff'")
     cutoff = parse_ratio(obj["cutoff"], f"{where}.cutoff")
     terms = []
     previous = None
-    for k, entry in enumerate(_expect_list(obj.get("terms", []), f"{where}.terms")):
-        loc = f"{where}.terms[{k}]"
-        entry = _expect_obj(entry, loc)
-        _no_extra_keys(entry, ("exponent", "coefficient"), loc)
-        s = parse_ratio(entry.get("exponent"), f"{loc}.exponent")
-        c = parse_ratio(entry.get("coefficient"), f"{loc}.coefficient")
+    for k, (s, c) in enumerate(_records(obj.get("terms", []),
+                                        f"{where}.terms", _TERM)):
         if c == 0:
-            raise SchemaError(loc, "zero coefficients must not be stored")
-        if previous is not None and not s > previous:
-            raise SchemaError(loc, f"exponents must be strictly increasing "
-                                   f"({s} after {previous})")
-        if s > cutoff:
-            raise SchemaError(loc, f"exponent {s} exceeds cutoff {cutoff}")
-        previous = s
-        terms.append((s, c))
+            problem = "zero coefficients must not be stored"
+        elif previous is not None and not s > previous:
+            problem = f"exponents must be strictly increasing ({s} after {previous})"
+        elif s > cutoff:
+            problem = f"exponent {s} exceeds cutoff {cutoff}"
+        else:
+            previous = s
+            terms.append((s, c))
+            continue
+        raise SchemaError(f"{where}.terms[{k}]", problem)
     return NovikovSeries(terms, cutoff)
 
 
@@ -123,43 +152,41 @@ def series_from_obj(obj, where: str = "series") -> NovikovSeries:
 _TYPE_NAMES = {kind.value: kind for kind in OrbitType3D}
 
 
+def _orbit_type(name) -> OrbitType3D:
+    if _string(name) not in _TYPE_NAMES:
+        raise ValueError(f"unknown orbit type {_echo(name)}; expected one "
+                         f"of {sorted(_TYPE_NAMES)}")
+    return _TYPE_NAMES[name]
+
+
+_TYPED = {"label": _string, "action": _ratio, "type": _orbit_type}
+_PARITY = {"label": _string, "action": _ratio, "eps1": _bit, "eps2": _bit}
+
+
+def _orbit_fields(entry) -> dict:
+    return _TYPED if isinstance(entry, dict) and "type" in entry else _PARITY
+
+
 def orbit_set_to_obj(orbit_set: OrbitSet) -> list:
     out = []
     for o in orbit_set:
-        entry = {"label": o.label, "action": format_ratio(o.action)}
         kind = o.type_3d
-        if kind is not None:
-            entry["type"] = kind.value
-        else:
-            entry["eps1"], entry["eps2"] = o.eps1, o.eps2
-        out.append(entry)
+        parity = ({"type": kind.value} if kind is not None
+                  else {"eps1": o.eps1, "eps2": o.eps2})
+        out.append({"label": o.label, "action": format_ratio(o.action), **parity})
     return out
 
 
 def orbit_set_from_obj(obj, where: str = "orbits") -> OrbitSet:
-    orbits = []
-    for k, entry in enumerate(_expect_list(obj, where)):
-        loc = f"{where}[{k}]"
-        entry = _expect_obj(entry, loc)
-        label = _expect_str(entry.get("label"), f"{loc}.label")
-        action = parse_ratio(entry.get("action"), f"{loc}.action")
-        if "type" in entry:
-            _no_extra_keys(entry, ("label", "action", "type"), loc)
-            name = _expect_str(entry["type"], f"{loc}.type")
-            if name not in _TYPE_NAMES:
-                raise SchemaError(f"{loc}.type",
-                                  f"unknown orbit type {name!r}; expected one "
-                                  f"of {sorted(_TYPE_NAMES)}")
-            orbits.append(SimpleOrbit.of_type(label, action, _TYPE_NAMES[name]))
-        else:
-            _no_extra_keys(entry, ("label", "action", "eps1", "eps2"), loc)
-            eps1 = _expect_bit(entry.get("eps1"), f"{loc}.eps1")
-            eps2 = _expect_bit(entry.get("eps2"), f"{loc}.eps2")
-            orbits.append(SimpleOrbit(label, action, eps1, eps2))
-    return OrbitSet(orbits)
+    return OrbitSet(SimpleOrbit.of_type(*row) if len(row) == 3
+                    else SimpleOrbit(*row)
+                    for row in _records(obj, where, _orbit_fields))
 
 
 # -- filtered complexes ---------------------------------------------------
+
+_GENERATOR = {"label": _string, "eps": _bit, "filtration": _ratio}
+_DIFFERENTIAL = {"from": _string, "to": _string, "coeff": _ratio}
 
 
 def complex_to_obj(complex_: FilteredComplex) -> dict:
@@ -173,32 +200,19 @@ def complex_to_obj(complex_: FilteredComplex) -> dict:
 
 
 def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
-    obj = _expect_obj(obj, where)
-    _no_extra_keys(obj, ("generators", "differential"), where)
-    generators = []
-    for k, entry in enumerate(_expect_list(obj.get("generators", []),
-                                           f"{where}.generators")):
-        loc = f"{where}.generators[{k}]"
-        entry = _expect_obj(entry, loc)
-        _no_extra_keys(entry, ("label", "eps", "filtration"), loc)
-        generators.append((
-            _expect_str(entry.get("label"), f"{loc}.label"),
-            _expect_bit(entry.get("eps"), f"{loc}.eps"),
-            parse_ratio(entry.get("filtration"), f"{loc}.filtration"),
-        ))
+    _object(obj, {"generators", "differential"}, where)
+    generators = list(_records(obj.get("generators", []),
+                               f"{where}.generators", _GENERATOR))
     labels = {g[0] for g in generators}
     entries = []
-    for k, entry in enumerate(_expect_list(obj.get("differential", []),
-                                           f"{where}.differential")):
-        loc = f"{where}.differential[{k}]"
-        entry = _expect_obj(entry, loc)
-        _no_extra_keys(entry, ("from", "to", "coeff"), loc)
-        x = _expect_str(entry.get("from"), f"{loc}.from")
-        y = _expect_str(entry.get("to"), f"{loc}.to")
+    for k, (x, y, coeff) in enumerate(_records(obj.get("differential", []),
+                                               f"{where}.differential",
+                                               _DIFFERENTIAL)):
         for label in (x, y):
             if label not in labels:
-                raise SchemaError(loc, f"unknown generator {label!r}")
-        entries.append((x, y, parse_ratio(entry.get("coeff"), f"{loc}.coeff")))
+                raise SchemaError(f"{where}.differential[{k}]",
+                                  f"unknown generator {_echo(label)}")
+        entries.append((x, y, coeff))
     return FilteredComplex(generators, entries)
 
 
@@ -212,40 +226,31 @@ def barcode_to_obj(barcode: Barcode) -> list:
             for bar in barcode]
 
 
+_BAR = {"birth": _ratio,
+        "death": lambda text: None if text == "inf" else _ratio(text),
+        "eps": _bit}
+
+
 def barcode_from_obj(obj, where: str = "barcode") -> Barcode:
     bars = []
-    for k, entry in enumerate(_expect_list(obj, where)):
-        loc = f"{where}[{k}]"
-        entry = _expect_obj(entry, loc)
-        _no_extra_keys(entry, ("birth", "death", "eps"), loc)
-        birth = parse_ratio(entry.get("birth"), f"{loc}.birth")
-        death_raw = entry.get("death")
-        death = (None if death_raw == "inf"
-                 else parse_ratio(death_raw, f"{loc}.death"))
-        eps = _expect_bit(entry.get("eps"), f"{loc}.eps")
+    for k, row in enumerate(_records(obj, where, _BAR)):
         try:
-            bars.append(Bar(birth, death, eps))
+            bars.append(Bar(*row))
         except ValueError as exc:  # birth >= death
-            raise SchemaError(loc, str(exc)) from exc
+            raise SchemaError(f"{where}[{k}]", str(exc)) from exc
     return Barcode(bars)
 
 
 # -- domains --------------------------------------------------------------
 
 
+# The index leads the table, so it is checked before label and action.
+_POINT = {"index": _index, "label": _string, "action": _ratio}
+
+
 def morse_from_obj(obj, where: str = "morse") -> MorseData:
-    points = []
-    for k, entry in enumerate(_expect_list(obj, where)):
-        loc = f"{where}[{k}]"
-        entry = _expect_obj(entry, loc)
-        _no_extra_keys(entry, ("label", "action", "index"), loc)
-        index = entry.get("index")
-        if type(index) is not int or index not in (0, 1, 2):
-            raise SchemaError(f"{loc}.index", f"expected 0, 1 or 2, got {index!r}")
-        points.append((_expect_str(entry.get("label"), f"{loc}.label"),
-                       parse_ratio(entry.get("action"), f"{loc}.action"),
-                       index))
-    return MorseData(points)
+    return MorseData([(label, action, index) for index, label, action
+                      in _records(obj, where, _POINT)])
 
 
 def morse_to_obj(morse: MorseData) -> list:

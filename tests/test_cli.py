@@ -199,6 +199,17 @@ class TestExitCodes:
         assert err.startswith("reebzeta: error:")
         assert "orbits[0].action" in err and "Traceback" not in err
 
+    def test_long_values_are_cut_in_messages(self, tmp_path, capsys):
+        path = write(tmp_path, "orbits.json",
+                     [{"label": "x", "action": list(range(200_000)),
+                       "type": "elliptic"}])
+        code, out, err = run(capsys, "zeta-orbits", path, "--cutoff", "2")
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 300
+        assert f"{path}: orbits[0].action: expected a rational 'p/q' string, " \
+               "got [0, 1, 2, " in err
+        assert err.endswith("...\n")
+
     def test_oversized_json_integer_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "orbits.json"
         path.write_text('[{"label": "x", "action": "1", "eps1": 1'
@@ -270,9 +281,10 @@ class TestExitCodes:
             orbits, "zeta_exp_form",
             lambda orbit_set, cutoff: NovikovSeries({0: 1}, cutoff))
         path = write(tmp_path, "orbits.json", ORBITS_EN)
-        code, _, err = run(capsys, "zeta-orbits", path, "--cutoff", "2",
-                           "--form", "both")
-        assert code == 3 and "disagree" in err
+        assert run(capsys, "zeta-orbits", path, "--cutoff", "2",
+                   "--form", "both") == \
+            (3, "", "reebzeta: error: exp and product forms disagree at "
+                    "t^1: 0 vs 2\n")
 
 
 class TestDeterminism:

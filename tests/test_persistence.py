@@ -19,34 +19,61 @@ def pair_complex():
     return FilteredComplex([("x", 1, 2), ("y", 0, 1)], [("x", "y", 1)])
 
 
+def invalid_complexes():
+    """Arguments of one complex per violated check (grading, filtration,
+    d^2 = 0), with the error and its exact message."""
+    return [
+        (GradingViolation, "<d 'x', 'y'> = 1 with equal gradings",
+         [("x", 1, 2), ("y", 1, 1)], [("x", "y", 1)]),
+        (FiltrationViolation, "<d 'x', 'y'> = 1/2 but filtration 1 <= 1",
+         [("x", 1, 1), ("y", 0, 1)], [("x", "y", F(1, 2))]),
+        (NotSquareZero, "<d(d 'x'), 'w'> = 3",
+         [("x", 1, 3), ("y", 0, 2), ("w", 1, 1)],
+         [("x", "y", 1), ("y", "w", 3)]),
+    ]
+
+
 class TestValidation:
     def test_valid_two_generator_complex(self):
-        c = pair_complex()
-        assert c.validate() is c
+        assert pair_complex().boundary_entries() == [("x", "y", 1)]
 
     def test_equal_filtration_is_a_violation(self):
-        c = FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])
         with pytest.raises(FiltrationViolation):
-            c.validate()
+            FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])
 
     def test_grading_must_change(self):
-        c = FilteredComplex([("x", 1, 2), ("y", 1, 1)], [("x", "y", 1)])
         with pytest.raises(GradingViolation):
-            c.validate()
+            FilteredComplex([("x", 1, 2), ("y", 1, 1)], [("x", "y", 1)])
 
     def test_square_zero_enforced(self):
-        c = FilteredComplex(
-            [("x", 1, 3), ("y", 0, 2), ("w", 1, 1)],
-            [("x", "y", 1), ("y", "w", 1)])
         with pytest.raises(NotSquareZero):
-            c.validate()
+            FilteredComplex([("x", 1, 3), ("y", 0, 2), ("w", 1, 1)],
+                            [("x", "y", 1), ("y", "w", 1)])
 
     def test_square_zero_cancellation_is_fine(self):
         c = FilteredComplex(
             [("x", 0, 4), ("y1", 1, 3), ("y2", 1, 2), ("z", 0, 1)],
             [("x", "y1", 1), ("x", "y2", 1),
              ("y1", "z", 1), ("y2", "z", -1)])
-        assert c.validate() is c
+        assert len(c.boundary_entries()) == 4
+
+    @pytest.mark.parametrize("error, message, generators, boundary",
+                             invalid_complexes(),
+                             ids=["grading", "filtration", "square"])
+    def test_invalid_complex_is_never_built(self, error, message, generators,
+                                            boundary):
+        with pytest.raises(error) as info:
+            FilteredComplex(generators, boundary)
+        assert str(info.value) == message
+
+    def test_constructor_calls_validate_through_the_class(self, monkeypatch):
+        # Instrumentation that wraps FilteredComplex.validate must see
+        # every construction, shifted copies included.
+        calls = []
+        monkeypatch.setattr(FilteredComplex, "validate",
+                            lambda self: calls.append(len(self)))
+        pair_complex().shifted(1)
+        assert calls == [2, 2]
 
     def test_duplicate_generator_labels(self):
         with pytest.raises(DuplicateLabel):
@@ -64,42 +91,6 @@ class TestValidation:
         cancelled = FilteredComplex([("x", 1, 2), ("y", 0, 1)],
                                     [("x", "y", 2), ("x", "y", -2)])
         assert cancelled.boundary_entries() == []
-
-
-def invalid_complexes():
-    """One complex per violated check: grading, filtration, d^2 = 0."""
-    return [
-        (GradingViolation,
-         FilteredComplex([("x", 1, 2), ("y", 1, 1)], [("x", "y", 1)])),
-        (FiltrationViolation,
-         FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])),
-        (NotSquareZero,
-         FilteredComplex([("x", 1, 3), ("y", 0, 2), ("w", 1, 1)],
-                         [("x", "y", 1), ("y", "w", 1)])),
-    ]
-
-
-class TestValidationMemo:
-    def test_success_is_remembered(self):
-        c = pair_complex()
-        assert not c._valid
-        assert c.validate() is c and c._valid
-        assert c.validate() is c
-
-    @pytest.mark.parametrize("error, complex_", invalid_complexes(),
-                             ids=["grading", "filtration", "square"])
-    def test_failure_raises_on_every_call(self, error, complex_):
-        for call in (FilteredComplex.validate, FilteredComplex.validate,
-                     barcode_decompose,
-                     lambda c: zeta_persistence(c, 5),
-                     FilteredComplex.validate):
-            with pytest.raises(error):
-                call(complex_)
-            assert not complex_._valid
-
-    def test_shifted_copy_is_validated_afresh(self):
-        c = pair_complex().validate()
-        assert not c.shifted(1)._valid
 
 
 class TestHomologyDims:
@@ -128,9 +119,9 @@ class TestBarcodeDecompose:
             Bar(1, None, 0), Bar(1, None, 1)])
 
     def test_propagates_validation_errors(self):
-        c = FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])
         with pytest.raises(FiltrationViolation):
-            barcode_decompose(c)
+            barcode_decompose(FilteredComplex([("x", 1, 1), ("y", 0, 1)],
+                                              [("x", "y", 1)]))
 
     def test_determinism(self):
         rng = fresh_rng(301)

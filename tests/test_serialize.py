@@ -355,6 +355,28 @@ MESSAGES = [
     (morse_from_obj, point(action="3/01"), f"morse[0].action: {RATIO} '3/01'"),
     (morse_from_obj, point(label=5, action="x", index=7),
      "morse[0].index: expected 0, 1 or 2, got 7"),
+    # an orbit entry's unknown keys are reported before its fields
+    (orbit_set_from_obj, [{"x": 1}], "orbits[0]: unknown keys ['x']"),
+    (orbit_set_from_obj, orbit(label=3, extra=0),
+     "orbits[0]: unknown keys ['extra']"),
+    # a differential entry's fields are parsed before its labels are
+    # looked up, as every schema parses fields before cross-field checks
+    (complex_from_obj, edges(dict(EDGE, to="ghost", coeff="x")),
+     f"complex.differential[0].coeff: {RATIO} 'x'"),
+    # echoed values are cut to 80 characters; a repr of 80 is kept whole
+    (orbit_set_from_obj, orbit(action=list(range(100))),
+     f"orbits[0].action: {RATIO} [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, "
+     "13, 14, 15, 16, 17, 18, 19, 20, 21..."),
+    (orbit_set_from_obj, orbit(type="e" * 100),
+     f"orbits[0].type: unknown orbit type '{'e' * 76}...; expected one of "
+     "['elliptic', 'neg-hyperbolic', 'pos-hyperbolic']"),
+    (morse_from_obj, point(index="y" * 78),
+     f"morse[0].index: expected 0, 1 or 2, got '{'y' * 78}'"),
+    (complex_from_obj, edges(dict(EDGE, to="g" * 90)),
+     f"complex.differential[0]: unknown generator '{'g' * 76}..."),
+    (barcode_from_obj, [dict(bar()[0], **{f"k{i}": 0 for i in range(30)})],
+     "barcode[0]: unknown keys ['k0', 'k1', 'k10', 'k11', 'k12', 'k13', "
+     "'k14', 'k15', 'k16', 'k17', 'k18', '..."),
     # bare rationals
     (parse_ratio, "1.5", f"value: {RATIO} '1.5'"),
     (lambda text: parse_ratio(text, "x.cutoff"), ["1"], f"x.cutoff: {RATIO} ['1']"),
