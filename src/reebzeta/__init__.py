@@ -8,9 +8,9 @@ from .orbits import (EchGenerator, OrbitSet, OrbitType3D, SimpleOrbit,
                      negative_hyperbolic, positive_hyperbolic,
                      zeta_ech_form, zeta_exp_form, zeta_good_orbits,
                      zeta_product_form)
-from .persistence import (Bar, Barcode, ChainGenerator, FilteredComplex,
-                          barcode_decompose, euler_jump, homology_dims,
-                          zeta_barcode, zeta_persistence)
+from .persistence import (Bar, Barcode, FilteredComplex, barcode_decompose,
+                          euler_jump, homology_dims, zeta_barcode,
+                          zeta_persistence)
 from .mobius import mobius, mobius_product, zeta_via_mobius
 from .domains import (DistinguishResult, MomentProfilePoint,
                       MorseCriticalPoint, MorseData, ToricDomain,
@@ -28,7 +28,7 @@ __all__ = [
     "iterate_parity", "is_good", "classify_orbit_3d",
     "zeta_exp_form", "zeta_product_form", "zeta_ech_form",
     "ech_generators", "good_orbit_count", "zeta_good_orbits",
-    "ChainGenerator", "FilteredComplex", "Bar", "Barcode", "homology_dims",
+    "FilteredComplex", "Bar", "Barcode", "homology_dims",
     "barcode_decompose", "euler_jump", "zeta_barcode", "zeta_persistence",
     "mobius", "mobius_product", "zeta_via_mobius",
     "ToricDomain", "MomentProfilePoint", "MorseCriticalPoint", "MorseData",

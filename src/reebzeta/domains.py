@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import (BadMorseCounts, NonPositiveAction, NotCoprime,
-                     OnSpectrum)
+                     OnSpectrum, echo)
 from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
 
 
@@ -102,10 +102,10 @@ class MorseCriticalPoint:
         object.__setattr__(self, "action", as_ratio(self.action))
         if self.action <= 0:
             raise NonPositiveAction(
-                f"critical point {self.label!r}: action must be positive")
+                f"critical point {echo(self.label)}: action must be positive")
         if self.index not in (0, 1, 2):
             raise ValueError(
-                f"critical point {self.label!r}: index must be 0, 1 or 2")
+                f"critical point {echo(self.label)}: index must be 0, 1 or 2")
 
 
 class MorseData:

@@ -2,12 +2,20 @@
 
 Everything raised on bad input or a violated mathematical precondition
 derives from ReebZetaError, so callers (in particular the CLI) can tell
-library failures apart from genuine bugs.
+library failures apart from genuine bugs.  ``echo`` quotes a value in
+any of their messages.
 """
 
 
 class ReebZetaError(Exception):
     """Base class for all errors raised by this library."""
+
+
+def echo(value) -> str:
+    """repr of a value quoted in an error message, cut to 80 characters,
+    so that a huge label or field in an input file gives a short message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 # --- Novikov series ---

@@ -65,8 +65,8 @@ def grid(fractions: Iterable[Fraction]) -> Tuple[int, list]:
 def _norm_coeff(c):
     # Keep integer coefficients as plain ints: arithmetic on ints is much
     # cheaper than on Fractions and the two compare equal.
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 

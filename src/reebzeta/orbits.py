@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, List, Tuple
 
 from . import novikov
 from .errors import (DegenerateOrbit, DuplicateLabel, NonPositiveAction,
-                     NotThreeDimensional)
+                     NotThreeDimensional, echo)
 from .novikov import NovikovSeries, RatioLike, as_ratio
 
 
@@ -73,10 +73,10 @@ class SimpleOrbit:
         object.__setattr__(self, "action", as_ratio(self.action))
         if self.action <= 0:
             raise NonPositiveAction(
-                f"orbit {self.label!r}: action {self.action} must be > 0")
+                f"orbit {echo(self.label)}: action {self.action} must be > 0")
         if self.eps1 not in (0, 1) or self.eps2 not in (0, 1):
             raise ValueError(
-                f"orbit {self.label!r}: parities must be 0 or 1")
+                f"orbit {echo(self.label)}: parities must be 0 or 1")
 
     @classmethod
     def of_type(cls, label: str, action: RatioLike,
@@ -125,7 +125,7 @@ class OrbitSet:
         seen = set()
         for o in orbits:
             if o.label in seen:
-                raise DuplicateLabel(f"orbit label {o.label!r} repeated")
+                raise DuplicateLabel(f"orbit label {echo(o.label)} repeated")
             seen.add(o.label)
         self.orbits = orbits
 
@@ -217,7 +217,7 @@ class EchGenerator:
                 raise ValueError("multiplicities must be positive")
             if orbit.is_hyperbolic and mult != 1:
                 raise ValueError(
-                    f"hyperbolic orbit {orbit.label!r} with multiplicity {mult}")
+                    f"hyperbolic orbit {echo(orbit.label)} with multiplicity {mult}")
             if (orbit.eps1, orbit.eps2) == (1, 1):
                 grading ^= 1  # positive hyperbolic, multiplicity is 1
             total += mult * orbit.action
@@ -243,7 +243,7 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]
     for o in orbit_set:
         if (o.eps1, o.eps2) == (1, 0):
             raise NotThreeDimensional(
-                f"orbit {o.label!r} has parities (1, 0)")
+                f"orbit {echo(o.label)} has parities (1, 0)")
     orbits = sorted((o for o in orbit_set if o.action <= cutoff),
                     key=_orbit_key)
     out: List[EchGenerator] = []

@@ -28,11 +28,11 @@ the other and both against rank-nullity.
 
 Every ``FilteredComplex`` is valid: its constructor ends by running
 ``validate``, so a complex that breaks a rule is never built, and the
-computations below take validity for granted.
-
-``barcode_decompose`` orders generators by their keys on the same grid,
-``novikov.grid`` of the filtrations, so sorting compares ints rather than
-Fractions.
+computations below take validity for granted.  A complex keeps its
+filtrations also as int keys on the 1/q grid of ``novikov.grid``, and
+whole coefficients as ints, as ``NovikovSeries`` does, so ``validate``
+and ``barcode_decompose`` compare levels as ints and do int arithmetic
+wherever the coefficients are whole.
 """
 
 from __future__ import annotations
@@ -42,54 +42,55 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (DuplicateLabel, FiltrationViolation, GradingViolation,
-                     NotSquareZero)
-from .novikov import NovikovSeries, RatioLike, as_ratio, grid
-
-
-@dataclass(frozen=True)
-class ChainGenerator:
-    label: str
-    eps: int
-    filtration: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "filtration", as_ratio(self.filtration))
-        if self.eps not in (0, 1):
-            raise ValueError(f"generator {self.label!r}: eps must be 0 or 1")
+                     NotSquareZero, echo)
+from .novikov import (NovikovSeries, RatioLike, _norm_coeff, _quotient,
+                      as_ratio, grid)
 
 
 class FilteredComplex:
     """Chain complex over Q with graded, filtered basis.
 
-    ``boundary`` entries are triples (x, y, coeff) meaning the coefficient
-    of y in the boundary of x is coeff.  The constructor checks grading,
-    filtration and d^2 = 0 through ``validate`` and raises on a violation.
+    ``generators`` are triples (label, eps, filtration), eps 0 or 1, kept
+    as the parallel lists ``labels``, ``eps``, ``filtrations`` and
+    ``keys`` (the filtrations as ints on one 1/q grid).  ``boundary``
+    entries are triples (x, y, coeff) meaning the coefficient of y in the
+    boundary of x is coeff.  The constructor is one pass over each, then
+    ``validate``, which checks grading, filtration and d^2 = 0 with one
+    step per entry of d and per term of the products forming d^2, and
+    raises on a violation.
     """
 
-    __slots__ = ("generators", "_index", "_columns")
+    __slots__ = ("labels", "eps", "filtrations", "keys", "_columns")
 
     def __init__(self, generators: Iterable, boundary: Iterable[Tuple] = ()):
-        self.generators: Tuple[ChainGenerator, ...] = tuple(
-            g if isinstance(g, ChainGenerator) else ChainGenerator(*g)
-            for g in generators)
-        self._index: Dict[str, int] = {}
-        for i, g in enumerate(self.generators):
-            if g.label in self._index:
-                raise DuplicateLabel(f"generator label {g.label!r} repeated")
-            self._index[g.label] = i
+        labels, eps, filtrations = [], [], []
+        for label, e, filtration in generators:
+            filtrations.append(as_ratio(filtration))
+            if e not in (0, 1):
+                raise ValueError(f"generator {echo(label)}: eps must be 0 or 1")
+            labels.append(label)
+            eps.append(e)
+        index = {label: i for i, label in enumerate(labels)}
+        if len(index) < len(labels):
+            seen = set()   # the first label met twice
+            label = next(x for x in labels if x in seen or seen.add(x))
+            raise DuplicateLabel(f"generator label {echo(label)} repeated")
+        self.labels, self.eps, self.filtrations = labels, eps, filtrations
+        self.keys = grid(filtrations)[1]
         # column j -> {row i: coefficient of generator i in boundary of j}
-        self._columns: Dict[int, Dict[int, Fraction]] = {}
+        self._columns: Dict[int, Dict[int, object]] = {}
         for x, y, coeff in boundary:
-            coeff = as_ratio(coeff)
-            if coeff == 0:
+            if type(coeff) is not int:
+                coeff = _norm_coeff(as_ratio(coeff))
+            if not coeff:
                 continue
             try:
-                j, i = self._index[x], self._index[y]
+                j, i = index[x], index[y]
             except KeyError as exc:
-                raise KeyError(f"unknown generator label {exc.args[0]!r}") from None
+                raise KeyError(f"unknown generator label {echo(exc.args[0])}") from None
             col = self._columns.setdefault(j, {})
             if i in col:
-                coeff += col[i]
+                coeff = _norm_coeff(coeff + col[i])
                 if not coeff:
                     del col[i]
                     continue
@@ -97,71 +98,78 @@ class FilteredComplex:
         self.validate()
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.labels)
 
     def boundary_entries(self):
         """Sorted (x_label, y_label, coeff) triples of the differential."""
-        gens = self.generators
-        return [(gens[j].label, gens[i].label, c)
+        labels = self.labels
+        return [(labels[j], labels[i], c)
                 for j in sorted(self._columns)
                 for i, c in sorted(self._columns[j].items())]
 
     def shifted(self, delta: RatioLike) -> "FilteredComplex":
         """The same complex with every filtration level moved by delta."""
         delta = as_ratio(delta)
-        gens = [ChainGenerator(g.label, g.eps, g.filtration + delta)
-                for g in self.generators]
-        return FilteredComplex(gens, self.boundary_entries())
+        return FilteredComplex(
+            zip(self.labels, self.eps, [f + delta for f in self.filtrations]),
+            self.boundary_entries())
 
     # -- validity --------------------------------------------------------
 
     def validate(self) -> None:
-        """Check grading, filtration and d^2 = 0, raising on a violation."""
-        gens = self.generators
-        for j, col in self._columns.items():
+        """Check grading, filtration and d^2 = 0, raising on a violation.
+        Levels are compared as int keys."""
+        labels, eps, keys, columns = self.labels, self.eps, self.keys, self._columns
+        for j, col in columns.items():
+            e, key = eps[j], keys[j]
             for i, c in col.items():
-                if gens[j].eps == gens[i].eps:
-                    raise GradingViolation(
-                        f"<d {gens[j].label!r}, {gens[i].label!r}> = {c} "
-                        "with equal gradings")
-                if not gens[j].filtration > gens[i].filtration:
+                if eps[i] == e or keys[i] >= key:
+                    entry = f"<d {echo(labels[j])}, {echo(labels[i])}> = {c}"
+                    if eps[i] == e:
+                        raise GradingViolation(f"{entry} with equal gradings")
                     raise FiltrationViolation(
-                        f"<d {gens[j].label!r}, {gens[i].label!r}> = {c} but "
-                        f"filtration {gens[j].filtration} <= "
-                        f"{gens[i].filtration}")
+                        f"{entry} but filtration {self.filtrations[j]} <= "
+                        f"{self.filtrations[i]}")
         # d(d(x)) = 0 for each basis column
-        for j, col in self._columns.items():
-            square: Dict[int, Fraction] = {}
+        for j, col in columns.items():
+            square: Dict[int, object] = {}
             for i, c in col.items():
-                for i2, c2 in self._columns.get(i, {}).items():
-                    square[i2] = square.get(i2, Fraction(0)) + c * c2
+                below = columns.get(i)
+                if below:
+                    for i2, c2 in below.items():
+                        square[i2] = square.get(i2, 0) + c * c2
             for i2, c in square.items():
                 if c:
                     raise NotSquareZero(
-                        f"<d(d {gens[j].label!r}), {gens[i2].label!r}> = {c}")
+                        f"<d(d {echo(labels[j])}), {echo(labels[i2])}> = {c}")
 
 
-def _rank(columns: List[Dict[int, Fraction]]) -> int:
+def _reduce(col: Dict[int, object], pivots: Dict[int, Dict[int, object]]):
+    """Subtract multiples of the pivot columns (keyed by their lowest row)
+    from col, in place, until col is empty or its lowest row has no pivot;
+    then file col as that row's pivot and return the row, or None."""
+    while col:
+        low = max(col)
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = col
+            return low
+        factor = _quotient(col[low], pivot[low])
+        for r, c in pivot.items():
+            v = col.get(r, 0) - factor * c
+            if v:
+                col[r] = v
+            elif r in col:
+                del col[r]
+    return None
+
+
+def _rank(columns: List[Dict[int, object]]) -> int:
     """Rank over Q of a matrix given as sparse columns."""
-    pivots: Dict[int, Dict[int, Fraction]] = {}
-    rank = 0
+    pivots: Dict[int, Dict[int, object]] = {}
     for col in columns:
-        col = dict(col)
-        while col:
-            low = max(col)
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = col
-                rank += 1
-                break
-            factor = col[low] / pivot[low]
-            for i, c in pivot.items():
-                v = col.get(i, 0) - factor * c
-                if v:
-                    col[i] = v
-                elif i in col:
-                    del col[i]
-    return rank
+        _reduce(dict(col), pivots)
+    return len(pivots)
 
 
 def homology_dims(complex_: FilteredComplex, level: RatioLike) -> Tuple[int, int]:
@@ -170,20 +178,16 @@ def homology_dims(complex_: FilteredComplex, level: RatioLike) -> Tuple[int, int
     over the rationals.  This is the oracle everything barcode-shaped is
     checked against."""
     level = as_ratio(level)
-    gens = complex_.generators
-    included = [i for i, g in enumerate(gens) if g.filtration <= level]
-    inc_set = set(included)
-    n = [0, 0]
-    cols = {0: [], 1: []}
-    for j in included:
-        n[gens[j].eps] += 1
-        col = {i: c for i, c in complex_._columns.get(j, {}).items()
-               if i in inc_set}
-        if col:
-            cols[gens[j].eps].append(col)
-    rank_even = _rank(cols[0])   # rank of d restricted to even generators
-    rank_odd = _rank(cols[1])
-    return (n[0] - rank_even - rank_odd, n[1] - rank_odd - rank_even)
+    eps = complex_.eps
+    included = {i for i, f in enumerate(complex_.filtrations) if f <= level}
+    n, cols = [0, 0], ([], [])
+    for j in sorted(included):
+        n[eps[j]] += 1
+        cols[eps[j]].append({i: c for i, c in complex_._columns.get(j, {}).items()
+                             if i in included})
+    # rank of d restricted to the even generators plus to the odd ones
+    rank = _rank(cols[0]) + _rank(cols[1])
+    return (n[0] - rank, n[1] - rank)
 
 
 # -- bars and barcodes ---------------------------------------------------
@@ -261,49 +265,33 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     The output is the unique barcode realizing the complex's persistence
     module.
 
-    Filtrations are compared as int keys on the 1/q grid (see
-    ``novikov.grid``): the stable sort keeps equal levels in input order,
-    and the bars are emitted already in ``Barcode`` order.
+    Filtrations are compared through the complex's int ``keys``: the
+    stable sort keeps equal levels in input order, and the bars are
+    emitted already in ``Barcode`` order.  Pivots divide through
+    ``novikov._quotient``, so whole coefficients stay ints.
     """
-    gens = complex_.generators
-    _, keys = grid(g.filtration for g in gens)
-    order = sorted(range(len(gens)), key=keys.__getitem__)
-    pos = [0] * len(gens)
-    for p, i in enumerate(order):
-        pos[i] = p
+    keys, eps, filtrations = complex_.keys, complex_.eps, complex_.filtrations
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pos = {i: p for p, i in enumerate(order)}
 
-    reduced: Dict[int, Dict[int, Fraction]] = {}   # low position -> column
+    reduced: Dict[int, Dict[int, object]] = {}     # low position -> column
     killed: Dict[int, int] = {}                     # birth index -> death index
     for i in order:
         col = {pos[r]: c for r, c in complex_._columns.get(i, {}).items()}
-        while col:
-            low = max(col)
-            pivot = reduced.get(low)
-            if pivot is None:
-                break
-            factor = col[low] / pivot[low]
-            for r, c in pivot.items():
-                v = col.get(r, 0) - factor * c
-                if v:
-                    col[r] = v
-                elif r in col:
-                    del col[r]
-        if col:
-            low = max(col)
-            reduced[low] = col
+        low = _reduce(col, reduced)
+        if low is not None:
             killed[order[low]] = i
 
     # (birth key, infinite?, death key, eps, birth index, death index)
-    rows = [(keys[b], False, keys[d], gens[b].eps, b, d)
+    rows = [(keys[b], False, keys[d], eps[b], b, d)
             for b, d in killed.items()]
     deaths = set(killed.values())
-    rows.extend((keys[i], True, 0, gens[i].eps, i, i) for i in order
+    rows.extend((keys[i], True, 0, eps[i], i, i) for i in order
                 if i not in killed and i not in deaths)
     rows.sort()
     return Barcode([
-        Bar(gens[b].filtration,
-            None if infinite else gens[d].filtration, eps)
-        for _, infinite, _, eps, b, d in rows])
+        Bar(filtrations[b], None if infinite else filtrations[d], e)
+        for _, infinite, _, e, b, d in rows])
 
 
 def euler_jump(barcode: Barcode, at: RatioLike) -> int:
@@ -346,5 +334,5 @@ def zeta_persistence(complex_: FilteredComplex,
     Equals ``zeta_barcode`` of ``barcode_decompose``, an independent route
     the tests compare.
     """
-    return NovikovSeries([(g.filtration, -1 if g.eps else 1)
-                          for g in complex_.generators], cutoff)
+    return NovikovSeries(zip(complex_.filtrations,
+                             map((1, -1).__getitem__, complex_.eps)), cutoff)

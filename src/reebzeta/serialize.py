@@ -8,8 +8,8 @@ carrying the location of the offending field.
 
 One loop, ``_records``, decodes every list of entries, each an object with
 no keys outside an ordered {key: parser} table.  Parsers raise location-free
-ValueErrors; the loop builds "where[k].key" only when one does.  A value
-quoted in a message is cut to 80 characters.
+ValueErrors; the loop builds "where[k].key" only when one does.  Quoted
+values go through ``errors.echo``, which cuts them to 80 characters.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import re
 from fractions import Fraction
 
 from .domains import MorseData
-from .errors import ReebZetaError
-from .novikov import NovikovSeries, as_ratio
+from .errors import ReebZetaError, echo
+from .novikov import NovikovSeries, _norm_coeff, as_ratio
 from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
 
-_RATIO_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIO_RE = re.compile(r"^-?\d+(/[1-9]\d*)?\Z")
 
 
 class SchemaError(ReebZetaError, ValueError):
@@ -43,19 +43,19 @@ def format_ratio(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _echo(value) -> str:
-    """repr of a value quoted in a message, cut to 80 characters."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
-
-
-def _ratio(text) -> Fraction:
+def _ratio(text, whole=Fraction):
+    """The value of a 'p/q' string; whole(p) when it has no '/q'."""
     if not isinstance(text, str) or not _RATIO_RE.match(text):
-        raise ValueError(f"expected a rational 'p/q' string, got {_echo(text)}")
-    # The regex has vetted the text, so build the Fraction from two ints;
-    # int() raises ValueError on more digits than it accepts.
+        raise ValueError(f"expected a rational 'p/q' string, got {echo(text)}")
+    # The regex has vetted the text, so build the value from ints; int()
+    # raises ValueError on more digits than it accepts.
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return Fraction(int(num), int(den)) if den else whole(int(num))
+
+
+def _coeff(text):
+    """A ratio, stored as an int when it is whole, as series store them."""
+    return _norm_coeff(_ratio(text, int))
 
 
 def parse_ratio(text, where: str = "value") -> Fraction:
@@ -67,20 +67,20 @@ def parse_ratio(text, where: str = "value") -> Fraction:
 
 def _string(value) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {_echo(value)}")
+        raise ValueError(f"expected a string, got {echo(value)}")
     return value
 
 
 def _bit(value) -> int:
     # type(...) is int: JSON true/false decode to bools, which are ints.
     if type(value) is not int or value not in (0, 1):
-        raise ValueError(f"expected 0 or 1, got {_echo(value)}")
+        raise ValueError(f"expected 0 or 1, got {echo(value)}")
     return value
 
 
 def _index(value) -> int:
     if type(value) is not int or value not in (0, 1, 2):
-        raise ValueError(f"expected 0, 1 or 2, got {_echo(value)}")
+        raise ValueError(f"expected 0, 1 or 2, got {echo(value)}")
     return value
 
 
@@ -91,17 +91,20 @@ def _object(obj, keys, where: str, k=None) -> None:
     where = where if k is None else f"{where}[{k}]"
     if not isinstance(obj, dict):
         raise SchemaError(where, f"expected an object, got {type(obj).__name__}")
-    raise SchemaError(where, f"unknown keys {_echo(sorted(obj.keys() - keys))}")
+    raise SchemaError(where, f"unknown keys {echo(sorted(obj.keys() - keys))}")
 
 
 def _records(obj, where: str, fields):
     """Yield [parse(entry.get(key)) for each key of the table] per entry of
-    obj; ``fields`` is the table or a function of the entry returning it."""
+    obj; ``fields`` is the table, or a function of the entry returning it
+    for a list whose entries come in several shapes."""
     if not isinstance(obj, list):
         raise SchemaError(where, f"expected a list, got {type(obj).__name__}")
+    pick = fields if callable(fields) else lambda entry: fields
     for k, entry in enumerate(obj):
-        table = fields(entry) if callable(fields) else fields
-        _object(entry, table.keys(), where, k)
+        table = pick(entry)
+        if not (isinstance(entry, dict) and entry.keys() <= table.keys()):
+            _object(entry, table.keys(), where, k)
         row = []
         try:
             for key, parse in table.items():
@@ -154,7 +157,7 @@ _TYPE_NAMES = {kind.value: kind for kind in OrbitType3D}
 
 def _orbit_type(name) -> OrbitType3D:
     if _string(name) not in _TYPE_NAMES:
-        raise ValueError(f"unknown orbit type {_echo(name)}; expected one "
+        raise ValueError(f"unknown orbit type {echo(name)}; expected one "
                          f"of {sorted(_TYPE_NAMES)}")
     return _TYPE_NAMES[name]
 
@@ -186,14 +189,14 @@ def orbit_set_from_obj(obj, where: str = "orbits") -> OrbitSet:
 # -- filtered complexes ---------------------------------------------------
 
 _GENERATOR = {"label": _string, "eps": _bit, "filtration": _ratio}
-_DIFFERENTIAL = {"from": _string, "to": _string, "coeff": _ratio}
+_DIFFERENTIAL = {"from": _string, "to": _string, "coeff": _coeff}
 
 
 def complex_to_obj(complex_: FilteredComplex) -> dict:
     return {
-        "generators": [{"label": g.label, "eps": g.eps,
-                        "filtration": format_ratio(g.filtration)}
-                       for g in complex_.generators],
+        "generators": [{"label": x, "eps": e, "filtration": format_ratio(f)}
+                       for x, e, f in zip(complex_.labels, complex_.eps,
+                                          complex_.filtrations)],
         "differential": [{"from": x, "to": y, "coeff": format_ratio(c)}
                          for x, y, c in complex_.boundary_entries()],
     }
@@ -211,7 +214,7 @@ def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
         for label in (x, y):
             if label not in labels:
                 raise SchemaError(f"{where}.differential[{k}]",
-                                  f"unknown generator {_echo(label)}")
+                                  f"unknown generator {echo(label)}")
         entries.append((x, y, coeff))
     return FilteredComplex(generators, entries)
 

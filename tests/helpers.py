@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries, OrbitSet,
                       OrbitType3D, SimpleOrbit, mobius)
+from reebzeta.errors import FiltrationViolation, GradingViolation, NotSquareZero
 
 PARITY_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -63,6 +64,49 @@ def mobius_product_reference(a: NovikovSeries, cutoff) -> NovikovSeries:
                 result = result * base ** (-count * mu)
             n += 1
     return result
+
+
+def validate_reference(generators, boundary):
+    """The Fraction validator of a filtered complex, kept from before
+    ``FilteredComplex`` compared int keys: accumulate the boundary entries
+    into Fraction columns in input order, check grading, filtration and
+    d^2 = 0 with the same errors and messages, and return the sorted
+    (x_label, y_label, coeff) entries.  Labels must be known."""
+    gens = [(label, eps, F(filtration)) for label, eps, filtration in generators]
+    index = {g[0]: i for i, g in enumerate(gens)}
+    columns = {}
+    for x, y, coeff in boundary:
+        coeff = F(coeff)
+        if coeff == 0:
+            continue
+        col = columns.setdefault(index[x], {})
+        i = index[y]
+        if i in col:
+            coeff += col[i]
+            if not coeff:
+                del col[i]
+                continue
+        col[i] = coeff
+    for j, col in columns.items():
+        for i, c in col.items():
+            if gens[j][1] == gens[i][1]:
+                raise GradingViolation(
+                    f"<d {gens[j][0]!r}, {gens[i][0]!r}> = {c} "
+                    "with equal gradings")
+            if not gens[j][2] > gens[i][2]:
+                raise FiltrationViolation(
+                    f"<d {gens[j][0]!r}, {gens[i][0]!r}> = {c} but "
+                    f"filtration {gens[j][2]} <= {gens[i][2]}")
+    for j, col in columns.items():
+        square = {}
+        for i, c in col.items():
+            for i2, c2 in columns.get(i, {}).items():
+                square[i2] = square.get(i2, F(0)) + c * c2
+        for i2, c in square.items():
+            if c:
+                raise NotSquareZero(f"<d(d {gens[j][0]!r}), {gens[i2][0]!r}> = {c}")
+    return [(gens[j][0], gens[i][0], c)
+            for j in sorted(columns) for i, c in sorted(columns[j].items())]
 
 
 def stored(series):
@@ -261,7 +305,7 @@ def planted_complex(rng, n):
 def probe_levels(complex_):
     """All filtration values, midpoints between consecutive ones, and one
     level below and above everything."""
-    levels = sorted({g.filtration for g in complex_.generators})
+    levels = sorted(set(complex_.filtrations))
     probes = list(levels)
     probes.extend((a + b) / 2 for a, b in zip(levels, levels[1:]))
     if levels:

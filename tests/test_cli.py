@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from reebzeta import cli, orbits
 from reebzeta.novikov import NovikovSeries
 
@@ -24,6 +26,43 @@ COMPLEX_PAIR = {
     ],
     "differential": [{"from": "x", "to": "y", "coeff": "1"}],
 }
+
+
+LONG = "L" * 100_000
+
+
+def generator(label, eps, filtration):
+    return {"label": label, "eps": eps, "filtration": filtration}
+
+
+def entry(x, y, coeff="1"):
+    return {"from": x, "to": y, "coeff": coeff}
+
+
+# (subcommand and flags, input file, error class): one input per
+# constructor message that quotes a label, the label 100,000 characters.
+LONG_LABEL_CASES = [
+    (["zeta-orbits", "--cutoff", "2"],
+     [{"label": LONG, "action": "-1", "type": "elliptic"}], "NonPositiveAction"),
+    (["zeta-orbits", "--cutoff", "2"],
+     [{"label": LONG, "action": "1", "eps1": 0, "eps2": 0}] * 2,
+     "DuplicateLabel"),
+    (["zeta-s1", "--cutoff", "2"],
+     [{"label": LONG, "action": "-1", "index": 0}], "NonPositiveAction"),
+    (["barcode"], {"generators": [generator(LONG, 0, "1")] * 2},
+     "DuplicateLabel"),
+    (["barcode"],
+     {"generators": [generator(LONG, 1, "2"), generator("y", 1, "1")],
+      "differential": [entry(LONG, "y")]}, "GradingViolation"),
+    (["zeta-persistence", "--cutoff", "2"],
+     {"generators": [generator("x", 1, "1"), generator(LONG, 0, "1")],
+      "differential": [entry("x", LONG)]}, "FiltrationViolation"),
+    (["zeta-persistence", "--cutoff", "2"],
+     {"generators": [generator(LONG, 1, "3"), generator("y", 0, "2"),
+                     generator("w", 1, "1")],
+      "differential": [entry(LONG, "y"), entry("y", "w", "-2")]},
+     "NotSquareZero"),
+]
 
 
 def write(tmp_path, name, obj):
@@ -209,6 +248,24 @@ class TestExitCodes:
         assert f"{path}: orbits[0].action: expected a rational 'p/q' string, " \
                "got [0, 1, 2, " in err
         assert err.endswith("...\n")
+
+    def test_ratio_with_a_final_newline_is_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path, "orbits.json",
+                     [{"label": "x", "action": "1\n", "type": "elliptic"}])
+        code, out, err = run(capsys, "zeta-orbits", path, "--cutoff", "2")
+        assert (code, out) == (1, "")
+        assert f"{path}: orbits[0].action: expected a rational 'p/q' " \
+               "string, got '1\\n'" in err
+
+    @pytest.mark.parametrize("argv, obj, error", LONG_LABEL_CASES,
+                             ids=[case[2] for case in LONG_LABEL_CASES])
+    def test_long_labels_are_cut_in_messages(self, tmp_path, capsys, argv,
+                                             obj, error):
+        path = write(tmp_path, "input.json", obj)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (1, "")
+        assert f"{error}: " in err and f"'{'L' * 76}..." in err
+        assert len(err.encode()) < 300
 
     def test_oversized_json_integer_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "orbits.json"

@@ -3,10 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import (fresh_rng, mobius_product_reference, random_orbit_set,
-                     random_series, stored)
+from helpers import (PARITY_PAIRS, fresh_rng, mobius_product_reference,
+                     random_orbit_set, random_series, stored)
 from reebzeta import (NovikovSeries, OrbitSet, SimpleOrbit, elliptic,
                       mobius, mobius_product, negative_hyperbolic,
                       positive_hyperbolic, zeta_good_orbits,
@@ -16,6 +16,22 @@ from reebzeta.errors import NonIntegerCoefficients, NonPositiveSupport
 
 def S(terms, cutoff):
     return NovikovSeries(terms, cutoff)
+
+
+@st.composite
+def orbit_sets_and_off_grid_cutoffs(draw):
+    """Up to five orbits with any parity pair and actions p/q in [1/2, 3],
+    q <= 6, and a cutoff in [1, 5] whose denominator 7, 11 or 13 is off
+    the orbits' grid."""
+    orbits = []
+    for i in range(draw(st.integers(0, 5))):
+        den = draw(st.integers(1, 6))
+        action = F(draw(st.integers((den + 1) // 2, 3 * den)), den)
+        orbits.append(SimpleOrbit(f"g{i}", action,
+                                  *draw(st.sampled_from(PARITY_PAIRS))))
+    den = draw(st.sampled_from((7, 11, 13)))
+    num = draw(st.integers(den, 5 * den).filter(lambda n: n % den))
+    return OrbitSet(orbits), F(num, den)
 
 
 class TestMobiusFunction:
@@ -211,6 +227,15 @@ class TestZetaViaMobius:
             orbit_set = random_orbit_set(rng, max_orbits=5)
             assert zeta_via_mobius(orbit_set, 6) == \
                 zeta_product_form(orbit_set, 6)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(orbit_sets_and_off_grid_cutoffs())
+    @example((OrbitSet([SimpleOrbit(f"g{i}", F(i + 2, 2), *pair)
+                        for i, pair in enumerate(PARITY_PAIRS)]), F(33, 7)))
+    def test_round_trip_through_good_orbits(self, case):
+        orbit_set, cutoff = case
+        assert mobius_product(zeta_good_orbits(orbit_set, cutoff), cutoff) == \
+            zeta_product_form(orbit_set, cutoff)
 
     def test_good_orbit_series_feeds_the_transform(self):
         orbit_set = OrbitSet([negative_hyperbolic("n", 1)])

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import fresh_rng, probe_levels, random_complex, stored
+from helpers import (fresh_rng, probe_levels, random_complex, stored,
+                     validate_reference)
 from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries,
                       barcode_decompose, euler_jump, homology_dims,
                       zeta_barcode, zeta_persistence)
@@ -91,6 +92,75 @@ class TestValidation:
         cancelled = FilteredComplex([("x", 1, 2), ("y", 0, 1)],
                                     [("x", "y", 2), ("x", "y", -2)])
         assert cancelled.boundary_entries() == []
+
+
+@st.composite
+def complex_inputs(draw):
+    """Generators and boundary entries of a complex, valid or not: levels
+    on denominators 1-4, every entry split in two and some pairs of
+    entries between any two generators cancelling, coefficients whole or
+    rational and passed as ints, Fractions or strings, and perhaps one
+    entry added that breaks grading, filtration or (unless another path
+    cancels it) d^2 = 0, by ending on a generator with a boundary."""
+    rng = fresh_rng(draw(st.integers(0, 2**32)))   # uniform, unlike st.randoms
+    complex_, _ = random_complex(rng, max_gens=12)
+    gens = list(zip(complex_.labels, complex_.eps, complex_.filtrations))
+    base = complex_.boundary_entries()
+    sources = {x for x, _, _ in base}
+    entries = []
+    for x, y, c in base:
+        r = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        entries += [(x, y, c - r), (x, y, r)]
+    for _ in range(rng.randint(0, 3) if gens else 0):
+        x, y = rng.choice(gens)[0], rng.choice(gens)[0]
+        r = F(rng.randint(1, 6), rng.choice((1, 2)))
+        entries += [(x, y, r), (x, y, -r)]
+    breaks = {"grading": lambda a, b: a[1] == b[1],
+              "filtration": lambda a, b: a[1] != b[1] and a[2] <= b[2],
+              "square": lambda a, b: a[1] != b[1] and a[2] > b[2]
+              and b[0] in sources}
+    kind = draw(st.sampled_from(sorted(breaks) + ["none"]))
+    pairs = [(a, b) for a in gens for b in gens
+             if kind in breaks and breaks[kind](a, b)]
+    if pairs:
+        a, b = rng.choice(pairs)
+        entries.append((a[0], b[0], F(rng.randint(1, 4), rng.choice((1, 3)))))
+    rng.shuffle(entries)
+    forms = (lambda c: c, str, lambda c: c.numerator if c.denominator == 1 else c)
+    return gens, [(x, y, rng.choice(forms)(c)) for x, y, c in entries]
+
+
+def outcome(build):
+    """build()'s result, or the class and message of the violation it raised."""
+    try:
+        return build()
+    except (GradingViolation, FiltrationViolation, NotSquareZero) as exc:
+        return type(exc), str(exc)
+
+
+class TestIntKeyValidator:
+    """``validate`` on int keys and int coefficients decides exactly as the
+    Fraction validator it replaced, message for message."""
+
+    @pytest.mark.parametrize("error, message, generators, boundary",
+                             invalid_complexes(),
+                             ids=["grading", "filtration", "square"])
+    def test_each_check_agrees_with_the_reference(self, error, message,
+                                                  generators, boundary):
+        assert outcome(lambda: validate_reference(generators, boundary)) == \
+            outcome(lambda: FilteredComplex(generators, boundary)) == \
+            (error, message)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(complex_inputs())
+    def test_agrees_with_the_fraction_reference(self, case):
+        gens, entries = case
+        expected = outcome(lambda: validate_reference(gens, entries))
+        got = outcome(lambda: FilteredComplex(gens, entries).boundary_entries())
+        assert got == expected
+        if isinstance(got, list):   # accepted: whole coefficients are ints
+            assert [type(c) for _, _, c in got] == \
+                [int if c.denominator == 1 else F for _, _, c in expected]
 
 
 class TestHomologyDims:
@@ -218,8 +288,7 @@ def assert_zeta_routes_agree(complex_, cutoff):
     zeta = zeta_persistence(complex_, cutoff)
     assert stored(zeta) == \
         stored(zeta_barcode(barcode_decompose(complex_), cutoff))
-    levels = sorted({g.filtration for g in complex_.generators
-                     if g.filtration <= cutoff})
+    levels = sorted({f for f in complex_.filtrations if f <= cutoff})
     assert set(zeta.support()) <= set(levels)
     previous = 0
     for level in levels:
@@ -268,9 +337,10 @@ class TestNormalFormOracle:
         for _ in range(30):
             c, _ = random_complex(rng)
             barcode = barcode_decompose(c)
-            for level in {g.filtration for g in c.generators}:
-                signed = sum(-1 if g.eps else 1
-                             for g in c.generators if g.filtration == level)
+            for level in set(c.filtrations):
+                signed = sum(-1 if eps else 1
+                             for eps, f in zip(c.eps, c.filtrations)
+                             if f == level)
                 assert euler_jump(barcode, level) == signed
 
     @settings(derandomize=True, max_examples=150, deadline=None)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import fresh_rng, random_complex, random_orbit_set, random_series
-from reebzeta import (Bar, Barcode, MorseData, NovikovSeries,
-                      barcode_decompose, s1_invariant_zeta)
-from reebzeta.errors import DuplicateLabel
+from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
+                      MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
+                      barcode_decompose, ech_generators, s1_invariant_zeta)
+from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
+                             NotThreeDimensional)
 from reebzeta.serialize import (_RATIO_RE, SchemaError, barcode_from_obj,
                                 barcode_to_obj, complex_from_obj, complex_to_obj,
                                 format_ratio, morse_from_obj, morse_to_obj,
@@ -377,6 +379,12 @@ MESSAGES = [
     (barcode_from_obj, [dict(bar()[0], **{f"k{i}": 0 for i in range(30)})],
      "barcode[0]: unknown keys ['k0', 'k1', 'k10', 'k11', 'k12', 'k13', "
      "'k14', 'k15', 'k16', 'k17', 'k18', '..."),
+    # a final newline is not part of a rational
+    (parse_ratio, "1\n", f"value: {RATIO} '1\\n'"),
+    (parse_ratio, "3/2\n", f"value: {RATIO} '3/2\\n'"),
+    (orbit_set_from_obj, orbit(action="1\n"), f"orbits[0].action: {RATIO} '1\\n'"),
+    (complex_from_obj, edges(dict(EDGE, coeff="3/2\n")),
+     f"complex.differential[0].coeff: {RATIO} '3/2\\n'"),
     # bare rationals
     (parse_ratio, "1.5", f"value: {RATIO} '1.5'"),
     (lambda text: parse_ratio(text, "x.cutoff"), ["1"], f"x.cutoff: {RATIO} ['1']"),
@@ -389,3 +397,27 @@ def test_schema_error_text_is_exact(decode, obj, message):
     with pytest.raises(SchemaError) as info:
         decode(obj)
     assert str(info.value) == message
+
+
+LONG = "L" * 100_000
+
+# Constructor errors quote labels through the same 80-character cut; the
+# CLI tests cover the ones an input file can reach.
+LABEL_ERRORS = [
+    (lambda: SimpleOrbit(LONG, 1, 2, 0), ValueError),
+    (lambda: OrbitSet([SimpleOrbit(LONG, 1, 0, 0)] * 2), DuplicateLabel),
+    (lambda: ech_generators(OrbitSet([SimpleOrbit(LONG, 1, 1, 0)]), 2),
+     NotThreeDimensional),
+    (lambda: MorseCriticalPoint(LONG, -1, 0), NonPositiveAction),
+    (lambda: MorseCriticalPoint(LONG, 1, 3), ValueError),
+    (lambda: FilteredComplex([(LONG, 2, 1)]), ValueError),
+    (lambda: FilteredComplex([("x", 0, 1)], [("x", LONG, 1)]), KeyError),
+]
+
+
+@pytest.mark.parametrize("build, error", LABEL_ERRORS)
+def test_constructor_errors_cut_long_labels(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert f"'{'L' * 76}..." in str(info.value)
+    assert len(str(info.value)) < 200
