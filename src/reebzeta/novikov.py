@@ -29,6 +29,7 @@ nonnegative exponents, where truncated arithmetic is self-consistent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
@@ -411,24 +412,20 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     Computed through the formal identity exp(a)' = a' * exp(a), which gives
     the coefficients by a single pass over the (finitely many) exponents
     reachable as sums of exponents of a below the cutoff; the value agrees
-    exactly with the truncated factorial sum.  Runs on the grid of a.
+    exactly with the truncated factorial sum.  Runs on the grid of a in
+    O(reachable keys x terms of a); nothing is sized by the bound, which
+    reaches about 10^9 for three-digit action denominators.
     """
     if not a.is_positively_supported:
         raise NotPositivelySupported(
             "exp needs every exponent strictly positive")
-    bound = a._bound
-    g = sorted(a._terms.items())
-    weighted = [(j, _norm_coeff(j * c)) for j, c in g]
-    reachable = _semigroup([j for j, _ in g], bound)
+    keys = sorted(a._terms)
+    weighted = [(j, _norm_coeff(j * a._terms[j])) for j in keys]
     f = {0: 1}
-    for n in reachable:
-        total = 0
-        for j, jc in weighted:
-            if j > n:
-                break
-            prev = f.get(n - j)
-            if prev:
-                total += jc * prev
+    for n in _semigroup(keys, a._bound):
+        # n * f[n] = sum over keys j <= n of j * a[j] * f[n - j]
+        total = sum([jc * prev for j, jc in weighted[:bisect_right(keys, n)]
+                     if (prev := f.get(n - j))])
         if total:
             f[n] = _quotient(total, n)
     return NovikovSeries._raw(a._q, f, a.cutoff)
@@ -436,9 +433,14 @@ def exp(a: NovikovSeries) -> NovikovSeries:
 
 def _semigroup(generators, bound: int):
     """Sorted positive elements <= bound of the additive semigroup
-    generated by the given positive integers."""
+    generated by the given positive integers.  A generator that is
+    already reachable (a sum of smaller ones, such as each cover d*A of an
+    orbit) adds nothing and is skipped; each other costs one walk over the
+    reachable set."""
     reach = {0}
     for g in sorted(set(generators)):
+        if g in reach:
+            continue
         new = reach
         while new:
             new = {r + g for r in new if r + g <= bound} - reach

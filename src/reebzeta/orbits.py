@@ -234,35 +234,44 @@ class EchGenerator:
 
 def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]:
     """All ECH generators with total action <= cutoff, in deterministic
-    order (total action, then labels, then multiplicities).
+    order (total action, then labels, then multiplicities); none when the
+    cutoff is negative.
 
     Only defined for 3D orbit sets: the parity pair (1, 0) has no
-    3-dimensional orbit type and is rejected.
+    3-dimensional orbit type and is rejected.  Runs on the int grid of
+    the actions and the cutoff in O(generators * log), for the sort.
     """
     cutoff = as_ratio(cutoff)
     for o in orbit_set:
         if (o.eps1, o.eps2) == (1, 0):
             raise NotThreeDimensional(
                 f"orbit {echo(o.label)} has parities (1, 0)")
+    if cutoff < 0:
+        return []
     orbits = sorted((o for o in orbit_set if o.action <= cutoff),
                     key=_orbit_key)
-    out: List[EchGenerator] = []
-    # Depth-first on an explicit stack of (next orbit, pairs, total action).
-    stack = [(0, (), Fraction(0))]
+    q, keys = novikov.grid([o.action for o in orbits] + [cutoff])
+    bound = keys.pop()
+    # Depth-first on a stack of (next orbit, pairs, int total action,
+    # grading); pairs come out as from_pairs would check and sort them.
+    found, stack = [], [(0, (), 0, 0)]
     while stack:
-        i, chosen, total = stack.pop()
-        budget = cutoff - total
+        i, chosen, total, grading = stack.pop()
+        budget = bound - total
         # Actions ascend, so once orbit i is over budget every later one is.
-        if i == len(orbits) or orbits[i].action > budget:
-            out.append(EchGenerator.from_pairs(chosen))
+        if i == len(orbits) or keys[i] > budget:
+            found.append((total, tuple([o.label for o, _ in chosen]),
+                          tuple([m for _, m in chosen]), chosen, grading))
             continue
-        o = orbits[i]
-        stack.append((i + 1, chosen, total))
-        max_mult = 1 if o.is_hyperbolic else budget // o.action
-        stack.extend((i + 1, chosen + ((o, m),), total + m * o.action)
-                     for m in range(1, max_mult + 1))
-    out.sort(key=lambda g: (g.total_action, g.labels, g.multiplicities))
-    return out
+        o, a = orbits[i], keys[i]
+        stack.append((i + 1, chosen, total, grading))
+        max_mult = 1 if o.is_hyperbolic else budget // a
+        # eps1 is 1 exactly for positive hyperbolic orbits
+        stack.extend((i + 1, chosen + ((o, m),), total + m * a,
+                      grading ^ o.eps1) for m in range(1, max_mult + 1))
+    found.sort(key=lambda entry: entry[:3])
+    return [EchGenerator(chosen, grading, Fraction(total, q))
+            for total, _, _, chosen, grading in found]
 
 
 def zeta_ech_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:

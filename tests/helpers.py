@@ -5,8 +5,9 @@ independent of the library's own arithmetic."""
 import random
 from fractions import Fraction as F
 
-from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries, OrbitSet,
-                      OrbitType3D, SimpleOrbit, mobius)
+from reebzeta import (Bar, Barcode, EchGenerator, FilteredComplex,
+                      NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
+                      mobius, novikov)
 from reebzeta.errors import FiltrationViolation, GradingViolation, NotSquareZero
 
 PARITY_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -64,6 +65,61 @@ def mobius_product_reference(a: NovikovSeries, cutoff) -> NovikovSeries:
                 result = result * base ** (-count * mu)
             n += 1
     return result
+
+
+def exp_reference(a: NovikovSeries) -> NovikovSeries:
+    """``novikov.exp`` as it was before it skipped redundant semigroup
+    generators: the reachable keys by one closure walk per distinct
+    generator, then the recurrence n * f[n] = sum_j j * a[j] * f[n - j]
+    with one dict lookup per term.  Same preconditions as ``exp`` (not
+    re-checked here)."""
+    bound = a._bound
+    g = sorted(a._terms.items())
+    weighted = [(j, novikov._norm_coeff(j * c)) for j, c in g]
+    reach = {0}
+    for gen in sorted({j for j, _ in g}):
+        new = reach
+        while new:
+            new = {r + gen for r in new if r + gen <= bound} - reach
+            reach |= new
+    reach.discard(0)
+    f = {0: 1}
+    for n in sorted(reach):
+        total = 0
+        for j, jc in weighted:
+            if j > n:
+                break
+            prev = f.get(n - j)
+            if prev:
+                total += jc * prev
+        if total:
+            f[n] = novikov._quotient(total, n)
+    return NovikovSeries._raw(a._q, f, a.cutoff)
+
+
+def ech_generators_reference(orbit_set: OrbitSet, cutoff) -> list:
+    """``ech_generators`` as it was before it enumerated on int keys:
+    depth first in Fraction actions, each generator through the validating
+    ``EchGenerator.from_pairs``, sorted on (total action, labels,
+    multiplicities).  Parities (1, 0) are not re-checked here."""
+    cutoff = F(cutoff)
+    orbits = sorted((o for o in orbit_set if o.action <= cutoff),
+                    key=lambda o: (o.action, o.label))
+    out = []
+    stack = [(0, (), F(0))]
+    while stack:
+        i, chosen, total = stack.pop()
+        budget = cutoff - total
+        if i == len(orbits) or orbits[i].action > budget:
+            out.append(EchGenerator.from_pairs(chosen))
+            continue
+        o = orbits[i]
+        stack.append((i + 1, chosen, total))
+        max_mult = 1 if o.is_hyperbolic else budget // o.action
+        stack.extend((i + 1, chosen + ((o, m),), total + m * o.action)
+                     for m in range(1, max_mult + 1))
+    out.sort(key=lambda g: (g.total_action, g.labels, g.multiplicities))
+    return out
 
 
 def validate_reference(generators, boundary):

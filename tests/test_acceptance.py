@@ -18,10 +18,11 @@ from helpers import (PARITY_PAIRS, fresh_rng, planted_complex, probe_levels,
                      random_series)
 from reebzeta import (MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       ToricDomain, ToricVerdict, barcode_decompose,
-                      distinguish_from_toric, elliptic, euler_jump, exp,
-                      homology_dims, log, mobius, mobius_product,
-                      s1_invariant_zeta, toric_euler, toric_zeta,
-                      zeta_barcode, zeta_ech_form, zeta_exp_form,
+                      distinguish_from_toric, ech_generators, elliptic,
+                      euler_jump, exp, homology_dims, log, mobius,
+                      mobius_product, negative_hyperbolic,
+                      positive_hyperbolic, s1_invariant_zeta, toric_euler,
+                      toric_zeta, zeta_barcode, zeta_ech_form, zeta_exp_form,
                       zeta_good_orbits, zeta_persistence, zeta_product_form,
                       zeta_via_mobius)
 
@@ -241,3 +242,32 @@ def test_criterion_11_toric_zeta_on_a_fine_grid():
                        "= lattice-point counts (45,451 terms)", budget=0.5):
         assert toric_zeta(ToricDomain(a, b), 1) == expected
     assert len(expected) == 45451 and expected.coefficient(1) == 2
+
+
+def test_criterion_12_exp_form_on_a_sparse_large_grid():
+    orbit_set = OrbitSet([elliptic("a", F(999, 1000)),
+                          elliptic("b", F(1001, 1003)),
+                          elliptic("c", F(1013, 1019))])
+    with criterion(12, "exp form = product form for elliptic orbits of "
+                       "action 999/1000, 1001/1003, 1013/1019 at cutoff 8 "
+                       "(q about 10^9)", budget=0.5):
+        assert zeta_exp_form(orbit_set, 8) == zeta_product_form(orbit_set, 8)
+
+
+def test_criterion_13_exp_form_on_a_fine_grid():
+    fine = OrbitSet([elliptic("e", F(1, 1000))])
+    with criterion(13, "exp form = product form for one elliptic orbit of "
+                       "action 1/1000 at cutoff 1", budget=1.0):
+        assert zeta_exp_form(fine, 1) == zeta_product_form(fine, 1)
+
+
+def test_criterion_14_ech_form_on_a_thousand_generators():
+    orbit_set = OrbitSet([
+        elliptic("e1", 3), elliptic("e2", F(4, 3)), elliptic("e3", F(5, 4)),
+        elliptic("e4", F(7, 3)), negative_hyperbolic("n1", F(4, 3)),
+        negative_hyperbolic("n2", 1), positive_hyperbolic("p1", F(3, 2))])
+    with criterion(14, "ECH form = product form on a 7-orbit 3D set with "
+                       "1,119 generators at cutoff 12", budget=0.25):
+        assert zeta_ech_form(orbit_set, 12) == \
+            zeta_product_form(orbit_set, 12)
+    assert len(ech_generators(orbit_set, 12)) == 1119

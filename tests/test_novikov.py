@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dict_exp, dict_mul, dict_terms, fresh_rng, \
-    random_series, random_unit, stored
+from helpers import dict_exp, dict_mul, dict_terms, exp_reference, \
+    fresh_rng, random_series, random_unit, stored
 from reebzeta import NovikovSeries, exp, log
 from reebzeta.errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
 from reebzeta.novikov import binomial_product
@@ -382,3 +382,42 @@ class TestProperties:
             expected = dict_mul(expected, binomial_terms(a, c, k, cutoff),
                                 cutoff)
         assert dict_terms(binomial_product(factors, cutoff)) == expected
+
+
+# -- exp against its reference ---------------------------------------------
+#
+# Grids: small mixed denominators, and sparse grids where the lcm of three
+# denominators near 1000 puts q near 10^9 while the actions stay >= 1/2.
+EXP_GRIDS = ((1, 2, 3, 4, 6), (5, 7, 12), (997, 1000, 1009))
+
+
+@st.composite
+def exp_inputs(draw):
+    """A positively supported series whose exponents include redundant
+    generators of the reachable semigroup: multiples of drawn exponents
+    and sums of two of them."""
+    cutoff = draw(st.sampled_from((F(3), F(7, 2), F(4))))
+    dens = draw(st.sampled_from(EXP_GRIDS))
+    base = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.sampled_from(dens))
+        lowest = 1 if den < 10 else den // 2
+        base.append(F(draw(st.integers(lowest, 2 * den)), den))
+    exponents = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        exponents.append(draw(st.sampled_from((a + b, 2 * a, 3 * b))))
+    coeffs = st.sampled_from((1, -1, 2, F(1, 2), F(-2, 3), F(1, 3)))
+    return NovikovSeries([(s, draw(coeffs)) for s in exponents], cutoff)
+
+
+class TestExpReference:
+    @PROPERTY
+    @given(exp_inputs())
+    # the exp input of an elliptic orbit of action 2/3: covers d*A, 1/d
+    @example(S({F(2 * d, 3): F(1, d) for d in range(1, 7)}, 4))
+    # q = 1000 * 1003 * 1019, and 999/500 = 2 * 999/1000 is redundant
+    @example(S({F(999, 1000): 1, F(1001, 1003): F(-1, 2),
+                F(1013, 1019): F(2, 3), F(999, 500): 1}, 4))
+    def test_exp_is_bit_equal_to_reference(self, a):
+        assert stored(exp(a)) == stored(exp_reference(a))

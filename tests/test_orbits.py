@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fresh_rng, random_3d_orbit_set, random_orbit_set
+from helpers import (ech_generators_reference, fresh_rng,
+                     random_3d_orbit_set, random_orbit_set)
 from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       classify_orbit_3d, ech_generators, elliptic,
                       good_orbit_count, is_good, iterate_parity,
@@ -135,6 +136,12 @@ class TestEchGenerators:
         assert gradings[("h",)] == 1
         assert gradings[("n",)] == 0
         assert gradings[("h", "n")] == 1
+
+    def test_negative_cutoff_gives_no_generators(self):
+        orbit_set = OrbitSet([elliptic("e", 1)])
+        assert ech_generators(orbit_set, -1) == []
+        assert ech_generators(OrbitSet(), F(-1, 2)) == []
+        assert zeta_ech_form(orbit_set, -1) == NovikovSeries.zero(-1)
 
     def test_rejects_higher_dimensional_parities(self):
         with pytest.raises(NotThreeDimensional):
@@ -279,3 +286,24 @@ class TestFormAgreementProperties:
         product = zeta_product_form(orbit_set, cutoff)
         assert zeta_exp_form(orbit_set, cutoff) == product
         assert zeta_ech_form(orbit_set, cutoff) == product
+
+
+@st.composite
+def off_grid_cutoffs(draw):
+    """Cutoffs in (1, 4) with denominator 11 or 13, off the grid of every
+    set drawn by orbit_sets_3d."""
+    den = draw(st.sampled_from((11, 13)))
+    num = draw(st.integers(den + 1, 4 * den - 1).filter(lambda n: n % den))
+    return F(num, den)
+
+
+class TestEchReference:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    # on-grid cutoffs too, where a generator can sit exactly at the cutoff
+    @given(orbit_sets_3d(),
+           off_grid_cutoffs() | st.sampled_from((F(3), F(7, 2), F(10, 3))))
+    def test_generators_equal_reference(self, orbit_set, cutoff):
+        gens = ech_generators(orbit_set, cutoff)
+        # pairs, gradings and total actions, in the same order
+        assert gens == ech_generators_reference(orbit_set, cutoff)
+        assert all(type(g.total_action) is F for g in gens)
