@@ -12,8 +12,8 @@ from reebzeta import NovikovSeries, exp, log
 
 cutoff = F(3)
 one = NovikovSeries.one(cutoff)
-t = NovikovSeries.monomial(1, cutoff=cutoff)
-t_half = NovikovSeries.monomial(F(1, 2), cutoff=cutoff)
+t = NovikovSeries({1: 1}, cutoff)
+t_half = NovikovSeries({F(1, 2): 1}, cutoff)
 
 print("== building blocks ==")
 print("1      :", one)

@@ -3,11 +3,10 @@ persistence barcodes, and closed-form domain descriptions."""
 
 from .novikov import NovikovSeries, as_ratio, exp, log
 from .orbits import (EchGenerator, OrbitSet, OrbitType3D, SimpleOrbit,
-                     classify_orbit_3d, ech_generators, elliptic,
-                     good_orbit_count, is_good, iterate_parity,
-                     negative_hyperbolic, positive_hyperbolic,
-                     zeta_ech_form, zeta_exp_form, zeta_good_orbits,
-                     zeta_product_form)
+                     ech_generators, elliptic, good_orbit_count, is_good,
+                     iterate_parity, negative_hyperbolic,
+                     positive_hyperbolic, zeta_ech_form, zeta_exp_form,
+                     zeta_good_orbits, zeta_product_form)
 from .persistence import (Bar, Barcode, FilteredComplex, barcode_decompose,
                           euler_jump, homology_dims, zeta_barcode,
                           zeta_persistence)
@@ -25,7 +24,7 @@ __all__ = [
     "NovikovSeries", "as_ratio", "exp", "log",
     "SimpleOrbit", "OrbitSet", "OrbitType3D", "EchGenerator",
     "elliptic", "positive_hyperbolic", "negative_hyperbolic",
-    "iterate_parity", "is_good", "classify_orbit_3d",
+    "iterate_parity", "is_good",
     "zeta_exp_form", "zeta_product_form", "zeta_ech_form",
     "ech_generators", "good_orbit_count", "zeta_good_orbits",
     "FilteredComplex", "Bar", "Barcode", "homology_dims",

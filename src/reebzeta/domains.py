@@ -78,7 +78,9 @@ class MomentProfilePoint:
         if w[0] <= 0 or w[1] <= 0:
             raise ValueError(
                 f"profile point needs positive coordinates, got {w}")
-        v = (int(self.v[0]), int(self.v[1]))
+        v = tuple(self.v)
+        if len(v) != 2 or any(type(x) is not int for x in v):
+            raise TypeError(f"normal must be a pair of ints, got {self.v!r}")
         object.__setattr__(self, "v", v)
         if v[0] < 1 or v[1] < 1:
             raise NotCoprime(f"normal components must be positive, got {v}")
@@ -103,7 +105,7 @@ class MorseCriticalPoint:
         if self.action <= 0:
             raise NonPositiveAction(
                 f"critical point {echo(self.label)}: action must be positive")
-        if self.index not in (0, 1, 2):
+        if type(self.index) is not int or self.index not in (0, 1, 2):
             raise ValueError(
                 f"critical point {echo(self.label)}: index must be 0, 1 or 2")
 

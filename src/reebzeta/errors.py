@@ -49,11 +49,6 @@ class NotThreeDimensional(ReebZetaError, ValueError):
     operation; no 3-dimensional orbit type realizes that pair."""
 
 
-class DegenerateOrbit(ReebZetaError, ValueError):
-    """Return-map trace of absolute value 2: eigenvalue 1 or -1, so the
-    elliptic/hyperbolic classification does not apply."""
-
-
 # --- Filtered complexes ---
 
 class NotSquareZero(ReebZetaError, ValueError):

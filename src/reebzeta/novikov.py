@@ -17,7 +17,7 @@ the int bound floor(q * cutoff), so a term is inside the truncation window
 exactly when n <= bound.  ``grid`` is the one function that puts rationals
 on such a grid.  The inner loops of *, inverse, exp and log run on int
 keys only; Fraction exponents exist at the API edge (construction,
-``items``, ``support``, ``coefficient``, ``min_exponent`` and ``repr``).
+``items``, ``coefficient``, ``min_exponent`` and ``repr``).
 q need not be minimal, so ``==`` compares two series on the lcm of their
 grids.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
 
@@ -116,12 +116,6 @@ class NovikovSeries:
         return cls._raw(1, {0: 1} if cut >= 0 else {}, cut)
 
     @classmethod
-    def monomial(cls, exponent: RatioLike, coefficient: RatioLike = 1, *,
-                 cutoff: RatioLike) -> "NovikovSeries":
-        """The single term coefficient * t^exponent."""
-        return cls({as_ratio(exponent): as_ratio(coefficient)}, cutoff)
-
-    @classmethod
     def _raw(cls, q: int, terms: dict, cutoff: Fraction) -> "NovikovSeries":
         # Internal: terms already canonical on the 1/q grid (no zeros, no
         # key above the bound).
@@ -144,10 +138,6 @@ class NovikovSeries:
         """Terms as (exponent, coefficient) pairs, exponents ascending."""
         q, terms = self._q, self._terms
         return [(Fraction(n, q), as_ratio(terms[n])) for n in sorted(terms)]
-
-    def support(self):
-        """Sorted tuple of exponents carrying a nonzero coefficient."""
-        return tuple(Fraction(n, self._q) for n in sorted(self._terms))
 
     def coefficient(self, exponent: RatioLike) -> Fraction:
         n = as_ratio(exponent) * self._q
@@ -179,9 +169,6 @@ class NovikovSeries:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
-        return iter(self.items())
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

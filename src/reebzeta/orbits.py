@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple
 
 from . import novikov
-from .errors import (DegenerateOrbit, DuplicateLabel, NonPositiveAction,
-                     NotThreeDimensional, echo)
+from .errors import (DuplicateLabel, NonPositiveAction, NotThreeDimensional,
+                     echo)
 from .novikov import NovikovSeries, RatioLike, as_ratio
 
 
@@ -46,10 +46,6 @@ class OrbitType3D(enum.Enum):
     def parities(self) -> Tuple[int, int]:
         """(eps1, eps2) for this orbit type."""
         return _TYPE_PARITIES[self]
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return self is not OrbitType3D.ELLIPTIC
 
 
 _TYPE_PARITIES = {
@@ -74,7 +70,8 @@ class SimpleOrbit:
         if self.action <= 0:
             raise NonPositiveAction(
                 f"orbit {echo(self.label)}: action {self.action} must be > 0")
-        if self.eps1 not in (0, 1) or self.eps2 not in (0, 1):
+        if not all(type(e) is int and e in (0, 1)
+                   for e in (self.eps1, self.eps2)):
             raise ValueError(
                 f"orbit {echo(self.label)}: parities must be 0 or 1")
 
@@ -83,15 +80,6 @@ class SimpleOrbit:
                 kind: OrbitType3D) -> "SimpleOrbit":
         eps1, eps2 = kind.parities
         return cls(label, as_ratio(action), eps1, eps2)
-
-    @property
-    def type_3d(self):
-        """The 3D orbit type matching this parity pair, or None for the
-        pair (1, 0), which only occurs in higher dimensions."""
-        for kind, pair in _TYPE_PARITIES.items():
-            if pair == (self.eps1, self.eps2):
-                return kind
-        return None
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -140,10 +128,6 @@ class OrbitSet:
             return sorted(self.orbits, key=_orbit_key) == \
                 sorted(other.orbits, key=_orbit_key)
         return NotImplemented
-
-    def __or__(self, other: "OrbitSet") -> "OrbitSet":
-        """Disjoint union; labels must not clash."""
-        return OrbitSet(self.orbits + other.orbits)
 
     def __repr__(self):
         return f"OrbitSet({list(self.orbits)!r})"
@@ -309,15 +293,3 @@ def zeta_good_orbits(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
                           for d, action in _iterates(o, cutoff)
                           if is_good(o, d)], cutoff)
 
-
-def classify_orbit_3d(trace: RatioLike) -> OrbitType3D:
-    """Orbit type from the trace of the (rank 2, determinant 1) linearized
-    return map: |trace| < 2 elliptic, trace > 2 positive hyperbolic,
-    trace < -2 negative hyperbolic."""
-    trace = as_ratio(trace)
-    if abs(trace) == 2:
-        raise DegenerateOrbit(f"|trace| = 2 is degenerate (trace {trace})")
-    if abs(trace) < 2:
-        return OrbitType3D.ELLIPTIC
-    return (OrbitType3D.POSITIVE_HYPERBOLIC if trace > 2
-            else OrbitType3D.NEGATIVE_HYPERBOLIC)

@@ -66,7 +66,7 @@ class FilteredComplex:
         labels, eps, filtrations = [], [], []
         for label, e, filtration in generators:
             filtrations.append(as_ratio(filtration))
-            if e not in (0, 1):
+            if type(e) is not int or e not in (0, 1):
                 raise ValueError(f"generator {echo(label)}: eps must be 0 or 1")
             labels.append(label)
             eps.append(e)
@@ -106,13 +106,6 @@ class FilteredComplex:
         return [(labels[j], labels[i], c)
                 for j in sorted(self._columns)
                 for i, c in sorted(self._columns[j].items())]
-
-    def shifted(self, delta: RatioLike) -> "FilteredComplex":
-        """The same complex with every filtration level moved by delta."""
-        delta = as_ratio(delta)
-        return FilteredComplex(
-            zip(self.labels, self.eps, [f + delta for f in self.filtrations]),
-            self.boundary_entries())
 
     # -- validity --------------------------------------------------------
 
@@ -208,7 +201,7 @@ class Bar:
             if not self.birth < self.death:
                 raise ValueError(
                     f"bar needs birth < death, got [{self.birth}, {self.death})")
-        if self.eps not in (0, 1):
+        if type(self.eps) is not int or self.eps not in (0, 1):
             raise ValueError("bar eps must be 0 or 1")
 
     @property

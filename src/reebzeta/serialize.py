@@ -37,10 +37,7 @@ class SchemaError(ReebZetaError, ValueError):
 
 
 def format_ratio(value) -> str:
-    value = as_ratio(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(as_ratio(value))
 
 
 def _ratio(text, whole=Fraction):
@@ -170,16 +167,6 @@ def _orbit_fields(entry) -> dict:
     return _TYPED if isinstance(entry, dict) and "type" in entry else _PARITY
 
 
-def orbit_set_to_obj(orbit_set: OrbitSet) -> list:
-    out = []
-    for o in orbit_set:
-        kind = o.type_3d
-        parity = ({"type": kind.value} if kind is not None
-                  else {"eps1": o.eps1, "eps2": o.eps2})
-        out.append({"label": o.label, "action": format_ratio(o.action), **parity})
-    return out
-
-
 def orbit_set_from_obj(obj, where: str = "orbits") -> OrbitSet:
     return OrbitSet(SimpleOrbit.of_type(*row) if len(row) == 3
                     else SimpleOrbit(*row)
@@ -190,16 +177,6 @@ def orbit_set_from_obj(obj, where: str = "orbits") -> OrbitSet:
 
 _GENERATOR = {"label": _string, "eps": _bit, "filtration": _ratio}
 _DIFFERENTIAL = {"from": _string, "to": _string, "coeff": _coeff}
-
-
-def complex_to_obj(complex_: FilteredComplex) -> dict:
-    return {
-        "generators": [{"label": x, "eps": e, "filtration": format_ratio(f)}
-                       for x, e, f in zip(complex_.labels, complex_.eps,
-                                          complex_.filtrations)],
-        "differential": [{"from": x, "to": y, "coeff": format_ratio(c)}
-                         for x, y, c in complex_.boundary_entries()],
-    }
 
 
 def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
@@ -254,11 +231,6 @@ _POINT = {"index": _index, "label": _string, "action": _ratio}
 def morse_from_obj(obj, where: str = "morse") -> MorseData:
     return MorseData([(label, action, index) for index, label, action
                       in _records(obj, where, _POINT)])
-
-
-def morse_to_obj(morse: MorseData) -> list:
-    return [{"label": p.label, "action": format_ratio(p.action),
-             "index": p.index} for p in morse]
 
 
 # -- file helpers ----------------------------------------------------------

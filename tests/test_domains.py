@@ -100,6 +100,13 @@ class TestToricFamilyAction:
         with pytest.raises(ValueError):
             MomentProfilePoint((1, 0), (1, 1))
 
+    def test_rejects_normals_that_are_not_int_pairs(self):
+        # int() would truncate 1.9 and 3/2 and parse "3" without a word
+        for v in ((1.9, 2), (1, 2.0), (F(3, 2), 1), (F(1), 1), ("3", 1),
+                  (True, 1), (1, 1, 1)):
+            with pytest.raises(TypeError, match="normal must be a pair of ints"):
+                MomentProfilePoint((F(1, 2), F(1, 2)), v)
+
     def test_rejects_noncoprime_normals(self):
         with pytest.raises(NotCoprime):
             MomentProfilePoint((F(1, 2), F(1, 2)), (2, 4))
@@ -125,6 +132,13 @@ class TestS1InvariantZeta:
     def test_all_actions_beyond_cutoff(self):
         morse = MorseData([("min", 2, 0), ("max", 3, 2)])
         assert s1_invariant_zeta(morse, 1) == NovikovSeries.one(1)
+
+    def test_index_must_be_an_int(self):
+        # 0.0 == 0 would pass the range check and fail as a list index
+        for bad in (0.0, 2.0, True, F(0)):
+            with pytest.raises(ValueError) as info:
+                MorseData([("a", 1, bad), ("b", 2, 2)])
+            assert str(info.value) == "critical point 'a': index must be 0, 1 or 2"
 
     def test_sphere_euler_count_enforced(self):
         with pytest.raises(BadMorseCounts):

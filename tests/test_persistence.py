@@ -38,6 +38,12 @@ class TestValidation:
     def test_valid_two_generator_complex(self):
         assert pair_complex().boundary_entries() == [("x", "y", 1)]
 
+    def test_eps_must_be_an_int_bit(self):
+        for bad in (1.0, 0.0, True, F(1)):
+            with pytest.raises(ValueError) as info:
+                FilteredComplex([("x", bad, 1)])
+            assert str(info.value) == "generator 'x': eps must be 0 or 1"
+
     def test_equal_filtration_is_a_violation(self):
         with pytest.raises(FiltrationViolation):
             FilteredComplex([("x", 1, 1), ("y", 0, 1)], [("x", "y", 1)])
@@ -69,12 +75,13 @@ class TestValidation:
 
     def test_constructor_calls_validate_through_the_class(self, monkeypatch):
         # Instrumentation that wraps FilteredComplex.validate must see
-        # every construction, shifted copies included.
+        # every construction.
         calls = []
         monkeypatch.setattr(FilteredComplex, "validate",
                             lambda self: calls.append(len(self)))
-        pair_complex().shifted(1)
-        assert calls == [2, 2]
+        pair_complex()
+        FilteredComplex([("z", 0, 1)])
+        assert calls == [2, 1]
 
     def test_duplicate_generator_labels(self):
         with pytest.raises(DuplicateLabel):
@@ -207,6 +214,12 @@ class TestBars:
         with pytest.raises(ValueError):
             Bar(1, 1, 0)
 
+    def test_eps_must_be_an_int_bit(self):
+        for bad in (1.0, 0.0, True, F(1)):
+            with pytest.raises(ValueError) as info:
+                Bar(1, 2, bad)
+            assert str(info.value) == "bar eps must be 0 or 1"
+
     def test_infinite_death_allowed(self):
         bar = Bar(1, None, 1)
         assert not bar.is_finite
@@ -289,7 +302,7 @@ def assert_zeta_routes_agree(complex_, cutoff):
     assert stored(zeta) == \
         stored(zeta_barcode(barcode_decompose(complex_), cutoff))
     levels = sorted({f for f in complex_.filtrations if f <= cutoff})
-    assert set(zeta.support()) <= set(levels)
+    assert {s for s, _ in zeta.items()} <= set(levels)
     previous = 0
     for level in levels:
         current = chi(homology_dims(complex_, level))
@@ -354,7 +367,10 @@ class TestNormalFormOracle:
         delta = F(5, 3)
         for _ in range(15):
             c, _ = random_complex(rng)
-            shifted = zeta_persistence(c.shifted(delta), 30 + delta)
+            moved = FilteredComplex(
+                zip(c.labels, c.eps, [f + delta for f in c.filtrations]),
+                c.boundary_entries())
+            shifted = zeta_persistence(moved, 30 + delta)
             base = zeta_persistence(c, 30)
             assert [(s + delta, v) for s, v in base.items()] == \
                 list(shifted.items())

@@ -9,14 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import fresh_rng, random_complex, random_orbit_set, random_series
 from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
-                      barcode_decompose, ech_generators, s1_invariant_zeta)
+                      barcode_decompose, ech_generators, elliptic,
+                      negative_hyperbolic, positive_hyperbolic,
+                      s1_invariant_zeta)
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional)
 from reebzeta.serialize import (_RATIO_RE, SchemaError, barcode_from_obj,
-                                barcode_to_obj, complex_from_obj, complex_to_obj,
-                                format_ratio, morse_from_obj, morse_to_obj,
-                                orbit_set_from_obj, orbit_set_to_obj,
-                                parse_ratio, series_from_obj, series_to_obj)
+                                barcode_to_obj, complex_from_obj,
+                                format_ratio, morse_from_obj,
+                                orbit_set_from_obj, parse_ratio,
+                                series_from_obj, series_to_obj)
 
 
 class TestRatios:
@@ -92,21 +94,25 @@ class TestSeriesSchema:
 
 
 class TestOrbitSchema:
-    def test_typed_entries_round_trip(self):
+    def test_typed_entries_decode(self):
         obj = [{"label": "e", "action": "3/2", "type": "elliptic"},
                {"label": "h", "action": "2", "type": "pos-hyperbolic"},
                {"label": "n", "action": "7/3", "type": "neg-hyperbolic"}]
-        assert orbit_set_to_obj(orbit_set_from_obj(obj)) == obj
+        assert orbit_set_from_obj(obj) == OrbitSet([
+            elliptic("e", F(3, 2)), positive_hyperbolic("h", 2),
+            negative_hyperbolic("n", F(7, 3))])
 
-    def test_parity_entries_round_trip(self):
+    def test_parity_entries_decode(self):
         obj = [{"label": "x", "action": "1", "eps1": 1, "eps2": 0}]
-        assert orbit_set_to_obj(orbit_set_from_obj(obj)) == obj
+        assert orbit_set_from_obj(obj) == OrbitSet([SimpleOrbit("x", 1, 1, 0)])
 
-    def test_random_round_trip(self):
+    def test_random_parity_entries_decode(self):
         rng = fresh_rng(602)
         for _ in range(20):
             orbit_set = random_orbit_set(rng, max_orbits=6)
-            assert orbit_set_from_obj(orbit_set_to_obj(orbit_set)) == orbit_set
+            obj = [{"label": o.label, "action": str(o.action),
+                    "eps1": o.eps1, "eps2": o.eps2} for o in orbit_set]
+            assert orbit_set_from_obj(obj) == orbit_set
 
     def test_unknown_type_rejected_with_location(self):
         with pytest.raises(SchemaError, match=r"orbits\[0\].type"):
@@ -132,14 +138,23 @@ class TestOrbitSchema:
 
 
 class TestComplexSchema:
-    def test_round_trip(self):
+    def test_random_complexes_decode(self):
         rng = fresh_rng(603)
         for _ in range(15):
-            complex_, _ = random_complex(rng, max_gens=8)
-            obj = complex_to_obj(complex_)
-            back = complex_from_obj(obj)
-            assert complex_to_obj(back) == obj
-            assert barcode_decompose(back) == barcode_decompose(complex_)
+            complex_, barcode = random_complex(rng, max_gens=8)
+            back = complex_from_obj({
+                "generators": [
+                    {"label": x, "eps": e, "filtration": str(f)}
+                    for x, e, f in zip(complex_.labels, complex_.eps,
+                                       complex_.filtrations)],
+                "differential": [
+                    {"from": x, "to": y, "coeff": str(c)}
+                    for x, y, c in complex_.boundary_entries()]})
+            assert (back.labels, back.eps, back.filtrations, back.keys) == \
+                (complex_.labels, complex_.eps, complex_.filtrations,
+                 complex_.keys)
+            assert back.boundary_entries() == complex_.boundary_entries()
+            assert barcode_decompose(back) == barcode
 
     def test_unknown_generator_in_differential(self):
         with pytest.raises(SchemaError, match="unknown generator"):
@@ -178,12 +193,15 @@ class TestBarcodeSchema:
 
 
 class TestDomainSchemas:
-    def test_morse_round_trip(self):
+    def test_morse_decode(self):
         morse = MorseData([("min", 1, 0), ("sad", F(3, 2), 1),
                            ("max", 3, 2), ("pad", 4, 0)])
-        obj = morse_to_obj(morse)
-        back = morse_from_obj(obj)
-        assert morse_to_obj(back) == obj
+        back = morse_from_obj([
+            {"label": "min", "action": "1", "index": 0},
+            {"label": "sad", "action": "3/2", "index": 1},
+            {"label": "max", "action": "3", "index": 2},
+            {"label": "pad", "action": "4", "index": 0}])
+        assert back.points == morse.points
         assert s1_invariant_zeta(back, 2) == s1_invariant_zeta(morse, 2)
 
     def test_morse_index_validation(self):
