@@ -23,7 +23,7 @@ from . import domains, orbits, persistence, serialize
 from .errors import ReebZetaError
 from .mobius import mobius_product
 from .novikov import NovikovSeries
-from .serialize import SchemaError, format_ratio
+from .serialize import SchemaError
 
 PARSE_ERROR, MATH_ERROR, CONSISTENCY_ERROR = 1, 2, 3
 
@@ -140,16 +140,13 @@ def _load(path: str, decode):
         raise SchemaError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
-def _print_series(series: NovikovSeries) -> None:
-    for s, c in series.items():
-        print(f"{format_ratio(s)}\t{format_ratio(c)}")
-    print(f"cutoff\t{format_ratio(series.cutoff)}")
-
-
 def _emit_series(series: NovikovSeries, out_path) -> None:
-    _print_series(series)
+    obj = serialize.series_to_obj(series)
+    sys.stdout.write("".join([f"{term['exponent']}\t{term['coefficient']}\n"
+                              for term in obj["terms"]])
+                     + f"cutoff\t{obj['cutoff']}\n")
     if out_path:
-        serialize.dump_json(serialize.series_to_obj(series), out_path)
+        serialize.dump_json(obj, out_path)
 
 
 def _first_difference(a: NovikovSeries, b: NovikovSeries):
@@ -171,9 +168,8 @@ def _cmd_zeta_orbits(args) -> int:
         result = orbits.zeta_product_form(orbit_set, args.cutoff)
         if exp_form != result:
             diff = _first_difference(exp_form, result)
-            return _fail(CONSISTENCY_ERROR,
-                         f"exp and product forms disagree at t^{format_ratio(diff[0])}: "
-                         f"{format_ratio(diff[1])} vs {format_ratio(diff[2])}")
+            return _fail(CONSISTENCY_ERROR, f"exp and product forms disagree "
+                         f"at t^{diff[0]}: {diff[1]} vs {diff[2]}")
     _emit_series(result, args.out)
     return 0
 
@@ -217,30 +213,28 @@ def _cmd_compare(args) -> int:
     series_b = _load(args.file_b, serialize.series_from_obj)
     limit = min(series_a.cutoff, series_b.cutoff)
     if args.cutoff > limit:
-        return _fail(MATH_ERROR,
-                     f"cutoff {format_ratio(args.cutoff)} exceeds the "
-                     f"validity {format_ratio(limit)} of the inputs")
+        return _fail(MATH_ERROR, f"cutoff {args.cutoff} exceeds the "
+                     f"validity {limit} of the inputs")
     series_a = series_a.truncate(args.cutoff)
     series_b = series_b.truncate(args.cutoff)
     if series_a == series_b:
         print("EQUAL")
     else:
         s, ca, cb = _first_difference(series_a, series_b)
-        print(f"DIFFER\t{format_ratio(s)}\t{format_ratio(ca)}\t{format_ratio(cb)}")
+        print(f"DIFFER\t{s}\t{ca}\t{cb}")
     return 0
 
 
 def _cmd_distinguish(args) -> int:
     series = _load(args.file, serialize.series_from_obj)
     if args.cutoff > series.cutoff:
-        return _fail(MATH_ERROR,
-                     f"cutoff {format_ratio(args.cutoff)} exceeds the "
-                     f"series validity {format_ratio(series.cutoff)}")
+        return _fail(MATH_ERROR, f"cutoff {args.cutoff} exceeds the "
+                     f"series validity {series.cutoff}")
     result = domains.distinguish_from_toric(series.truncate(args.cutoff))
     if result.witness is None:
         print(result.verdict.value)
     else:
-        print(f"{result.verdict.value}\t{format_ratio(result.witness)}")
+        print(f"{result.verdict.value}\t{result.witness}")
     return 0
 
 

@@ -172,7 +172,8 @@ def distinguish_from_toric(zeta: NovikovSeries) -> DistinguishResult:
     A nonnegative truncation is always inconclusive: agreement below a
     cutoff never certifies toric-ness.
     """
-    for s, c in zeta.items():
-        if c < 0:
-            return DistinguishResult(ToricVerdict.NOT_TORIC_INTERIOR, s)
+    negative = [n for n, c in zeta._terms.items() if c < 0]
+    if negative:
+        return DistinguishResult(ToricVerdict.NOT_TORIC_INTERIOR,
+                                 Fraction(min(negative), zeta._q))
     return DistinguishResult(ToricVerdict.INCONCLUSIVE)

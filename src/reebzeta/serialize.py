@@ -10,17 +10,22 @@ One loop, ``_records``, decodes every list of entries, each an object with
 no keys outside an ordered {key: parser} table.  Parsers raise location-free
 ValueErrors; the loop builds "where[k].key" only when one does.  Quoted
 values go through ``errors.echo``, which cuts them to 80 characters.
+Series files first take a direct pass that builds the int grid keys with
+no Fraction per term and gives up on anything not well formed; that loop
+stays the only source of messages.  Series text is made from the keys.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .domains import MorseData
 from .errors import ReebZetaError, echo
-from .novikov import NovikovSeries, _norm_coeff, as_ratio
+from .novikov import NovikovSeries, _norm_coeff
 from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
 
@@ -34,10 +39,6 @@ class SchemaError(ReebZetaError, ValueError):
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
         self.where = where
-
-
-def format_ratio(value) -> str:
-    return str(as_ratio(value))
 
 
 def _ratio(text, whole=Fraction):
@@ -114,21 +115,55 @@ def _records(obj, where: str, fields):
 # -- series ---------------------------------------------------------------
 
 _TERM = {"exponent": _ratio, "coefficient": _ratio}
+_TERM_TEXTS = operator.itemgetter("exponent", "coefficient")
+_LINE_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.MULTILINE)
 
 
 def series_to_obj(series: NovikovSeries) -> dict:
+    q, terms = series._q, series._terms
     return {
-        "terms": [{"exponent": format_ratio(s), "coefficient": format_ratio(c)}
-                  for s, c in series.items()],
-        "cutoff": format_ratio(series.cutoff),
+        "terms": [{"exponent": f"{n // g}/{q // g}" if (g := gcd(n, q)) != q
+                   else str(n // q), "coefficient": str(terms[n])}
+                  for n in sorted(terms)],
+        "cutoff": str(series.cutoff),
     }
 
 
+def _series_direct(obj):
+    """The series of a well-formed file, straight on int keys; None when
+    anything is off, so that ``series_from_obj`` finds and words it."""
+    try:
+        terms, cutoff = obj.get("terms", []), _ratio(obj["cutoff"])
+        # One text a line: findall skips each line that is not a ratio,
+        # and a text holding a newline adds a line.
+        texts = "\n".join([t for pair in map(_TERM_TEXTS, terms) for t in pair])
+        ratios = _LINE_RE.findall(texts)
+        dens = {den: int(den or 1) for _, den in ratios[::2]}
+        q = lcm(*dens.values())
+        keys = [int(num) * (q // dens[den]) for num, den in ratios[::2]]
+        coeffs = [_norm_coeff(Fraction(int(num), int(den))) if den else int(num)
+                  for num, den in ratios[1::2]]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    if (obj.keys() <= {"terms", "cutoff"} and type(terms) is list
+            and cutoff > 0 and set(map(len, terms)) == {2}
+            and len(ratios) == 2 * len(terms) == texts.count("\n") + 1
+            and all(coeffs) and all(map(operator.lt, keys, keys[1:]))
+            and keys[-1] <= cutoff.numerator * q // cutoff.denominator):
+        return NovikovSeries._raw(q, dict(zip(keys, coeffs)), cutoff)
+    return None
+
+
 def series_from_obj(obj, where: str = "series") -> NovikovSeries:
+    series = _series_direct(obj)
+    if series is not None:
+        return series
     _object(obj, {"terms", "cutoff"}, where)
     if "cutoff" not in obj:
         raise SchemaError(where, "missing 'cutoff'")
     cutoff = parse_ratio(obj["cutoff"], f"{where}.cutoff")
+    if cutoff <= 0:
+        raise SchemaError(f"{where}.cutoff", f"must be positive, got {cutoff}")
     terms = []
     previous = None
     for k, (s, c) in enumerate(_records(obj.get("terms", []),
@@ -200,8 +235,8 @@ def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
 
 
 def barcode_to_obj(barcode: Barcode) -> list:
-    return [{"birth": format_ratio(bar.birth),
-             "death": "inf" if bar.death is None else format_ratio(bar.death),
+    return [{"birth": str(bar.birth),
+             "death": "inf" if bar.death is None else str(bar.death),
              "eps": bar.eps}
             for bar in barcode]
 
@@ -249,6 +284,6 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str) -> None:
+    text = json.dumps(obj, indent=2)  # one write; json.dump makes one a token
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")

@@ -9,11 +9,64 @@ from reebzeta import (Bar, Barcode, EchGenerator, FilteredComplex,
                       NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       mobius, novikov)
 from reebzeta.errors import FiltrationViolation, GradingViolation, NotSquareZero
+from reebzeta.serialize import (_TERM, SchemaError, _object, _records,
+                                parse_ratio)
 
 PARITY_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 # -- naive series oracles (direct convolution / factorial sum) ----------
+
+
+def format_ratio(value) -> str:
+    """Canonical text of a rational: "p/q" in lowest terms, or "p"."""
+    return str(novikov.as_ratio(value))
+
+
+# -- series I/O through Fractions -----------------------------------------
+
+
+def series_to_obj_reference(series: NovikovSeries) -> dict:
+    """``serialize.series_to_obj`` as it was before it formatted the int
+    keys: ``format_ratio`` over ``items()``."""
+    return {
+        "terms": [{"exponent": format_ratio(s), "coefficient": format_ratio(c)}
+                  for s, c in series.items()],
+        "cutoff": format_ratio(series.cutoff),
+    }
+
+
+def series_lines_reference(series: NovikovSeries) -> str:
+    """The CLI series report through the same Fraction route."""
+    return "".join(f"{format_ratio(s)}\t{format_ratio(c)}\n"
+                   for s, c in series.items()) + \
+        f"cutoff\t{format_ratio(series.cutoff)}\n"
+
+
+def series_from_obj_reference(obj, where: str = "series") -> NovikovSeries:
+    """``serialize.series_from_obj`` as it was before its direct pass:
+    every file through the record loop, each term a Fraction pair, and the
+    series put on its grid by the constructor.  It accepts a cutoff <= 0."""
+    _object(obj, {"terms", "cutoff"}, where)
+    if "cutoff" not in obj:
+        raise SchemaError(where, "missing 'cutoff'")
+    cutoff = parse_ratio(obj["cutoff"], f"{where}.cutoff")
+    terms = []
+    previous = None
+    for k, (s, c) in enumerate(_records(obj.get("terms", []),
+                                        f"{where}.terms", _TERM)):
+        if c == 0:
+            problem = "zero coefficients must not be stored"
+        elif previous is not None and not s > previous:
+            problem = f"exponents must be strictly increasing ({s} after {previous})"
+        elif s > cutoff:
+            problem = f"exponent {s} exceeds cutoff {cutoff}"
+        else:
+            previous = s
+            terms.append((s, c))
+            continue
+        raise SchemaError(f"{where}.terms[{k}]", problem)
+    return NovikovSeries(terms, cutoff)
 
 
 def dict_terms(series: NovikovSeries) -> dict:

@@ -15,7 +15,7 @@ import pytest
 
 from helpers import (PARITY_PAIRS, fresh_rng, planted_complex, probe_levels,
                      random_3d_orbit_set, random_complex, random_orbit_set,
-                     random_series)
+                     random_series, stored)
 from reebzeta import (MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       ToricDomain, ToricVerdict, barcode_decompose,
                       distinguish_from_toric, ech_generators, elliptic,
@@ -25,6 +25,7 @@ from reebzeta import (MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       toric_zeta, zeta_barcode, zeta_ech_form, zeta_exp_form,
                       zeta_good_orbits, zeta_persistence, zeta_product_form,
                       zeta_via_mobius)
+from reebzeta.serialize import series_from_obj, series_to_obj
 
 
 @contextmanager
@@ -271,3 +272,13 @@ def test_criterion_14_ech_form_on_a_thousand_generators():
         assert zeta_ech_form(orbit_set, 12) == \
             zeta_product_form(orbit_set, 12)
     assert len(ech_generators(orbit_set, 12)) == 1119
+
+
+def test_criterion_15_series_file_io_on_a_fine_grid():
+    zeta = toric_zeta(ToricDomain(F(1, 300), F(1, 301)), 1)
+    with criterion(15, "encode and decode of the 45,451-term toric zeta of "
+                       "axis actions 1/300, 1/301 at cutoff 1", budget=0.25):
+        obj = series_to_obj(zeta)
+        decoded = series_from_obj(obj)
+    assert len(obj["terms"]) == 45451 and obj["terms"][1]["exponent"] == "1/301"
+    assert stored(decoded) == stored(zeta)

@@ -296,6 +296,17 @@ class TestExitCodes:
                            "--cutoff", "0")
         assert code == 1 and "positive" in err
 
+    @pytest.mark.parametrize("cutoff, shown", [("-1", "-1"), ("0", "0"),
+                                               ("-6/4", "-3/2")])
+    @pytest.mark.parametrize("command", ["mobius-transform", "distinguish"])
+    def test_nonpositive_cutoff_in_series_file_is_parse_error(
+            self, tmp_path, capsys, command, cutoff, shown):
+        path = write(tmp_path, "series.json", {"cutoff": cutoff})
+        code, out, err = run(capsys, command, path, "--cutoff", "1")
+        assert (code, out) == (1, "")
+        assert err == (f"reebzeta: error: {path}: series.cutoff: "
+                       f"must be positive, got {shown}\n")
+
     def test_compare_beyond_validity_is_math_error(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", {"terms": [], "cutoff": "2"})
         b = write(tmp_path, "b.json", {"terms": [], "cutoff": "5"})

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import fresh_rng
+from helpers import fresh_rng, random_series
 from reebzeta import (MomentProfilePoint, MorseData, NovikovSeries,
                       OrbitSet, ToricDomain, ToricVerdict,
                       distinguish_from_toric, elliptic, mobius_product,
@@ -195,6 +195,20 @@ class TestDistinguish:
     def test_smallest_negative_exponent_wins(self):
         series = S({1: 2, F(3, 2): -1, 2: -5}, 3)
         assert distinguish_from_toric(series).witness == F(3, 2)
+
+    def test_witness_is_the_first_negative_term(self):
+        # against a scan of the Fraction terms, on grids with q > 1 and on
+        # inverses, which have negative keys
+        rng = fresh_rng(506)
+        for _ in range(60):
+            series = random_series(rng, cutoff=F(15, 2))
+            if rng.random() < 0.3 and series:
+                series = series.inverse()
+            negative = [s for s, c in series.items() if c < 0]
+            result = distinguish_from_toric(series)
+            assert result.witness == (negative[0] if negative else None)
+            assert result.verdict is (ToricVerdict.NOT_TORIC_INTERIOR
+                                      if negative else ToricVerdict.INCONCLUSIVE)
 
 
 class TestMobiusBridge:

@@ -1,12 +1,16 @@
 """File schemas: canonical rationals, bit-exact round trips, and strict
 validation with located errors."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import fresh_rng, random_complex, random_orbit_set, random_series
+from helpers import (format_ratio, fresh_rng, random_complex, random_orbit_set,
+                     random_series, series_from_obj_reference,
+                     series_lines_reference, series_to_obj_reference, stored)
 from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       barcode_decompose, ech_generators, elliptic,
@@ -14,9 +18,10 @@ from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       s1_invariant_zeta)
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional)
-from reebzeta.serialize import (_RATIO_RE, SchemaError, barcode_from_obj,
-                                barcode_to_obj, complex_from_obj,
-                                format_ratio, morse_from_obj,
+from reebzeta import cli
+from reebzeta.serialize import (_RATIO_RE, SchemaError, _series_direct,
+                                barcode_from_obj, barcode_to_obj,
+                                complex_from_obj, morse_from_obj,
                                 orbit_set_from_obj, parse_ratio,
                                 series_from_obj, series_to_obj)
 
@@ -284,6 +289,9 @@ MESSAGES = [
      "series.terms[1]: exponents must be strictly increasing (1 after 1)"),
     (series_from_obj, terms(("3", "1")),
      "series.terms[0]: exponent 3 exceeds cutoff 2"),
+    (series_from_obj, {"cutoff": "0"}, "series.cutoff: must be positive, got 0"),
+    (series_from_obj, terms(("-1", "1"), cutoff="-2/4"),
+     "series.cutoff: must be positive, got -1/2"),
     # orbit sets
     (orbit_set_from_obj, {}, "orbits: expected a list, got dict"),
     (orbit_set_from_obj, ["x"], "orbits[0]: expected an object, got str"),
@@ -439,3 +447,189 @@ def test_constructor_errors_cut_long_labels(build, error):
         build()
     assert f"'{'L' * 76}..." in str(info.value)
     assert len(str(info.value)) < 200
+
+
+# -- series files on the int grid ------------------------------------------
+#
+# series_to_obj and the CLI report format straight from the int keys, and
+# series_from_obj takes a well-formed file through a direct pass; both
+# must give what the Fraction route in helpers.py gives, bit for bit.
+
+IO_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+# 999999937 and 1000000007 are primes, so a file mixing them sits on a
+# grid with q near 10^18, and one of them alone on q near 10^9.
+IO_DENOMINATORS = (1, 2, 3, 4, 6, 999_999_937, 1_000_000_007)
+
+
+@st.composite
+def plain_series(draw, cutoff):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        den = draw(st.sampled_from((1, 2, 3, 5)))
+        exponent = F(draw(st.integers(0, int(cutoff * den))), den)
+        terms[exponent] = F(draw(st.integers(-5, 5)),
+                            draw(st.sampled_from((1, 1, 2, 3))))
+    return NovikovSeries(terms, cutoff)
+
+
+@st.composite
+def emitted_series(draw):
+    """A series of one of the shapes the emit must handle: as built, a
+    product on the lcm grid, a truncation (its q often not minimal), the
+    inverse of a unit with a positive leading exponent (negative keys),
+    or zero on a grid with q > 1."""
+    cutoff = F(draw(st.integers(2, 12)), draw(st.sampled_from((1, 2, 3))))
+    a, b = draw(plain_series(cutoff)), draw(plain_series(cutoff))
+    shape = draw(st.sampled_from(("plain", "product", "truncate", "inverse",
+                                  "zero")))
+    if shape == "product":
+        return a * b
+    if shape == "truncate":
+        return a.truncate(cutoff * F(draw(st.integers(0, 4)), 4))
+    if shape == "inverse":
+        lead = cutoff * F(draw(st.integers(1, 4)), 4)
+        tail = NovikovSeries({s: c for s, c in b.items() if s > 0}, cutoff)
+        return (NovikovSeries({lead: draw(st.sampled_from((1, -2, F(3, 2))))},
+                              cutoff) + tail * NovikovSeries({lead: 1}, cutoff)
+                ).inverse()
+    if shape == "zero":
+        return a - a
+    return a
+
+
+def spell(draw, value: F) -> str:
+    """value as a ratio text: canonical, scaled by 2 or 3 ("6/4", "4/2",
+    "0/3"), or with leading zeros ("007", "-003/2", "-0")."""
+    form = draw(st.sampled_from(("canonical", "scaled", "padded")))
+    num, den = value.numerator, value.denominator
+    if form == "scaled":
+        k = draw(st.integers(2, 3))
+        return f"{num * k}/{den * k}"
+    negative_zero = num == 0 and form == "padded" and draw(st.booleans())
+    sign = "-" if num < 0 or negative_zero else ""
+    digits = ("00" if form == "padded" else "") + str(abs(num))
+    return sign + digits + (f"/{den}" if den != 1 else "")
+
+
+@st.composite
+def series_files(draw):
+    """A well-formed series file: strictly increasing exponents, some
+    negative, over mixed denominators, at or below a positive cutoff, and
+    nonzero coefficients, every value spelled in a random valid form."""
+    exponents = set()
+    for _ in range(draw(st.integers(0, 8))):
+        den = draw(st.sampled_from(IO_DENOMINATORS))
+        exponents.add(F(draw(st.integers(-3 * den, 6 * den)), den))
+    exponents = sorted(exponents)
+    cutoff = max(exponents + [F(1, 2)]) + F(draw(st.integers(0, 3)),
+                                            draw(st.sampled_from((1, 2, 5))))
+    file_terms = []
+    for exponent in exponents:
+        coeff = F(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))),
+                  draw(st.sampled_from((1, 1, 2, 3, 999_999_937))))
+        file_terms.append({"exponent": spell(draw, exponent),
+                           "coefficient": spell(draw, coeff)})
+    return {"terms": file_terms, "cutoff": spell(draw, cutoff)}
+
+
+def last_exponent(obj) -> F:
+    return F(obj["terms"][-1]["exponent"])
+
+
+def retext(field, text):
+    def mangle(obj, k):
+        obj["terms"][k][field] = text
+    return mangle
+
+
+def set_cutoff(obj, k):
+    # Positive and below the last exponent, so only the terms are wrong.
+    if last_exponent(obj) > 0:
+        obj["cutoff"] = format_ratio(last_exponent(obj) / 2)
+
+
+def swap(obj, k):
+    terms = obj["terms"]
+    if k + 1 < len(terms):
+        terms[k], terms[k + 1] = terms[k + 1], terms[k]
+
+
+# Each changes term k (or the whole file) of a well-formed file.  The
+# result may still be well formed (a swap at the last term does nothing,
+# and U+0661 ARABIC-INDIC DIGIT ONE is a digit to the regex and to int),
+# and then both decoders must give the same series.
+MANGLES = [
+    retext("exponent", "1.5"), retext("exponent", None),
+    retext("exponent", "1\n"), retext("exponent", "1\n2"),
+    retext("exponent", "1/0"), retext("exponent", "1" + "0" * 5000),
+    retext("exponent", "\u0661"), retext("coefficient", 1),
+    retext("coefficient", "0"), retext("coefficient", "-0/7"),
+    retext("coefficient", ""), retext("coefficient", " 1"),
+    lambda obj, k: obj["terms"][k].update(power=2),
+    lambda obj, k: obj["terms"][k].pop("coefficient"),
+    lambda obj, k: obj["terms"].__setitem__(k, "1"),
+    lambda obj, k: obj["terms"].insert(k, dict(obj["terms"][k])),
+    swap, set_cutoff,
+    lambda obj, k: obj.update(cutoff=2),
+    lambda obj, k: obj.update(extra=1),
+    lambda obj, k: obj.pop("cutoff"),
+    lambda obj, k: obj.update(terms=tuple(obj["terms"])),
+    lambda obj, k: obj.update(terms={}),
+]
+
+
+def decoded(decode, obj):
+    """The stored bits of the series, or the text of the SchemaError."""
+    try:
+        return stored(decode(obj))
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestSeriesIntGrid:
+    @IO_PROPERTY
+    @given(emitted_series())
+    @example(NovikovSeries({1: 3, F(3, 2): 1}, 2).truncate(1))
+    @example(NovikovSeries({F(1, 2): 1}, 3) * NovikovSeries({F(1, 2): -2}, 3))
+    @example(NovikovSeries({F(2, 3): 2}, 3).inverse())
+    @example(NovikovSeries({F(1, 3): 1}, 2) - NovikovSeries({F(1, 3): 1}, 2))
+    @example(NovikovSeries.zero(F(5, 2)))
+    def test_emit_matches_the_fraction_route(self, series):
+        assert series_to_obj(series) == series_to_obj_reference(series)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli._emit_series(series, None)
+        assert out.getvalue() == series_lines_reference(series)
+
+    def test_examples_cover_each_shape(self):
+        # the @example inputs above: q not minimal, negative keys with a
+        # Fraction coefficient, and zero on a grid with q > 1
+        assert NovikovSeries({1: 3, F(3, 2): 1}, 2).truncate(1)._q == 2
+        inverse = NovikovSeries({F(2, 3): 2}, 3).inverse()
+        assert inverse._terms == {-2: F(1, 2)}
+        zero = NovikovSeries({F(1, 3): 1}, 2) - NovikovSeries({F(1, 3): 1}, 2)
+        assert not zero and zero._q == 3
+
+    @IO_PROPERTY
+    @given(series_files())
+    @example({"terms": [{"exponent": "6/4", "coefficient": "007"},
+                        {"exponent": "4/2", "coefficient": "-6/4"}],
+              "cutoff": "4/2"})
+    @example({"terms": [{"exponent": "-0", "coefficient": "1/999999937"},
+                        {"exponent": "1/1000000007", "coefficient": "-2"}],
+              "cutoff": "1"})
+    @example({"cutoff": "1"})
+    def test_decode_matches_the_checked_loop(self, obj):
+        assert _series_direct(obj) is not None or not obj.get("terms")
+        assert decoded(series_from_obj, obj) == \
+            decoded(series_from_obj_reference, obj)
+
+    @IO_PROPERTY
+    @given(series_files().filter(lambda obj: obj["terms"]),
+           st.sampled_from(MANGLES), st.integers(0, 7))
+    def test_mangled_files_get_the_checked_loop_message(self, obj, mangle, k):
+        mangle(obj, k % len(obj["terms"]))
+        expected = decoded(series_from_obj_reference, obj)
+        assert decoded(series_from_obj, obj) == expected
+        if isinstance(expected, str):
+            assert _series_direct(obj) is None
