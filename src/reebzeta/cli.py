@@ -36,22 +36,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(PARSE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _ratio_flag(text: str) -> Fraction:
+def _positive_ratio_flag(text: str) -> Fraction:
     try:
-        return serialize.parse_ratio(text)
+        value = serialize.parse_ratio(text)
     except SchemaError:
         raise argparse.ArgumentTypeError(
             f"expected a rational like 3 or 3/2, got {text!r}") from None
-
-
-def _positive_ratio_flag(text: str) -> Fraction:
-    value = _ratio_flag(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Building the eight subparsers costs more than many whole jobs, and
+    # parse_args keeps no state between calls, so one parser serves them all.
     parser = _Parser(prog="reebzeta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -238,15 +237,8 @@ def _cmd_distinguish(args) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Building the eight subparsers costs more than many whole jobs, and
-    # parse_args keeps no state between calls, so one parser serves them all.
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, SchemaError) as exc:

@@ -111,19 +111,15 @@ class MorseCriticalPoint:
 
 
 class MorseData:
-    """Critical point data of a Morse function on the 2-sphere.  The
-    signed counts must satisfy #min - #saddle + #max = 2 with at least one
-    minimum and one maximum."""
+    """Critical point data of a Morse function on the 2-sphere, given as
+    (label, action, index) triples.  The signed counts must satisfy
+    #min - #saddle + #max = 2 with at least one minimum and one maximum."""
 
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = []
-        for p in points:
-            if not isinstance(p, MorseCriticalPoint):
-                p = MorseCriticalPoint(*p)
-            pts.append(p)
-        self.points: Tuple[MorseCriticalPoint, ...] = tuple(pts)
+        self.points: Tuple[MorseCriticalPoint, ...] = tuple(
+            MorseCriticalPoint(*p) for p in points)
         counts = [0, 0, 0]
         for p in self.points:
             counts[p.index] += 1

@@ -1,14 +1,16 @@
 """Exception types shared across the library.
 
-Everything raised on bad input or a violated mathematical precondition
-derives from ReebZetaError, so callers (in particular the CLI) can tell
-library failures apart from genuine bugs.  ``echo`` quotes a value in
-any of their messages.
+A violated mathematical precondition raises a ReebZetaError, which the
+CLI tells apart from a genuine bug.  A malformed constructor argument,
+such as a parity not 0 or 1, raises a built-in ValueError or KeyError;
+the ``serialize`` decoders check each field first and raise SchemaError,
+and the CLI reports a ReebZetaError from loading a file as one too.
+``echo`` quotes a value in any of their messages.
 """
 
 
 class ReebZetaError(Exception):
-    """Base class for all errors raised by this library."""
+    """Base class of the library's precondition errors."""
 
 
 def echo(value) -> str:

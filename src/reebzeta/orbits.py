@@ -191,30 +191,6 @@ class EchGenerator:
     grading: int
     total_action: Fraction
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "EchGenerator":
-        pairs = tuple(sorted(pairs, key=lambda p: _orbit_key(p[0])))
-        grading = 0
-        total = Fraction(0)
-        for orbit, mult in pairs:
-            if mult < 1:
-                raise ValueError("multiplicities must be positive")
-            if orbit.is_hyperbolic and mult != 1:
-                raise ValueError(
-                    f"hyperbolic orbit {echo(orbit.label)} with multiplicity {mult}")
-            if (orbit.eps1, orbit.eps2) == (1, 1):
-                grading ^= 1  # positive hyperbolic, multiplicity is 1
-            total += mult * orbit.action
-        return cls(pairs, grading, total)
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(o.label for o, _ in self.pairs)
-
-    @property
-    def multiplicities(self) -> Tuple[int, ...]:
-        return tuple(m for _, m in self.pairs)
-
 
 def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]:
     """All ECH generators with total action <= cutoff, in deterministic
@@ -237,7 +213,7 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]
     q, keys = novikov.grid([o.action for o in orbits] + [cutoff])
     bound = keys.pop()
     # Depth-first on a stack of (next orbit, pairs, int total action,
-    # grading); pairs come out as from_pairs would check and sort them.
+    # grading); pairs come out sorted, hyperbolic orbits at multiplicity 1.
     found, stack = [], [(0, (), 0, 0)]
     while stack:
         i, chosen, total, grading = stack.pop()

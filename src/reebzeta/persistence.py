@@ -100,13 +100,6 @@ class FilteredComplex:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def boundary_entries(self):
-        """Sorted (x_label, y_label, coeff) triples of the differential."""
-        labels = self.labels
-        return [(labels[j], labels[i], c)
-                for j in sorted(self._columns)
-                for i, c in sorted(self._columns[j].items())]
-
     # -- validity --------------------------------------------------------
 
     def validate(self) -> None:
@@ -203,10 +196,6 @@ class Bar:
                     f"bar needs birth < death, got [{self.birth}, {self.death})")
         if type(self.eps) is not int or self.eps not in (0, 1):
             raise ValueError("bar eps must be 0 or 1")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.death is not None
 
     def _key(self):
         # infinite bars sort after the finite bars of the same birth
@@ -309,7 +298,7 @@ def zeta_barcode(barcode: Barcode, cutoff: RatioLike) -> NovikovSeries:
     for bar in barcode:
         sign = -1 if bar.eps else 1
         pairs.append((bar.birth, sign))
-        if bar.is_finite:
+        if bar.death is not None:
             pairs.append((bar.death, -sign))
     return NovikovSeries(pairs, cutoff)
 

@@ -29,7 +29,7 @@ from .novikov import NovikovSeries, _norm_coeff
 from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
 
-_RATIO_RE = re.compile(r"^-?\d+(/[1-9]\d*)?\Z")
+_RATIO_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 class SchemaError(ReebZetaError, ValueError):
@@ -116,7 +116,7 @@ def _records(obj, where: str, fields):
 
 _TERM = {"exponent": _ratio, "coefficient": _ratio}
 _TERM_TEXTS = operator.itemgetter("exponent", "coefficient")
-_LINE_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.MULTILINE)
+_LINE_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$", re.MULTILINE)
 
 
 def series_to_obj(series: NovikovSeries) -> dict:

@@ -150,11 +150,20 @@ def exp_reference(a: NovikovSeries) -> NovikovSeries:
     return NovikovSeries._raw(a._q, f, a.cutoff)
 
 
+def ech_labels(gen: EchGenerator) -> tuple:
+    return tuple(o.label for o, _ in gen.pairs)
+
+
+def ech_multiplicities(gen: EchGenerator) -> tuple:
+    return tuple(m for _, m in gen.pairs)
+
+
 def ech_generators_reference(orbit_set: OrbitSet, cutoff) -> list:
     """``ech_generators`` as it was before it enumerated on int keys:
-    depth first in Fraction actions, each generator through the validating
-    ``EchGenerator.from_pairs``, sorted on (total action, labels,
-    multiplicities).  Parities (1, 0) are not re-checked here."""
+    depth first in Fraction actions, hyperbolic orbits at multiplicity
+    one, the grading counted from the chosen positive hyperbolic orbits,
+    sorted on (total action, labels, multiplicities).  Parities (1, 0)
+    are not re-checked here."""
     cutoff = F(cutoff)
     orbits = sorted((o for o in orbit_set if o.action <= cutoff),
                     key=lambda o: (o.action, o.label))
@@ -164,14 +173,16 @@ def ech_generators_reference(orbit_set: OrbitSet, cutoff) -> list:
         i, chosen, total = stack.pop()
         budget = cutoff - total
         if i == len(orbits) or orbits[i].action > budget:
-            out.append(EchGenerator.from_pairs(chosen))
+            grading = sum((o.eps1, o.eps2) == (1, 1) for o, _ in chosen) % 2
+            out.append(EchGenerator(chosen, grading, total))
             continue
         o = orbits[i]
         stack.append((i + 1, chosen, total))
         max_mult = 1 if o.is_hyperbolic else budget // o.action
         stack.extend((i + 1, chosen + ((o, m),), total + m * o.action)
                      for m in range(1, max_mult + 1))
-    out.sort(key=lambda g: (g.total_action, g.labels, g.multiplicities))
+    out.sort(key=lambda g: (g.total_action, ech_labels(g),
+                            ech_multiplicities(g)))
     return out
 
 
@@ -409,6 +420,15 @@ def planted_complex(rng, n):
     flat = [(f"g{j}", f"g{i}", c)
             for j, col in cols.items() for i, c in col.items()]
     return FilteredComplex(labelled, flat), Barcode(bars)
+
+
+def boundary_entries(complex_: FilteredComplex) -> list:
+    """Sorted (x_label, y_label, coeff) triples of the differential, read
+    from the complex's columns."""
+    labels = complex_.labels
+    return [(labels[j], labels[i], c)
+            for j in sorted(complex_._columns)
+            for i, c in sorted(complex_._columns[j].items())]
 
 
 def probe_levels(complex_):

@@ -287,9 +287,13 @@ class TestExitCodes:
         assert code == 1 and "NonPositiveAction" in err
 
     def test_bad_flag_value_is_parse_error(self, capsys):
-        code, _, err = run(capsys, "zeta-toric", "--a", "1.5", "--b", "1",
-                           "--cutoff", "2")
-        assert code == 1 and "rational" in err
+        # a fullwidth 3 and an Arabic-Indic 2: int() takes both, the flag not
+        for text in ("1.5", "\uff13", "1/1\u0662"):
+            code, out, err = run(capsys, "zeta-toric", "--a", text, "--b", "1",
+                                 "--cutoff", "2")
+            assert (code, out) == (1, "")
+            assert err.endswith(f"argument --a: expected a rational like "
+                                f"3 or 3/2, got {text!r}\n")
 
     def test_nonpositive_cutoff_is_parse_error(self, capsys):
         code, _, err = run(capsys, "zeta-toric", "--a", "1", "--b", "1",
@@ -396,7 +400,7 @@ class TestParserReuse:
     def test_one_parser_per_process(self, tmp_path, capsys):
         path = write(tmp_path, "cx.json", COMPLEX_PAIR)
         assert run(capsys, "barcode", path)[0] == 0
-        parser = cli._parser()
+        parser = cli.build_parser()
         assert run(capsys, "zeta-persistence", path, "--cutoff", "3") == \
             (0, "1\t1\n2\t-1\ncutoff\t3\n", "")
-        assert cli._parser() is parser
+        assert cli.build_parser() is parser

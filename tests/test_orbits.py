@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (ech_generators_reference, fresh_rng,
-                     random_3d_orbit_set, random_orbit_set)
+from helpers import (ech_generators_reference, ech_labels,
+                     ech_multiplicities, fresh_rng, random_3d_orbit_set,
+                     random_orbit_set)
 from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       ech_generators, elliptic, good_orbit_count, is_good,
                       iterate_parity, negative_hyperbolic,
@@ -124,18 +125,19 @@ class TestEchGenerators:
 
     def test_elliptic_powers(self):
         gens = ech_generators(OrbitSet([elliptic("e", 1)]), 2)
-        assert [(g.labels, g.multiplicities) for g in gens] == \
+        assert [(ech_labels(g), ech_multiplicities(g)) for g in gens] == \
             [((), ()), (("e",), (1,)), (("e",), (2,))]
 
     def test_hyperbolic_multiplicity_capped_at_one(self):
         gens = ech_generators(OrbitSet([positive_hyperbolic("h", 1)]), 3)
-        assert [(g.labels, g.multiplicities) for g in gens] == \
+        assert [(ech_labels(g), ech_multiplicities(g)) for g in gens] == \
             [((), ()), (("h",), (1,))]
 
     def test_grading_counts_positive_hyperbolic(self):
         orbit_set = OrbitSet([positive_hyperbolic("h", 1),
                               negative_hyperbolic("n", 1)])
-        gradings = {g.labels: g.grading for g in ech_generators(orbit_set, 2)}
+        gradings = {ech_labels(g): g.grading
+                    for g in ech_generators(orbit_set, 2)}
         assert gradings[("h",)] == 1
         assert gradings[("n",)] == 0
         assert gradings[("h", "n")] == 1
@@ -150,25 +152,18 @@ class TestEchGenerators:
         with pytest.raises(NotThreeDimensional):
             ech_generators(OrbitSet([SimpleOrbit("x", 1, 1, 0)]), 2)
 
-    def test_direct_construction_checks_hyperbolic_multiplicity(self):
-        from reebzeta import EchGenerator
-        with pytest.raises(ValueError):
-            EchGenerator.from_pairs([(positive_hyperbolic("h", 1), 2)])
-        gen = EchGenerator.from_pairs([(elliptic("e", F(1, 2)), 3)])
-        assert gen.total_action == F(3, 2)
-
     def test_many_orbits_at_the_cutoff(self):
         orbit_set = OrbitSet(positive_hyperbolic(f"h{i:04}", 1)
                              for i in range(1100))
         gens = ech_generators(orbit_set, 1)
-        assert [g.labels for g in gens] == \
+        assert [ech_labels(g) for g in gens] == \
             [()] + [(f"h{i:04}",) for i in range(1100)]
         assert zeta_ech_form(orbit_set, 1) == S({0: 1, 1: -1100}, 1) == \
             zeta_product_form(orbit_set, 1)
 
     def test_deterministic_order(self):
         orbit_set = OrbitSet([elliptic("b", 1), elliptic("a", 1)])
-        keys = [(g.total_action, g.labels, g.multiplicities)
+        keys = [(g.total_action, ech_labels(g), ech_multiplicities(g))
                 for g in ech_generators(orbit_set, 2)]
         assert keys == sorted(keys)
 
@@ -294,3 +289,7 @@ class TestEchReference:
         # pairs, gradings and total actions, in the same order
         assert gens == ech_generators_reference(orbit_set, cutoff)
         assert all(type(g.total_action) is F for g in gens)
+        for g in gens:
+            assert all(m == 1 for o, m in g.pairs if o.is_hyperbolic)
+            assert g.grading == sum((o.eps1, o.eps2) == (1, 1)
+                                    for o, _ in g.pairs) % 2

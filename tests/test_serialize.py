@@ -8,9 +8,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (format_ratio, fresh_rng, random_complex, random_orbit_set,
-                     random_series, series_from_obj_reference,
-                     series_lines_reference, series_to_obj_reference, stored)
+from helpers import (boundary_entries, format_ratio, fresh_rng,
+                     random_complex, random_orbit_set, random_series,
+                     series_from_obj_reference, series_lines_reference,
+                     series_to_obj_reference, stored)
 from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       barcode_decompose, ech_generators, elliptic,
@@ -38,7 +39,9 @@ class TestRatios:
             assert format_ratio(parse_ratio(text)) == text
 
     def test_rejects_noncanonical_text(self):
-        for bad in ("1.5", "1/0", "1/-2", "", "t", "1 / 2", None, 3):
+        # ASCII digits only: int() would take any Unicode decimal digit
+        for bad in ("1.5", "1/0", "1/-2", "", "t", "1 / 2", None, 3,
+                    "\u0663", "\uff13", "1/1\u0662"):
             with pytest.raises(SchemaError):
                 parse_ratio(bad)
 
@@ -154,11 +157,11 @@ class TestComplexSchema:
                                        complex_.filtrations)],
                 "differential": [
                     {"from": x, "to": y, "coeff": str(c)}
-                    for x, y, c in complex_.boundary_entries()]})
+                    for x, y, c in boundary_entries(complex_)]})
             assert (back.labels, back.eps, back.filtrations, back.keys) == \
                 (complex_.labels, complex_.eps, complex_.filtrations,
                  complex_.keys)
-            assert back.boundary_entries() == complex_.boundary_entries()
+            assert boundary_entries(back) == boundary_entries(complex_)
             assert barcode_decompose(back) == barcode
 
     def test_unknown_generator_in_differential(self):
@@ -279,6 +282,8 @@ MESSAGES = [
      f"series.terms[0].coefficient: {RATIO} 1"),
     (series_from_obj, terms(("1e3", "1")),
      f"series.terms[0].exponent: {RATIO} '1e3'"),
+    (series_from_obj, terms(("1", "1"), ("3/2", "\u0662")),
+     f"series.terms[1].coefficient: {RATIO} '\u0662'"),
     (series_from_obj, terms(("1", "1"), ("3/2", "0")),
      "series.terms[1]: zero coefficients must not be stored"),
     (series_from_obj, terms(("1", "0"), ("x", "1")),
@@ -306,6 +311,8 @@ MESSAGES = [
      f"orbits[0].action: {RATIO} None"),
     (orbit_set_from_obj, orbit(action="1/0"),
      f"orbits[0].action: {RATIO} '1/0'"),
+    (orbit_set_from_obj, orbit(action="\u0661"),
+     f"orbits[0].action: {RATIO} '\u0661'"),
     (orbit_set_from_obj, parity() + parity(label="y", action="-1/3/2"),
      f"orbits[1].action: {RATIO} '-1/3/2'"),
     (orbit_set_from_obj, orbit(type=1),
