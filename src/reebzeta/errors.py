@@ -2,8 +2,8 @@
 
 A violated mathematical precondition raises a ReebZetaError, which the
 CLI tells apart from a genuine bug.  A malformed constructor argument,
-such as a parity not 0 or 1, raises a built-in ValueError or KeyError;
-the ``serialize`` decoders check each field first and raise SchemaError,
+such as a parity not 0 or 1, raises a ValueError or a KeyError; the
+``serialize`` decoders check each field first and raise SchemaError,
 and the CLI reports a ReebZetaError from loading a file as one too.
 ``echo`` quotes a value in any of their messages.
 """
@@ -63,6 +63,11 @@ class FiltrationViolation(ReebZetaError, ValueError):
 
 class GradingViolation(ReebZetaError, ValueError):
     """A differential entry does not change the Z/2 grading."""
+
+
+class UnknownLabel(KeyError):
+    """An unknown generator label; str() is the message, not its repr."""
+    __str__ = BaseException.__str__
 
 
 # --- Moebius product transform ---

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (DuplicateLabel, FiltrationViolation, GradingViolation,
-                     NotSquareZero, echo)
+                     NotSquareZero, UnknownLabel, echo)
 from .novikov import (NovikovSeries, RatioLike, _norm_coeff, _quotient,
                       as_ratio, grid)
 
@@ -87,7 +87,8 @@ class FilteredComplex:
             try:
                 j, i = index[x], index[y]
             except KeyError as exc:
-                raise KeyError(f"unknown generator label {echo(exc.args[0])}") from None
+                raise UnknownLabel(
+                    f"unknown generator label {echo(exc.args[0])}") from None
             col = self._columns.setdefault(j, {})
             if i in col:
                 coeff = _norm_coeff(coeff + col[i])
@@ -248,9 +249,10 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     module.
 
     Filtrations are compared through the complex's int ``keys``: the
-    stable sort keeps equal levels in input order, and the bars are
-    emitted already in ``Barcode`` order.  Pivots divide through
-    ``novikov._quotient``, so whole coefficients stay ints.
+    stable sort keeps equal levels in input order, and the bars come out
+    valid and in ``Barcode`` order, so they skip the checks and the sort
+    of the constructors.  Pivots divide through ``novikov._quotient``,
+    so whole coefficients stay ints.
     """
     keys, eps, filtrations = complex_.keys, complex_.eps, complex_.filtrations
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -258,9 +260,9 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
 
     reduced: Dict[int, Dict[int, object]] = {}     # low position -> column
     killed: Dict[int, int] = {}                     # birth index -> death index
-    for i in order:
-        col = {pos[r]: c for r, c in complex_._columns.get(i, {}).items()}
-        low = _reduce(col, reduced)
+    columns = complex_._columns
+    for i in filter(columns.__contains__, order):   # skip empty columns
+        low = _reduce({pos[r]: c for r, c in columns[i].items()}, reduced)
         if low is not None:
             killed[order[low]] = i
 
@@ -271,9 +273,14 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     rows.extend((keys[i], True, 0, eps[i], i, i) for i in order
                 if i not in killed and i not in deaths)
     rows.sort()
-    return Barcode([
-        Bar(filtrations[b], None if infinite else filtrations[d], e)
-        for _, infinite, _, e, b, d in rows])
+    bars = []
+    for _, infinite, _, e, b, d in rows:
+        bars.append(bar := object.__new__(Bar))
+        vars(bar).update(birth=filtrations[b],
+                         death=None if infinite else filtrations[d], eps=e)
+    barcode = object.__new__(Barcode)
+    barcode.bars = tuple(bars)
+    return barcode
 
 
 def euler_jump(barcode: Barcode, at: RatioLike) -> int:

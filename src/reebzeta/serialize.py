@@ -10,9 +10,9 @@ One loop, ``_records``, decodes every list of entries, each an object with
 no keys outside an ordered {key: parser} table.  Parsers raise location-free
 ValueErrors; the loop builds "where[k].key" only when one does.  Quoted
 values go through ``errors.echo``, which cuts them to 80 characters.
-Series files first take a direct pass that builds the int grid keys with
-no Fraction per term and gives up on anything not well formed; that loop
-stays the only source of messages.  Series text is made from the keys.
+Series and complex files first take a direct pass, one regex scan a
+column of ratios, which gives up on anything not well formed; that loop
+alone words errors.  Series are read and written on int grid keys.
 """
 
 from __future__ import annotations
@@ -129,15 +129,24 @@ def series_to_obj(series: NovikovSeries) -> dict:
     }
 
 
+def _ratio_lines(texts) -> list:
+    """The (numerator, denominator or "") digits of each text; ValueError
+    unless each is one ratio: findall skips a line that is not a ratio,
+    and a text holding a newline adds a line."""
+    joined = "\n".join(texts)
+    ratios = _LINE_RE.findall(joined)
+    if len(ratios) != len(texts) or (
+            texts and joined.count("\n") != len(texts) - 1):
+        raise ValueError("not one ratio a text")
+    return ratios
+
+
 def _series_direct(obj):
     """The series of a well-formed file, straight on int keys; None when
     anything is off, so that ``series_from_obj`` finds and words it."""
     try:
         terms, cutoff = obj.get("terms", []), _ratio(obj["cutoff"])
-        # One text a line: findall skips each line that is not a ratio,
-        # and a text holding a newline adds a line.
-        texts = "\n".join([t for pair in map(_TERM_TEXTS, terms) for t in pair])
-        ratios = _LINE_RE.findall(texts)
+        ratios = _ratio_lines([t for pair in map(_TERM_TEXTS, terms) for t in pair])
         dens = {den: int(den or 1) for _, den in ratios[::2]}
         q = lcm(*dens.values())
         keys = [int(num) * (q // dens[den]) for num, den in ratios[::2]]
@@ -147,7 +156,6 @@ def _series_direct(obj):
         return None
     if (obj.keys() <= {"terms", "cutoff"} and type(terms) is list
             and cutoff > 0 and set(map(len, terms)) == {2}
-            and len(ratios) == 2 * len(terms) == texts.count("\n") + 1
             and all(coeffs) and all(map(operator.lt, keys, keys[1:]))
             and keys[-1] <= cutoff.numerator * q // cutoff.denominator):
         return NovikovSeries._raw(q, dict(zip(keys, coeffs)), cutoff)
@@ -214,7 +222,37 @@ _GENERATOR = {"label": _string, "eps": _bit, "filtration": _ratio}
 _DIFFERENTIAL = {"from": _string, "to": _string, "coeff": _coeff}
 
 
+def _complex_direct(obj):
+    """The complex of a well-formed file, decoded a column at a time; None
+    when anything is off, so that ``complex_from_obj`` finds and words it."""
+    try:
+        gens, edges = obj.get("generators", []), obj.get("differential", [])
+        labels, eps, levels = [list(map(operator.itemgetter(key), gens))
+                               for key in _GENERATOR]
+        froms, tos, coeffs = [list(map(operator.itemgetter(key), edges))
+                              for key in _DIFFERENTIAL]
+        filtrations = [Fraction(int(num), int(den or 1))
+                       for num, den in _ratio_lines(levels)]
+        coeffs = [_norm_coeff(Fraction(int(num), int(den))) if den else int(num)
+                  for num, den in _ratio_lines(coeffs)]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    # Labels are all strings before a set is made: a list is unhashable.
+    if (obj.keys() <= {"generators", "differential"}
+            and type(gens) is list and type(edges) is list
+            and {*map(len, gens), *map(len, edges)} <= {3}
+            and {*map(type, eps)} <= {int} and {*eps} <= {0, 1}
+            and {*map(type, labels), *map(type, froms), *map(type, tos)} <= {str}
+            and {*labels}.issuperset(froms + tos)):
+        return FilteredComplex(zip(labels, eps, filtrations),
+                               zip(froms, tos, coeffs))
+    return None
+
+
 def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
+    complex_ = _complex_direct(obj)
+    if complex_ is not None:
+        return complex_
     _object(obj, {"generators", "differential"}, where)
     generators = list(_records(obj.get("generators", []),
                                f"{where}.generators", _GENERATOR))

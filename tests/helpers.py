@@ -8,9 +8,10 @@ from fractions import Fraction as F
 from reebzeta import (Bar, Barcode, EchGenerator, FilteredComplex,
                       NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       mobius, novikov)
-from reebzeta.errors import FiltrationViolation, GradingViolation, NotSquareZero
-from reebzeta.serialize import (_TERM, SchemaError, _object, _records,
-                                parse_ratio)
+from reebzeta.errors import (FiltrationViolation, GradingViolation,
+                             NotSquareZero, echo)
+from reebzeta.serialize import (_DIFFERENTIAL, _GENERATOR, _TERM, SchemaError,
+                                _object, _records, parse_ratio)
 
 PARITY_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -67,6 +68,36 @@ def series_from_obj_reference(obj, where: str = "series") -> NovikovSeries:
             continue
         raise SchemaError(f"{where}.terms[{k}]", problem)
     return NovikovSeries(terms, cutoff)
+
+
+def complex_from_obj_reference(obj, where: str = "complex") -> FilteredComplex:
+    """``serialize.complex_from_obj`` as it was before its direct pass:
+    every file through the record loop, one parser call per field, the
+    labels of each differential entry looked up as the entry is read."""
+    _object(obj, {"generators", "differential"}, where)
+    generators = list(_records(obj.get("generators", []),
+                               f"{where}.generators", _GENERATOR))
+    labels = {g[0] for g in generators}
+    entries = []
+    for k, (x, y, coeff) in enumerate(_records(obj.get("differential", []),
+                                               f"{where}.differential",
+                                               _DIFFERENTIAL)):
+        for label in (x, y):
+            if label not in labels:
+                raise SchemaError(f"{where}.differential[{k}]",
+                                  f"unknown generator {echo(label)}")
+        entries.append((x, y, coeff))
+    return FilteredComplex(generators, entries)
+
+
+def complex_bits(complex_: FilteredComplex) -> tuple:
+    """Everything a complex stores, with the type of each filtration and
+    coefficient and the order of the columns: equal exactly when two
+    complexes are the same bits."""
+    return (complex_.labels, complex_.eps,
+            [(type(f), f) for f in complex_.filtrations], complex_.keys,
+            [(j, [(i, type(c), c) for i, c in col.items()])
+             for j, col in complex_._columns.items()])
 
 
 def dict_terms(series: NovikovSeries) -> dict:

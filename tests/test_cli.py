@@ -1,11 +1,14 @@
 """Command line front end: golden outputs, exit codes, determinism."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from reebzeta import cli, orbits
+from helpers import fresh_rng, random_ratio
+from reebzeta import Bar, Barcode, cli, orbits
 from reebzeta.novikov import NovikovSeries
+from reebzeta.serialize import barcode_to_obj
 
 ORBITS_EN = [
     {"label": "e", "action": "1", "type": "elliptic"},
@@ -116,6 +119,26 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "barcode", path)
         assert code == 0
         assert json.loads(out) == [{"birth": "1", "death": "2", "eps": 0}]
+
+    def test_barcode_text_is_the_json_text(self):
+        # the templated emit against json.dumps, on empty barcodes and on
+        # bars with negative births, fractions and infinite deaths
+        rng = fresh_rng(117)
+        barcodes = [Barcode()]
+        for _ in range(60):
+            bars = []
+            for _ in range(rng.randint(0, 6)):
+                birth = random_ratio(rng, lo=-5, hi=5)
+                death = (None if rng.random() < 0.3
+                         else birth + random_ratio(rng, lo=0, hi=3) + F(1, 9))
+                bars.append(Bar(birth, death, rng.randint(0, 1)))
+            barcodes.append(Barcode(bars))
+        assert any(bar.birth < 0 and bar.death is None
+                   for barcode in barcodes for bar in barcode)
+        for barcode in barcodes:
+            records = barcode_to_obj(barcode)
+            assert cli._barcode_text(records) == \
+                json.dumps(records, indent=2) + "\n"
 
     def test_zeta_persistence(self, tmp_path, capsys):
         path = write(tmp_path, "cx.json", COMPLEX_PAIR)

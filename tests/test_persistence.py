@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (boundary_entries, fresh_rng, probe_levels,
-                     random_complex, stored, validate_reference)
+from helpers import (boundary_entries, fresh_rng, planted_complex,
+                     probe_levels, random_complex, stored, validate_reference)
 from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries,
                       barcode_decompose, euler_jump, homology_dims,
                       zeta_barcode, zeta_persistence)
@@ -90,6 +90,12 @@ class TestValidation:
     def test_unknown_label_in_boundary(self):
         with pytest.raises(KeyError):
             FilteredComplex([("x", 0, 1)], [("x", "nope", 1)])
+
+    def test_unknown_label_message_is_plain(self):
+        # str() of a bare KeyError would be the repr of its message
+        with pytest.raises(KeyError) as info:
+            FilteredComplex([("x", 0, 1)], [("x", "nope", 1)])
+        assert str(info.value) == "unknown generator label 'nope'"
 
     def test_repeated_entries_accumulate(self):
         c = FilteredComplex([("x", 1, 2), ("y", 0, 1)],
@@ -205,6 +211,20 @@ class TestBarcodeDecompose:
         for _ in range(10):
             c, _ = random_complex(rng)
             assert barcode_decompose(c) == barcode_decompose(c)
+
+    def test_bars_skip_no_check_they_need(self):
+        # barcode_decompose makes its bars and barcode without the checks
+        # and the sort of the constructors; the constructors, given the
+        # same bars in shuffled order, must build the same barcode.
+        rng = fresh_rng(302)
+        complexes = [random_complex(rng)[0] for _ in range(40)]
+        complexes += [planted_complex(rng, n)[0] for n in (0, 1, 50, 300)]
+        for c in complexes:
+            barcode = barcode_decompose(c)
+            bars = [Bar(b.birth, b.death, b.eps) for b in barcode]
+            assert barcode == Barcode(rng.sample(bars, len(bars)))
+            assert [[(type(v), v) for v in vars(b).values()] for b in barcode] \
+                == [[(type(v), v) for v in vars(b).values()] for b in bars]
 
 
 class TestBars:

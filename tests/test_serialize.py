@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (boundary_entries, format_ratio, fresh_rng,
+from helpers import (boundary_entries, complex_bits,
+                     complex_from_obj_reference, format_ratio, fresh_rng,
                      random_complex, random_orbit_set, random_series,
                      series_from_obj_reference, series_lines_reference,
                      series_to_obj_reference, stored)
@@ -20,8 +21,8 @@ from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional)
 from reebzeta import cli
-from reebzeta.serialize import (_RATIO_RE, SchemaError, _series_direct,
-                                barcode_from_obj, barcode_to_obj,
+from reebzeta.serialize import (_RATIO_RE, SchemaError, _complex_direct,
+                                _series_direct, barcode_from_obj, barcode_to_obj,
                                 complex_from_obj, morse_from_obj,
                                 orbit_set_from_obj, parse_ratio,
                                 series_from_obj, series_to_obj)
@@ -257,6 +258,15 @@ def without(entries, key):
     return [{k: v for k, v in entry.items() if k != key} for entry in entries]
 
 
+def int_error(text) -> str:
+    """The message of int(text), which refuses too many digits."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"int() took {text!r}")
+
+
 # (decoder, malformed input, the exact SchemaError text), one row per
 # schema and kind of failure; earlier checks win when several apply.
 MESSAGES = [
@@ -361,6 +371,22 @@ MESSAGES = [
      f"complex.differential[0].coeff: {RATIO} '01/2 '"),
     (complex_from_obj, edges(dict(EDGE, coeff=None)),
      f"complex.differential[0].coeff: {RATIO} None"),
+    # inputs the direct pass must leave to the record loop
+    (complex_from_obj, {"generators": [dict(GEN, label=["x"])]},
+     "complex.generators[0].label: expected a string, got ['x']"),
+    (complex_from_obj, edges(dict(EDGE, **{"from": ["x"]})),
+     "complex.differential[0].from: expected a string, got ['x']"),
+    (complex_from_obj, {"generators": [dict(GEN, eps=True)]},
+     "complex.generators[0].eps: expected 0 or 1, got True"),
+    (complex_from_obj, {"generators": [dict(GEN, filtration="1\n")]},
+     f"complex.generators[0].filtration: {RATIO} '1\\n'"),
+    (complex_from_obj, {"generators": [dict(GEN, filtration=1)]},
+     f"complex.generators[0].filtration: {RATIO} 1"),
+    (complex_from_obj, {"generators": [{"label": "x", "eps": 0,
+                                        "filtraton": "1"}]},
+     "complex.generators[0]: unknown keys ['filtraton']"),
+    (complex_from_obj, {"generators": [dict(GEN, filtration="1" + "0" * 4999)]},
+     f"complex.generators[0].filtration: {int_error('1' + '0' * 4999)}"),
     # barcodes
     (barcode_from_obj, "inf", "barcode: expected a list, got str"),
     (barcode_from_obj, [[]], "barcode[0]: expected an object, got list"),
@@ -640,3 +666,129 @@ class TestSeriesIntGrid:
         assert decoded(series_from_obj, obj) == expected
         if isinstance(expected, str):
             assert _series_direct(obj) is None
+
+
+# -- complex files, a column at a time --------------------------------------
+#
+# complex_from_obj takes a well-formed file through a direct pass; it must
+# build what the record loop in helpers.py builds, bit for bit, and leave
+# every malformed file to that loop and its message.
+
+
+@st.composite
+def complex_files(draw):
+    """A well-formed complex file: a random valid complex with its levels
+    shifted over mixed denominators, some below 0; fractional and
+    negative coefficients, each entry split in two parts (one may be 0),
+    a pair of entries that cancel to zero, all shuffled, every value
+    spelled in a random valid form; or the same with the differential
+    empty or left out, or with no generators."""
+    rng = fresh_rng(draw(st.integers(0, 2**32)))
+    complex_, _ = random_complex(rng, max_gens=10)
+    shift = F(draw(st.integers(-40, 0)), draw(st.sampled_from(IO_DENOMINATORS)))
+    labels = complex_.labels
+    entries = []
+    for x, y, c in boundary_entries(complex_):
+        part = F(draw(st.integers(-5, 5)), draw(st.sampled_from((1, 2, 3))))
+        entries += [(x, y, c - part), (x, y, part)]
+    if labels:
+        x, y = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+        entries += [(x, y, F(7, 4)), (x, y, F(-7, 4))]
+    rng.shuffle(entries)
+    obj = {"generators": [{"label": x, "eps": e, "filtration": spell(draw, f + shift)}
+                          for x, e, f in zip(labels, complex_.eps,
+                                             complex_.filtrations)],
+           "differential": [{"from": x, "to": y, "coeff": spell(draw, c)}
+                            for x, y, c in entries]}
+    shape = draw(st.sampled_from(("full", "full", "full", "no differential",
+                                  "empty differential")))
+    if shape == "no differential":
+        del obj["differential"]
+    elif shape == "empty differential":
+        obj["differential"] = []
+    return obj
+
+
+def complex_outcome(decode, obj):
+    """The stored bits of the complex, or the class and text of what the
+    decoder raised."""
+    try:
+        return complex_bits(decode(obj))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def in_list(key, change):
+    """A mangle of entry k of obj[key]; a no-op when that list is empty."""
+    def mangle(obj, k):
+        entries = obj.get(key)
+        if entries:
+            change(entries, k % len(entries))
+    return mangle
+
+
+def field(key, name, value):
+    return in_list(key, lambda entries, k: entries[k].__setitem__(name, value))
+
+
+def rename(key, old, new):
+    return in_list(key, lambda entries, k: entries[k].__setitem__(
+        new, entries[k].pop(old)))
+
+
+GENS, EDGES = "generators", "differential"
+
+# Each changes one entry (or the whole file) of a well-formed file; the
+# result may still be well formed, and then both decoders must agree on
+# the complex, or on the error its constructor raises.
+COMPLEX_MANGLES = [
+    field(GENS, "label", ["x"]), field(GENS, "label", 1),
+    field(GENS, "label", "g0"),
+    field(GENS, "eps", True), field(GENS, "eps", 2), field(GENS, "eps", "0"),
+    field(GENS, "eps", [0]),
+    field(GENS, "filtration", "1\n"), field(GENS, "filtration", 1),
+    field(GENS, "filtration", "1\n2"), field(GENS, "filtration", ""),
+    field(GENS, "filtration", "1/0"), field(GENS, "filtration", " 1"),
+    field(GENS, "filtration", "1" + "0" * 5000),
+    field(GENS, "filtration", "-3/" + "7" * 5000),
+    rename(GENS, "filtration", "filtraton"), field(GENS, "extra", 0),
+    in_list(GENS, lambda entries, k: entries[k].pop("eps")),
+    in_list(GENS, lambda entries, k: entries.__setitem__(k, ["x", 0, "1"])),
+    in_list(GENS, lambda entries, k: entries.__setitem__(k, "abc")),
+    in_list(GENS, lambda entries, k: entries.insert(k, dict(entries[k]))),
+    field(EDGES, "from", ["x"]), field(EDGES, "to", ["x"]),
+    field(EDGES, "to", "ghost"), field(EDGES, "from", 3),
+    field(EDGES, "coeff", "1\n"), field(EDGES, "coeff", 1),
+    field(EDGES, "coeff", "x"), field(EDGES, "coeff", "0"),
+    field(EDGES, "coeff", "9" * 5000), rename(EDGES, "coeff", "coef"),
+    in_list(EDGES, lambda entries, k: entries.__setitem__(k, ("x", "y", "1"))),
+    lambda obj, k: obj.update(extra=[]),
+    lambda obj, k: obj.update(generators=tuple(obj["generators"])),
+    lambda obj, k: obj.update(generators={}),
+    lambda obj, k: obj.update(differential=None),
+    lambda obj, k: obj.update(differential="x"),
+]
+
+
+class TestComplexDirect:
+    @IO_PROPERTY
+    @given(complex_files())
+    @example({"generators": []})
+    @example({"generators": [], "differential": []})
+    @example({"generators": [{"label": "x", "eps": 0, "filtration": "-6/4"}]})
+    def test_decode_matches_the_record_loop(self, obj):
+        assert _complex_direct(obj) is not None
+        assert complex_outcome(complex_from_obj, obj) == \
+            complex_outcome(complex_from_obj_reference, obj)
+
+    # Every mangle, each on files of its own: drawn from one list, the
+    # mangles late in it would rarely be met.
+    @pytest.mark.parametrize("mangle", COMPLEX_MANGLES)
+    @settings(IO_PROPERTY, max_examples=20)
+    @given(obj=complex_files(), k=st.integers(0, 20))
+    def test_mangled_files_get_the_record_loop_outcome(self, mangle, obj, k):
+        mangle(obj, k)
+        expected = complex_outcome(complex_from_obj_reference, obj)
+        assert complex_outcome(complex_from_obj, obj) == expected
+        if expected[0] == "SchemaError":
+            assert _complex_direct(obj) is None
