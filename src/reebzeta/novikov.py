@@ -18,6 +18,12 @@ exactly when n <= bound.  ``grid`` is the one function that puts rationals
 on such a grid.  The inner loops of *, inverse, exp and log run on int
 keys only; Fraction exponents exist at the API edge (construction,
 ``items``, ``coefficient``, ``min_exponent`` and ``repr``).
+Dense work leaves the dicts: a product of two dense int series is one
+big-int multiply of the two series packed into ints, one fixed-width slot
+per key (Kronecker substitution), and exp runs its recurrence on lists
+indexed by key when the reachable keys fill at least a quarter of their
+range.  Neither ever allocates by the bound alone, which reaches about
+10^9 for three-digit action denominators.
 q need not be minimal, so ``==`` compares two series on the lcm of their
 grids.
 
@@ -29,8 +35,9 @@ nonnegative exponents, where truncated arithmetic is self-consistent.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
@@ -351,6 +358,10 @@ def _common_grid(a: NovikovSeries, b: NovikovSeries):
 
 def _conv(a, b, bound: int) -> dict:
     # a, b: sorted lists of (int key, coeff); keep keys <= bound.
+    if len(a) * len(b) >= 1024:
+        packed = _conv_packed(a, b, bound)
+        if packed is not None:
+            return packed
     acc = {}
     get = acc.get
     for na, ca in a:
@@ -363,6 +374,60 @@ def _conv(a, b, bound: int) -> dict:
             acc[n] = get(n, 0) + ca * cb
     _prune(acc)
     return acc
+
+
+def _conv_packed(a, b, bound: int):
+    """``_conv`` by one big-int product (Kronecker substitution), or None
+    when the inputs are not dense int series.
+
+    Each side becomes the int sum_k c_k * B^k over its key offsets k, with
+    B = 2^(8 * nbytes) wide enough for any coefficient of the product.
+    After the multiply, adding half of B to each low slot makes every
+    digit nonnegative, so the masked low slots hold the coefficients plus
+    that offset, and higher slots cannot borrow into them."""
+    a0, b0 = a[0][0], b[0][0]
+    top = bound - a0 - b0                 # largest offset kept
+    if top < 0:
+        return {}
+    la = min(a[-1][0] - a0, top) + 1      # clipped key spans
+    lb = min(b[-1][0] - b0, top) + 1
+    # the terms inside them; (n,) sorts before every (n, c)
+    a, b = a[:bisect_left(a, (a0 + la,))], b[:bisect_left(b, (b0 + lb,))]
+    if (len(a) * len(b) <= 32 * (la + lb)
+            or not all(type(c) is int for _, c in a)
+            or not all(type(c) is int for _, c in b)):
+        return None
+    a = [(n - a0, c) for n, c in a]
+    b = [(n - b0, c) for n, c in b]
+    largest = (max(abs(c) for _, c in a) * max(abs(c) for _, c in b)
+               * min(la, lb))
+    nbytes = largest.bit_length() // 8 + 1   # 2^(8 * nbytes - 1) > largest
+    width = min(la + lb - 1, top + 1)
+    half = 1 << (8 * nbytes - 1)
+    product = _pack(a, la, nbytes) * _pack(b, lb, nbytes)
+    digits = width * nbytes
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * width, "little")
+    low = ((product + offset) & ((1 << (8 * digits)) - 1)).to_bytes(
+        digits, "little")
+    acc = {}
+    for k in range(width):
+        c = int.from_bytes(low[k * nbytes:(k + 1) * nbytes], "little") - half
+        if c:
+            acc[a0 + b0 + k] = c
+    return acc
+
+
+def _pack(terms, span: int, nbytes: int) -> int:
+    # sum c * 2^(8 * nbytes * n) over (offset n, int c), as P - N so that
+    # each of the two byte strings holds magnitudes only
+    pos, neg = bytearray(span * nbytes), bytearray(span * nbytes)
+    for n, c in terms:
+        i = n * nbytes
+        if c > 0:
+            pos[i:i + nbytes] = c.to_bytes(nbytes, "little")
+        else:
+            neg[i:i + nbytes] = (-c).to_bytes(nbytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _prune(acc: dict) -> None:
@@ -400,16 +465,34 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     the coefficients by a single pass over the (finitely many) exponents
     reachable as sums of exponents of a below the cutoff; the value agrees
     exactly with the truncated factorial sum.  Runs on the grid of a in
-    O(reachable keys x terms of a); nothing is sized by the bound, which
-    reaches about 10^9 for three-digit action denominators.
+    O(reachable keys x terms of a).  When the reachable keys fill at least
+    a quarter of [1, largest reachable key] and the keys of a a quarter of
+    [1, largest key], the same recurrence runs on lists indexed by key,
+    which are then at most four times those counts long; otherwise on
+    dicts, and nothing is sized by the bound, which reaches about 10^9 for
+    three-digit action denominators.
     """
     if not a.is_positively_supported:
         raise NotPositivelySupported(
             "exp needs every exponent strictly positive")
     keys = sorted(a._terms)
-    weighted = [(j, _norm_coeff(j * a._terms[j])) for j in keys]
+    reach = _semigroup(keys, a._bound)
     f = {0: 1}
-    for n in _semigroup(keys, a._bound):
+    if reach and 4 * len(reach) >= reach[-1] and 4 * len(keys) >= keys[-1]:
+        # dense: w[j - 1] = j * a[j] and g[n] = f[n] as lists indexed by
+        # key; map stops at the shorter of w and the reversed g[:n]
+        w = [0] * keys[-1]
+        for j in keys:
+            w[j - 1] = _norm_coeff(j * a._terms[j])
+        g = [0] * (reach[-1] + 1)
+        g[0] = 1
+        for n in reach:
+            total = sum(map(mul, w, reversed(g[max(n - len(w), 0):n])))
+            if total:
+                g[n] = f[n] = _quotient(total, n)
+        return NovikovSeries._raw(a._q, f, a.cutoff)
+    weighted = [(j, _norm_coeff(j * a._terms[j])) for j in keys]
+    for n in reach:
         # n * f[n] = sum over keys j <= n of j * a[j] * f[n - j]
         total = sum([jc * prev for j, jc in weighted[:bisect_right(keys, n)]
                      if (prev := f.get(n - j))])

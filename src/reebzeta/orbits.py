@@ -162,10 +162,24 @@ def _iterates(orbit: SimpleOrbit, cutoff: Fraction):
 def zeta_exp_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     """Zeta via the exponential: exp of the sum, over all orbit iterates
     with action below the cutoff, of (-1)^parity / d * t^(d*A)."""
-    cutoff = as_ratio(cutoff)
-    return novikov.exp(NovikovSeries(
-        [(action, Fraction(-1 if iterate_parity(o, d) else 1, d))
-         for o in orbit_set for d, action in _iterates(o, cutoff)], cutoff))
+    return novikov.exp(_exp_input(orbit_set, as_ratio(cutoff)))
+
+
+def _exp_input(orbit_set: OrbitSet, cutoff: Fraction) -> NovikovSeries:
+    # The exp argument on the int grid of the actions below the cutoff.
+    # The d-fold cover of an orbit with key a sits at key n = d * a, and
+    # its coefficient +-1/d is +-a/n, so each key sums int numerators.
+    orbits = [o for o in orbit_set if o.action <= cutoff]
+    q, keys = novikov.grid([o.action for o in orbits])
+    bound = cutoff.numerator * q // cutoff.denominator
+    numerators = {}
+    for o, a in zip(orbits, keys):
+        # eps1 is the parity of the odd covers, eps2 of the even ones
+        for start, eps in ((a, o.eps1), (2 * a, o.eps2)):
+            for n in range(start, bound + 1, 2 * a):
+                numerators[n] = numerators.get(n, 0) + (-a if eps else a)
+    return NovikovSeries._raw(q, {n: novikov._quotient(c, n)
+                                  for n, c in numerators.items() if c}, cutoff)
 
 
 def zeta_product_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:

@@ -181,6 +181,38 @@ def exp_reference(a: NovikovSeries) -> NovikovSeries:
     return NovikovSeries._raw(a._q, f, a.cutoff)
 
 
+def conv_reference(a, b, bound: int) -> dict:
+    """``novikov._conv`` as it was before its packed product: the pair loop
+    over two sorted lists of (int key, coeff), keys <= bound, then the
+    canonical pruning."""
+    acc = {}
+    for na, ca in a:
+        if na + b[0][0] > bound:
+            break
+        for nb, cb in b:
+            n = na + nb
+            if n > bound:
+                break
+            acc[n] = acc.get(n, 0) + ca * cb
+    novikov._prune(acc)
+    return acc
+
+
+def exp_input_reference(orbit_set: OrbitSet, cutoff) -> NovikovSeries:
+    """The argument of exp in ``zeta_exp_form`` as it was built before it
+    used int keys: one Fraction exponent d*A and one Fraction(+-1, d) per
+    orbit iterate, put on a grid by the series constructor."""
+    cutoff = F(cutoff)
+    terms = []
+    for o in orbit_set:
+        d = 1
+        while d * o.action <= cutoff:
+            eps = o.eps1 if d % 2 else o.eps2
+            terms.append((d * o.action, F(-1 if eps else 1, d)))
+            d += 1
+    return NovikovSeries(terms, cutoff)
+
+
 def ech_labels(gen: EchGenerator) -> tuple:
     return tuple(o.label for o, _ in gen.pairs)
 

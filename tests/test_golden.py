@@ -28,6 +28,10 @@ GOLDEN = ROOT / "tests" / "golden"
 #: demos/data/orbits_mixed.json, written by ``write_inputs``.
 GOOD_ORBITS = "good_orbits_mixed.json"
 GOOD_ORBITS_CUTOFF = 12
+#: Input of the zeta-orbits-fine case: four elliptic orbits on the grid
+#: 1/120, dense enough that the packed product and the list-indexed exp
+#: both run.  Committed by hand, not written by ``write_inputs``.
+FINE_ORBITS = "orbits_fine.json"
 
 # (case name, argv); "{data}", "{golden}" and "{tmp}" are directories.
 # A case with --out writes "{tmp}/<case name>.json".
@@ -42,6 +46,8 @@ CASES = (
                              "--out", "{tmp}/zeta-orbits-product.json"]),
     ("zeta-orbits-ech", ["zeta-orbits", "{data}/orbits_mixed.json",
                          "--cutoff", "12", "--form", "ech"]),
+    ("zeta-orbits-fine", ["zeta-orbits", "{golden}/" + FINE_ORBITS,
+                          "--cutoff", "2", "--form", "both"]),
     ("mobius-transform", ["mobius-transform", "{golden}/" + GOOD_ORBITS,
                           "--cutoff", "12",
                           "--out", "{tmp}/mobius-transform.json"]),
@@ -110,7 +116,7 @@ def test_every_subcommand_is_covered():
 
 
 def test_golden_directory_has_no_stale_files(produced):
-    stored = {p.name for p in GOLDEN.iterdir()} - {GOOD_ORBITS}
+    stored = {p.name for p in GOLDEN.iterdir()} - {GOOD_ORBITS, FINE_ORBITS}
     assert stored == set(produced)
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dict_exp, dict_mul, dict_terms, exp_reference, \
-    fresh_rng, random_series, random_unit, stored
-from reebzeta import NovikovSeries, exp, log
+from helpers import conv_reference, dict_exp, dict_mul, dict_terms, \
+    exp_reference, fresh_rng, random_series, random_unit, stored
+from reebzeta import NovikovSeries, exp, log, novikov
 from reebzeta.errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
 from reebzeta.novikov import binomial_product
 
@@ -421,3 +421,154 @@ class TestExpReference:
                 F(1013, 1019): F(2, 3), F(999, 500): 1}, 4))
     def test_exp_is_bit_equal_to_reference(self, a):
         assert stored(exp(a)) == stored(exp_reference(a))
+
+
+# -- kernels against the loops they replace ------------------------------
+#
+# _conv multiplies dense int series by one packed big-int product and
+# everything else by the pair loop; exp runs its recurrence on lists when
+# the keys are dense.  Both must give the bits of the plain loops.
+
+BIG = 2 ** 64
+
+
+def small(rng):
+    return rng.randint(-9, 9)
+
+
+def huge(rng):
+    return rng.choice((1, -1)) * rng.randint(BIG, BIG ** 2)
+
+
+def fraction(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def draw_terms(rng, lo, hi, fill, coeff):
+    """Sorted (key, coeff) pairs: each key in [lo, hi] kept with
+    probability fill, zero draws dropped; never empty."""
+    terms = [(n, coeff(rng)) for n in range(lo, hi + 1) if rng.random() < fill]
+    return [(n, c) for n, c in terms if c] or [(lo, 1)]
+
+
+def typed(terms: dict):
+    return sorted((n, type(c), c) for n, c in terms.items())
+
+
+def packs(a, b, bound) -> bool:
+    """True when _conv takes the packed product."""
+    return len(a) * len(b) >= 1024 and \
+        novikov._conv_packed(a, b, bound) is not None
+
+
+# (name, spec of a, spec of b, bound, packed?); a spec is (lo, hi, fill,
+# coefficient draw), or a literal list of terms
+CONV_CASES = [
+    ("dense", (0, 99, 1, small), (0, 99, 1, small), 500, True),
+    ("negative keys", (-50, 60, 1, small), (-30, 90, 0.9, small), 40, True),
+    ("clipped", (0, 300, 1, small), (0, 300, 1, small), 150, True),
+    ("top below zero", (10, 120, 1, small), (5, 60, 1, small), 14, True),
+    ("top zero", (10, 120, 1, small), (5, 60, 1, small), 15, False),
+    ("huge", (0, 120, 1, huge), (0, 120, 0.9, huge), 200, True),
+    ("huge times small", (-10, 90, 1, huge), (0, 70, 1, small), 60, True),
+    ("cancelling", [(n, 1) for n in range(100)],
+     [(n, (-1) ** n) for n in range(100)], 300, True),
+    ("single term", [(3, 5)], (0, 2000, 1, small), 1500, False),
+    ("below the size gate", (0, 30, 1, small), (0, 32, 1, small), 100, False),
+    ("at the density gate", [(n, 2) for n in range(64)],
+     [(n, -3) for n in range(64)], 200, False),
+    ("long side clipped short", (0, 2000, 1, small), (990, 1000, 1, small),
+     1000, False),
+    ("fractions", (0, 99, 1, fraction), (0, 99, 1, small), 500, False),
+    ("sparse", (0, 20000, 0.02, small), (0, 20000, 0.02, small), 30000,
+     False),
+]
+
+
+class TestConvKernel:
+    @pytest.mark.parametrize("case", CONV_CASES, ids=[c[0] for c in CONV_CASES])
+    def test_matches_the_pair_loop(self, case):
+        _, spec_a, spec_b, bound, packed = case
+        rng = fresh_rng(len(case[0]))
+        a, b = (spec if isinstance(spec, list) else draw_terms(rng, *spec)
+                for spec in (spec_a, spec_b))
+        assert typed(novikov._conv(a, b, bound)) == \
+            typed(conv_reference(a, b, bound))
+        assert packs(a, b, bound) == packed
+
+    def test_cancelling_case_cancels(self):
+        # 1 + t + ... times 1 - t + ...: every odd coefficient is zero
+        ones = [(n, 1) for n in range(100)]
+        signs = [(n, (-1) ** n) for n in range(100)]
+        assert novikov._conv(ones, signs, 300) == \
+            {n: 1 for n in range(0, 99, 2)} | \
+            {n: -1 for n in range(100, 199, 2)}
+
+    def test_random_shapes_around_the_gates(self):
+        rng = fresh_rng(2718)
+        sides = {True: 0, False: 0}
+        for _ in range(60):
+            fill = rng.choice((1, 0.6, 0.05))
+            coeff = rng.choice((small, huge, fraction))
+            a, b = (draw_terms(rng, lo, lo + rng.choice((0, 20, 200, 400)),
+                               fill, coeff)
+                    for lo in (rng.randint(-40, 40), rng.randint(-40, 40)))
+            bound = a[0][0] + b[0][0] + rng.randint(-5, 900)
+            assert typed(novikov._conv(a, b, bound)) == \
+                typed(conv_reference(a, b, bound))
+            sides[packs(a, b, bound)] += 1
+        assert sides[True] >= 5 and sides[False] >= 5
+
+    def test_series_products_match_the_pair_loop(self):
+        # through __mul__: two grids and clipping by the smaller cutoff
+        rng = fresh_rng(31)
+        for _ in range(10):
+            a = NovikovSeries({F(n, 12): small(rng) for n in range(1, 240)}, 21)
+            b = NovikovSeries({F(n, 6): huge(rng) for n in range(0, 240)}, 20)
+            product = a * b
+            _, ta, tb = novikov._common_grid(a, b)
+            ta, tb = sorted(ta.items()), sorted(tb.items())
+            assert packs(ta, tb, product._bound)
+            assert typed(product._terms) == \
+                typed(conv_reference(ta, tb, product._bound))
+
+
+def dense_exp(a) -> bool:
+    """True when exp runs its recurrence on lists."""
+    keys = sorted(a._terms)
+    reach = novikov._semigroup(keys, a._bound)
+    return bool(reach) and 4 * len(reach) >= reach[-1] and \
+        4 * len(keys) >= keys[-1]
+
+
+# (name, series, dense?)
+EXP_CASES = [
+    ("fine elliptic orbit",
+     S({F(d, 120): F(1, d) for d in range(1, 241)}, 2), True),
+    ("int coefficients",
+     S({F(k, 7): (-1) ** k * k for k in range(1, 20)}, 3), True),
+    ("mixed coefficients",
+     S({F(k, 5): F(k, 3) if k % 2 else -k for k in range(2, 30, 3)}, 6), True),
+    ("reach at a quarter", S({4: 1}, 40), True),
+    ("reach below a quarter", S({5: 1}, 50), False),
+    ("keys below a quarter", S({F(1, 10): 1, 10: F(1, 2)}, 12), False),
+    ("sparse grid", S({F(999, 1000): 1, F(1001, 1003): F(-1, 2)}, 4), False),
+    ("nothing reachable", S({5: 1}, 4), False),
+]
+
+
+class TestExpKernel:
+    @pytest.mark.parametrize("case", EXP_CASES, ids=[c[0] for c in EXP_CASES])
+    def test_matches_the_dict_recurrence(self, case):
+        _, a, dense = case
+        assert dense_exp(a) == dense
+        assert stored(exp(a)) == stored(exp_reference(a))
+
+    def test_random_dense_inputs(self):
+        rng = fresh_rng(1729)
+        for _ in range(20):
+            den = rng.choice((6, 10, 24))
+            a = S({F(rng.randint(1, 3 * den), den): rng.choice(
+                (1, -1, 2, F(1, 2), F(-2, 3))) for _ in range(rng.randint(1, 12))},
+                rng.choice((2, 3)))
+            assert stored(exp(a)) == stored(exp_reference(a))

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (ech_generators_reference, ech_labels,
-                     ech_multiplicities, fresh_rng, random_3d_orbit_set,
-                     random_orbit_set)
+from helpers import (PARITY_PAIRS, ech_generators_reference, ech_labels,
+                     ech_multiplicities, exp_input_reference, fresh_rng,
+                     random_3d_orbit_set, random_orbit_set, stored)
 from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       ech_generators, elliptic, good_orbit_count, is_good,
-                      iterate_parity, negative_hyperbolic,
+                      iterate_parity, negative_hyperbolic, orbits,
                       positive_hyperbolic, zeta_ech_form, zeta_exp_form,
                       zeta_good_orbits, zeta_product_form)
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
@@ -86,6 +86,48 @@ class TestZetaExpForm:
     def test_single_positive_hyperbolic(self):
         assert zeta_exp_form(OrbitSet([positive_hyperbolic("h", 1)]), 3) == \
             S({0: 1, 1: -1}, 3)
+
+
+class TestExpInput:
+    """The exp argument built on int keys against the Fraction pairs it
+    replaced: the same bits on the same grid."""
+
+    @staticmethod
+    def check(orbit_set, cutoff):
+        built = orbits._exp_input(orbit_set, F(cutoff))
+        reference = exp_input_reference(orbit_set, cutoff)
+        assert stored(built) == stored(reference)
+        assert built._q == reference._q
+
+    def test_random_orbit_sets(self):
+        # actions in [1, 4], so the lower cutoffs leave orbits above them
+        rng = fresh_rng(424242)
+        for _ in range(60):
+            self.check(random_orbit_set(rng, max_orbits=6),
+                       rng.choice((F(1, 2), 1, F(5, 2), F(7, 3), 6, 10)))
+
+    @pytest.mark.parametrize("eps", PARITY_PAIRS)
+    def test_colliding_covers(self, eps):
+        # A, 2A and 3A share keys, so +-1/d terms of several orbits add up,
+        # and cancel where opposite parities meet
+        orbit_set = OrbitSet([SimpleOrbit("a", F(1, 3), *eps),
+                              SimpleOrbit("b", F(2, 3), 1, 0),
+                              SimpleOrbit("c", 1, 0, 1),
+                              SimpleOrbit("d", F(2, 3) * 3, *eps)])
+        for cutoff in (F(1, 4), F(1, 3), 5, F(31, 6)):
+            self.check(orbit_set, cutoff)
+
+    def test_cancelled_covers_are_not_stored(self):
+        # on one action, the even covers of a (eps2 = 1) cancel those of b
+        orbit_set = OrbitSet([SimpleOrbit("a", 1, 0, 1),
+                              SimpleOrbit("b", 1, 0, 0)])
+        built = orbits._exp_input(orbit_set, F(6))
+        assert built._terms == {1: 2, 3: F(2, 3), 5: F(2, 5)}
+        self.check(orbit_set, 6)
+
+    def test_no_orbit_below_the_cutoff(self):
+        for cutoff in (F(-1), 0, F(1, 2)):
+            self.check(OrbitSet([elliptic("e", 1)]), cutoff)
 
 
 class TestZetaProductForm:
