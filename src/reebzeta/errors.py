@@ -35,6 +35,10 @@ class BadLeadingTerm(ReebZetaError, ValueError):
     negative exponent."""
 
 
+class TooManyDigits(ReebZetaError, ValueError):
+    """A result coefficient has too many digits for Python to write."""
+
+
 # --- Orbit data ---
 
 class NonPositiveAction(ReebZetaError, ValueError):

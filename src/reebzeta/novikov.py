@@ -20,10 +20,11 @@ keys only; Fraction exponents exist at the API edge (construction,
 ``items``, ``coefficient``, ``min_exponent`` and ``repr``).
 Dense work leaves the dicts: a product of two dense int series is one
 big-int multiply of the two series packed into ints, one fixed-width slot
-per key (Kronecker substitution), and exp runs its recurrence on lists
-indexed by key when the reachable keys fill at least a quarter of their
-range.  Neither ever allocates by the bound alone, which reaches about
-10^9 for three-digit action denominators.
+per key (Kronecker substitution).  exp runs on lists indexed by key when
+its keys are dense, by divide and conquer through those products on ints,
+so it shares ``_conv`` with the product route it checks (a fault there
+still splits them: tests/test_faults.py).  Nothing allocates by the bound
+alone, which reaches about 10^9 for three-digit action denominators.
 q need not be minimal, so ``==`` compares two series on the lcm of their
 grids.
 
@@ -43,6 +44,7 @@ from typing import Iterable, Mapping, Tuple, Union
 from .errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
 
 RatioLike = Union[int, str, Fraction]
+_LEAF = 128   # exp solves a range of at most this many keys key by key
 
 
 def as_ratio(value: RatioLike) -> Fraction:
@@ -461,37 +463,40 @@ def _power_sum(r, bound: int, weight) -> dict:
 def exp(a: NovikovSeries) -> NovikovSeries:
     """exp(a) = sum_k a^k / k!  for a supported on positive exponents.
 
-    Computed through the formal identity exp(a)' = a' * exp(a), which gives
-    the coefficients by a single pass over the (finitely many) exponents
-    reachable as sums of exponents of a below the cutoff; the value agrees
-    exactly with the truncated factorial sum.  Runs on the grid of a in
-    O(reachable keys x terms of a).  When the reachable keys fill at least
-    a quarter of [1, largest reachable key] and the keys of a a quarter of
-    [1, largest key], the same recurrence runs on lists indexed by key,
-    which are then at most four times those counts long; otherwise on
-    dicts, and nothing is sized by the bound, which reaches about 10^9 for
-    three-digit action denominators.
+    By exp(a)' = a' * exp(a): n * g[n] = sum_j w[j] * g[n - j], w[j] =
+    j * a[j], over the keys reachable below the cutoff, on the grid of a.
+    When those fill a quarter of [1, N], N the largest, and the keys of a a
+    quarter of theirs, w and g are lists: ``_exp_online`` takes
+    O(M(N) log N), M(N) a packed product of N keys, while every w[j] and
+    quotient is an int (as for every zeta's exp input), then one key at a
+    time O(N x largest key).  Otherwise dicts, O(reachable keys x terms of
+    a), none sized by the bound, which reaches about 10^9.
     """
     if not a.is_positively_supported:
         raise NotPositivelySupported(
             "exp needs every exponent strictly positive")
     keys = sorted(a._terms)
     reach = _semigroup(keys, a._bound)
+    # (j, j * a[j]), an int with no Fraction product when it is whole
+    weighted = [(j, _quotient(c.numerator * j, c.denominator))
+                for j, c in sorted(a._terms.items())]
     f = {0: 1}
     if reach and 4 * len(reach) >= reach[-1] and 4 * len(keys) >= keys[-1]:
-        # dense: w[j - 1] = j * a[j] and g[n] = f[n] as lists indexed by
-        # key; map stops at the shorter of w and the reversed g[:n]
+        # dense: w[j - 1] = j * a[j] and g[n] = f[n]
         w = [0] * keys[-1]
-        for j in keys:
-            w[j - 1] = _norm_coeff(j * a._terms[j])
+        for j, c in weighted:
+            w[j - 1] = c
         g = [0] * (reach[-1] + 1)
-        g[0] = 1
-        for n in reach:
+        g[0] = start = 1
+        if all(type(c) is int for _, c in weighted):
+            start = _exp_online(w, weighted, g, [0] * len(g), reach, 0, len(g))
+        # map stops at the shorter of w and the reversed g[:n]
+        for n in reach[bisect_left(reach, start):]:
             total = sum(map(mul, w, reversed(g[max(n - len(w), 0):n])))
             if total:
-                g[n] = f[n] = _quotient(total, n)
+                g[n] = _quotient(total, n)
+        f.update((n, g[n]) for n in reach if g[n])
         return NovikovSeries._raw(a._q, f, a.cutoff)
-    weighted = [(j, _norm_coeff(j * a._terms[j])) for j in keys]
     for n in reach:
         # n * f[n] = sum over keys j <= n of j * a[j] * f[n - j]
         total = sum([jc * prev for j, jc in weighted[:bisect_right(keys, n)]
@@ -499,6 +504,31 @@ def exp(a: NovikovSeries) -> NovikovSeries:
         if total:
             f[n] = _quotient(total, n)
     return NovikovSeries._raw(a._q, f, a.cutoff)
+
+
+def _exp_online(w, pairs, g, acc, reach, lo: int, hi: int) -> int:
+    """Int g[n] for the reachable n in [lo, hi), acc[n] holding the terms
+    of n * g[n] from g below lo and pairs the nonzero (j, w[j - 1]):
+    Brent-Kung relaxed evaluation.  Returns hi, or the first n whose
+    quotient is not an int; g is complete below it."""
+    if hi - lo <= _LEAF:
+        for n in reach[bisect_left(reach, lo):bisect_left(reach, hi)]:
+            total = acc[n] + sum(map(mul, w, reversed(g[lo:n])))
+            if total % n:
+                return n
+            g[n] = total // n
+        return hi
+    mid = (lo + hi) // 2
+    if (stop := _exp_online(w, pairs, g, acc, reach, lo, mid)) < mid:
+        return stop
+    # the terms of g[lo:mid] in acc[mid:hi], by one product of offsets
+    weights = pairs[:bisect_left(pairs, (hi - lo,))]
+    if weights:
+        left = [(k, c) for k, c in enumerate(g[lo:mid]) if c]
+        for k, c in _conv(left, weights, hi - lo - 1).items():
+            if k >= mid - lo:
+                acc[lo + k] += c
+    return _exp_online(w, pairs, g, acc, reach, mid, hi)
 
 
 def _semigroup(generators, bound: int):

@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 from .domains import MorseData
-from .errors import ReebZetaError, echo
+from .errors import ReebZetaError, TooManyDigits, echo
 from .novikov import NovikovSeries, _norm_coeff
 from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
@@ -121,12 +122,17 @@ _LINE_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$", re.MULTILINE)
 
 def series_to_obj(series: NovikovSeries) -> dict:
     q, terms = series._q, series._terms
-    return {
-        "terms": [{"exponent": f"{n // g}/{q // g}" if (g := gcd(n, q)) != q
-                   else str(n // q), "coefficient": str(terms[n])}
-                  for n in sorted(terms)],
-        "cutoff": str(series.cutoff),
-    }
+    try:
+        return {"terms": [
+            {"exponent": f"{n // g}/{q // g}" if (g := gcd(n, q)) != q
+             else str(n // q), "coefficient": str(terms[n])}
+            for n in sorted(terms)], "cutoff": str(series.cutoff)}
+    except ValueError:   # str() of an int past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        n = min(n for n, c in terms.items()
+                if max(abs(c.numerator), c.denominator) >= 10 ** limit)
+        raise TooManyDigits(f"the coefficient of t^{Fraction(n, q)} has more "
+                            f"digits than Python's limit of {limit}") from None
 
 
 def _ratio_lines(texts) -> list:

@@ -290,3 +290,17 @@ def test_criterion_15_series_file_io_on_a_fine_grid():
         f"criterion 15 took {min(samples):.2f}s at best, budget 0.25s"
     assert len(obj["terms"]) == 45451 and obj["terms"][1]["exponent"] == "1/301"
     assert stored(decoded) == stored(zeta)
+
+
+def test_criterion_16_exp_form_on_a_finer_grid():
+    fine = OrbitSet([elliptic("e", F(1, 10 ** 4))])
+    # The best of three samples, as in criterion 15.
+    samples = []
+    with criterion(16, "exp form = product form for one elliptic orbit of "
+                       "action 1/10^4 at cutoff 1, best of 3"):
+        for _ in range(3):
+            start = time.perf_counter()
+            assert zeta_exp_form(fine, 1) == zeta_product_form(fine, 1)
+            samples.append(time.perf_counter() - start)
+    assert min(samples) < 0.75, \
+        f"criterion 16 took {min(samples):.2f}s at best, budget 0.75s"

@@ -368,6 +368,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "mobius-transform", path, "--cutoff", "3")
         assert code == 2 and "NonIntegerCoefficients" in err
 
+    def test_coefficient_past_the_digit_limit_is_math_error(self, tmp_path,
+                                                           capsys):
+        # The input holds 2,501 digits, under Python's 4,300-digit limit for
+        # int text; the transform's t^2 coefficient holds about 5,000.
+        path = write(tmp_path, "big.json", {
+            "terms": [{"exponent": "1", "coefficient": "1" + "0" * 2500}],
+            "cutoff": "3"})
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, "mobius-transform", path,
+                                "--cutoff", "3", "--out", str(out))
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert err == ("reebzeta: error: TooManyDigits: the coefficient of "
+                       "t^2 has more digits than Python's limit of 4300\n")
+
     def test_form_disagreement_is_consistency_error(self, tmp_path, capsys,
                                                     monkeypatch):
         # The two forms agree mathematically, so force a disagreement to

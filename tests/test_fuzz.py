@@ -26,8 +26,12 @@ INPUTS = sorted((ROOT / "demos" / "data").glob("*.json")) + [
 # stay valid and reach the computations; the rest are malformed.
 PLAUSIBLE = ["1", "2", "3/2", "1/2", "2/3", "5/2", "-1", 0, 1, 2,
              "elliptic", "pos-hyperbolic", "neg-hyperbolic", "cycle", "e"]
+# LONG has 2,501 digits, under Python's 4,300-digit limit for int text;
+# products and powers of it are not.
+LONG = "1" + "0" * 2500
 PALETTE = [None, True, False, -1, 1.5, 10 ** 30, "", "x", "0", "-7/3",
-           "1/0", "0/1", "007", "1e3", " 1", "inf", [], {}, ["1"], {"x": 1}]
+           "1/0", "0/1", "007", "1e3", " 1", "inf", [], {}, ["1"], {"x": 1},
+           LONG]
 CUTOFFS = ["1", "3/2", "3", "7/2", "5", "8"]   # the series files hold 3-12
 BAD_FLAGS = ["0", "-1", "x", "1/0", "1.5", ""]
 INSERTS = [b"\xff", b"[", b"{", b'"', b",", b"-", b"9" * 40, b"\x00"]
@@ -152,6 +156,22 @@ def test_deeply_nested_json_exits_1_on_every_subcommand(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, argv
         assert err == f"reebzeta: error: {path}: JSON nested too deeply\n"
+
+
+def test_long_coefficient_exits_0_1_or_2_on_every_subcommand(tmp_path,
+                                                             capsys):
+    # The palette's LONG as a series coefficient: the Moebius transform's
+    # t^2 coefficient has about 5,000 digits, too many to print.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"terms": [{"exponent": "1",
+                                           "coefficient": LONG}],
+                                "cutoff": "3"}))
+    other = str(ROOT / "tests" / "golden" / "zeta-toric.json")
+    codes = {}
+    for argv in commands(str(path), other, str(tmp_path / "out.json"), "3"):
+        codes[argv[0]] = run(capsys, argv)
+        assert codes[argv[0]] in (0, 1, 2), argv
+    assert codes["mobius-transform"] == 2
 
 
 def test_mangled_barcodes_decode_or_raise_schema_errors():

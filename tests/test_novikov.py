@@ -541,28 +541,110 @@ def dense_exp(a) -> bool:
         4 * len(keys) >= keys[-1]
 
 
-# (name, series, dense?)
+def exp_path(a):
+    """exp(a), the path it took and the number of ``_exp_online`` calls.
+    Paths: "dicts"; "keys", the list loop from the first key; "online",
+    the divide and conquer to the last key; ("hand-off", n), online up to
+    key n and the list loop from there."""
+    stops, online = [], novikov._exp_online
+
+    def spy(*args):
+        stops.append(online(*args))
+        return stops[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(novikov, "_exp_online", spy)
+        result = exp(a)
+    if not stops:
+        return result, "keys" if dense_exp(a) else "dicts", 0
+    top = novikov._semigroup(sorted(a._terms), a._bound)[-1] + 1
+    # the outermost call returns last
+    path = "online" if stops[-1] == top else ("hand-off", stops[-1])
+    return result, path, len(stops)
+
+
+def log_binomials(factors, q, cutoff):
+    """log prod (1 - c * t^(a/q))^k over the (a, c, k): its (d * a)/q term
+    is -k * c^d / d.  Every w[j] = j * a[j] and every quotient of exp of it
+    is an int, and exp gives back the product."""
+    terms = {}
+    for a, c, k in factors:
+        for d in range(1, cutoff * q // a + 1):
+            terms[F(d * a, q)] = terms.get(F(d * a, q), 0) + F(-k * c ** d, d)
+    return S(terms, cutoff)
+
+
+LEAF = novikov._LEAF
+HUGE = 2 ** 70 + 1
+ONE_ORBIT = [(1, 1, -1)]               # an elliptic orbit of action 1/q
+MIXED = [(1, 1, -1), (3, -1, 1), (4, 1, 1), (7, -1, -1)]
+# w[d] = 1 + (-1)^(d + 1) * HUGE^d + ...: above 2^64, of both signs
+HUGE_FACTORS = [(1, 1, -1), (1, -HUGE, 1), (2, -HUGE, 1), (3, 3 * HUGE, 2)]
+
+# (name, series, path, _exp_online calls or None); a range is the keys
+# 0 to the largest reachable, one more than that key
 EXP_CASES = [
     ("fine elliptic orbit",
-     S({F(d, 120): F(1, d) for d in range(1, 241)}, 2), True),
+     S({F(d, 120): F(1, d) for d in range(1, 241)}, 2), "online", 3),
     ("int coefficients",
-     S({F(k, 7): (-1) ** k * k for k in range(1, 20)}, 3), True),
+     S({F(k, 7): (-1) ** k * k for k in range(1, 20)}, 3), ("hand-off", 2),
+     1),
     ("mixed coefficients",
-     S({F(k, 5): F(k, 3) if k % 2 else -k for k in range(2, 30, 3)}, 6), True),
-    ("reach at a quarter", S({4: 1}, 40), True),
-    ("reach below a quarter", S({5: 1}, 50), False),
-    ("keys below a quarter", S({F(1, 10): 1, 10: F(1, 2)}, 12), False),
-    ("sparse grid", S({F(999, 1000): 1, F(1001, 1003): F(-1, 2)}, 4), False),
-    ("nothing reachable", S({5: 1}, 4), False),
+     S({F(k, 5): F(k, 3) if k % 2 else -k for k in range(2, 30, 3)}, 6),
+     "keys", 0),
+    ("reach at a quarter", S({4: 1}, 40), ("hand-off", 8), 1),
+    ("sparse weights", log_binomials([(3, 1, -1), (5, -1, 1)], 100, 3),
+     "online", 7),
+    ("reach below a quarter", S({5: 1}, 50), "dicts", 0),
+    ("keys below a quarter", S({F(1, 10): 1, 10: F(1, 2)}, 12), "dicts", 0),
+    ("sparse grid", S({F(999, 1000): 1, F(1001, 1003): F(-1, 2)}, 4),
+     "dicts", 0),
+    ("nothing reachable", S({5: 1}, 4), "dicts", 0),
+    # ranges around the leaf size: one leaf, then a split
+    ("range leaf - 1", log_binomials(ONE_ORBIT, LEAF - 2, 1), "online", 1),
+    ("range leaf", log_binomials(MIXED, LEAF - 1, 1), "online", 1),
+    ("range leaf + 1", log_binomials(MIXED, LEAF, 1), "online", 3),
+    ("range 2 * leaf + 1", log_binomials(MIXED, LEAF, 2), "online", 5),
+    ("weights above 2^64 of both signs", log_binomials(HUGE_FACTORS, 50, 3),
+     "online", 3),
+    # (1 - c t)(1 + c t) = 1 - c^2 t^2: the odd terms of the input and all
+    # but two of the result cancel
+    ("coefficients cancel to zero",
+     log_binomials([(1, HUGE, 1), (1, -HUGE, 1)], 150, 2), "online", 7),
+    ("fraction weights", S({1: F(1, 2)}, 300), "keys", 0),
+    ("exp(t)", S({1: 1}, 300), ("hand-off", 2), None),
+    ("exp(t^2 / 2): an int weight from a Fraction",
+     S({2: F(1, 2)}, 300), ("hand-off", 2), None),
+    # the inexact quotient in the right half of the top range
+    ("hand-off after the first half",
+     log_binomials(MIXED, 100, 3) + S({2: F(1, 200)}, 3), ("hand-off", 200),
+     None),
 ]
 
 
 class TestExpKernel:
     @pytest.mark.parametrize("case", EXP_CASES, ids=[c[0] for c in EXP_CASES])
     def test_matches_the_dict_recurrence(self, case):
-        _, a, dense = case
-        assert dense_exp(a) == dense
-        assert stored(exp(a)) == stored(exp_reference(a))
+        _, a, path, calls = case
+        result, took, made = exp_path(a)
+        assert took == path
+        assert calls is None or made == calls
+        assert stored(result) == stored(exp_reference(a))
+
+    def test_ranges_have_the_stated_length(self):
+        ranges = {"range leaf - 1": LEAF - 1, "range leaf": LEAF,
+                  "range leaf + 1": LEAF + 1, "range 2 * leaf + 1": 2 * LEAF + 1}
+        for name, a, _, _ in EXP_CASES:
+            if name in ranges:
+                top = novikov._semigroup(sorted(a._terms), a._bound)[-1]
+                assert top + 1 == ranges.pop(name), name
+        assert not ranges
+
+    def test_exp_gives_back_the_binomial_product(self):
+        for factors, q, cutoff in ((MIXED, LEAF, 2), (ONE_ORBIT, 300, 1),
+                                   (HUGE_FACTORS, 50, 3)):
+            assert exp(log_binomials(factors, q, cutoff)) == binomial_product(
+                [(F(a, q), c, k) for a, c, k in factors], cutoff)
 
     def test_random_dense_inputs(self):
         rng = fresh_rng(1729)
@@ -572,3 +654,33 @@ class TestExpKernel:
                 (1, -1, 2, F(1, 2), F(-2, 3))) for _ in range(rng.randint(1, 12))},
                 rng.choice((2, 3)))
             assert stored(exp(a)) == stored(exp_reference(a))
+
+    def test_random_zeta_inputs_run_online(self):
+        rng = fresh_rng(4099)
+        for _ in range(12):
+            factors = [(rng.randint(1, 9), rng.choice((1, -1, 3, -HUGE)),
+                        rng.choice((1, -1, 2, -2))) for _ in range(3)]
+            a = log_binomials(factors, rng.randint(40, 200), rng.choice((1, 2)))
+            result, path, _ = exp_path(a)
+            assert path == "online"
+            assert stored(result) == stored(exp_reference(a))
+
+    def test_conv_is_the_pair_loop_on_the_shapes_exp_feeds_it(self):
+        # every (offset, g) x (j, w) product of the online pass, on both
+        # sides of the packed-product gate
+        calls, conv = [], novikov._conv
+
+        def spy(a, b, bound):
+            calls.append((list(a), list(b), bound))
+            return conv(a, b, bound)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(novikov, "_conv", spy)
+            for _, a, _, _ in EXP_CASES:
+                exp(a)
+            exp(log_binomials(ONE_ORBIT, 600, 1))
+        sides = {True: 0, False: 0}
+        for a, b, bound in calls:
+            assert typed(conv(a, b, bound)) == typed(conv_reference(a, b, bound))
+            sides[packs(a, b, bound)] += 1
+        assert sides[True] >= 5 and sides[False] >= 5
