@@ -21,10 +21,11 @@ keys only; Fraction exponents exist at the API edge (construction,
 Dense work leaves the dicts: a product of two dense int series is one
 big-int multiply of the two series packed into ints, one fixed-width slot
 per key (Kronecker substitution).  exp runs on lists indexed by key when
-its keys are dense, by divide and conquer through those products on ints,
-so it shares ``_conv`` with the product route it checks (a fault there
-still splits them: tests/test_faults.py).  Nothing allocates by the bound
-alone, which reaches about 10^9 for three-digit action denominators.
+its keys are dense, by divide and conquer through ``_conv`` (packed on
+ints, the pair loop on Fractions), so it shares that kernel with the
+product route it checks (a fault there still splits them:
+tests/test_faults.py).  Nothing allocates by the bound alone, which
+reaches about 10^9 for three-digit action denominators.
 q need not be minimal, so ``==`` compares two series on the lcm of their
 grids.
 
@@ -44,7 +45,7 @@ from typing import Iterable, Mapping, Tuple, Union
 from .errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
 
 RatioLike = Union[int, str, Fraction]
-_LEAF = 128   # exp solves a range of at most this many keys key by key
+_LEAF = 128   # exp's divide and conquer stops at ranges of this many keys
 
 
 def as_ratio(value: RatioLike) -> Fraction:
@@ -466,11 +467,10 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     By exp(a)' = a' * exp(a): n * g[n] = sum_j w[j] * g[n - j], w[j] =
     j * a[j], over the keys reachable below the cutoff, on the grid of a.
     When those fill a quarter of [1, N], N the largest, and the keys of a a
-    quarter of theirs, w and g are lists: ``_exp_online`` takes
-    O(M(N) log N), M(N) a packed product of N keys, while every w[j] and
-    quotient is an int (as for every zeta's exp input), then one key at a
-    time O(N x largest key).  Otherwise dicts, O(reachable keys x terms of
-    a), none sized by the bound, which reaches about 10^9.
+    quarter of theirs, w and g are lists and ``_exp_online`` takes
+    O(M(N) log N), M(N) a product of N keys (one packed multiply on ints,
+    as for every zeta's exp input).  Otherwise dicts, O(reachable keys x
+    terms of a), none sized by the bound, which reaches about 10^9.
     """
     if not a.is_positively_supported:
         raise NotPositivelySupported(
@@ -487,14 +487,8 @@ def exp(a: NovikovSeries) -> NovikovSeries:
         for j, c in weighted:
             w[j - 1] = c
         g = [0] * (reach[-1] + 1)
-        g[0] = start = 1
-        if all(type(c) is int for _, c in weighted):
-            start = _exp_online(w, weighted, g, [0] * len(g), reach, 0, len(g))
-        # map stops at the shorter of w and the reversed g[:n]
-        for n in reach[bisect_left(reach, start):]:
-            total = sum(map(mul, w, reversed(g[max(n - len(w), 0):n])))
-            if total:
-                g[n] = _quotient(total, n)
+        g[0] = 1
+        _exp_online(w, weighted, g, [0] * len(g), reach, 0, len(g))
         f.update((n, g[n]) for n in reach if g[n])
         return NovikovSeries._raw(a._q, f, a.cutoff)
     for n in reach:
@@ -506,21 +500,16 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     return NovikovSeries._raw(a._q, f, a.cutoff)
 
 
-def _exp_online(w, pairs, g, acc, reach, lo: int, hi: int) -> int:
-    """Int g[n] for the reachable n in [lo, hi), acc[n] holding the terms
+def _exp_online(w, pairs, g, acc, reach, lo: int, hi: int) -> None:
+    """Fill g[n] for the reachable n in [lo, hi), acc[n] holding the terms
     of n * g[n] from g below lo and pairs the nonzero (j, w[j - 1]):
-    Brent-Kung relaxed evaluation.  Returns hi, or the first n whose
-    quotient is not an int; g is complete below it."""
+    Brent-Kung relaxed evaluation, exact for int and Fraction values."""
     if hi - lo <= _LEAF:
         for n in reach[bisect_left(reach, lo):bisect_left(reach, hi)]:
-            total = acc[n] + sum(map(mul, w, reversed(g[lo:n])))
-            if total % n:
-                return n
-            g[n] = total // n
-        return hi
+            g[n] = _quotient(acc[n] + sum(map(mul, w, reversed(g[lo:n]))), n)
+        return
     mid = (lo + hi) // 2
-    if (stop := _exp_online(w, pairs, g, acc, reach, lo, mid)) < mid:
-        return stop
+    _exp_online(w, pairs, g, acc, reach, lo, mid)
     # the terms of g[lo:mid] in acc[mid:hi], by one product of offsets
     weights = pairs[:bisect_left(pairs, (hi - lo,))]
     if weights:
@@ -528,7 +517,7 @@ def _exp_online(w, pairs, g, acc, reach, lo: int, hi: int) -> int:
         for k, c in _conv(left, weights, hi - lo - 1).items():
             if k >= mid - lo:
                 acc[lo + k] += c
-    return _exp_online(w, pairs, g, acc, reach, mid, hi)
+    _exp_online(w, pairs, g, acc, reach, mid, hi)
 
 
 def _semigroup(generators, bound: int):

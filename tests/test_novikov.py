@@ -533,34 +533,19 @@ class TestConvKernel:
                 typed(conv_reference(ta, tb, product._bound))
 
 
-def dense_exp(a) -> bool:
-    """True when exp runs its recurrence on lists."""
-    keys = sorted(a._terms)
-    reach = novikov._semigroup(keys, a._bound)
-    return bool(reach) and 4 * len(reach) >= reach[-1] and \
-        4 * len(keys) >= keys[-1]
-
-
 def exp_path(a):
-    """exp(a), the path it took and the number of ``_exp_online`` calls.
-    Paths: "dicts"; "keys", the list loop from the first key; "online",
-    the divide and conquer to the last key; ("hand-off", n), online up to
-    key n and the list loop from there."""
-    stops, online = [], novikov._exp_online
+    """exp(a), the path it took ("online" when ``_exp_online`` ran, else
+    "dicts") and the number of ``_exp_online`` calls."""
+    calls, online = [], novikov._exp_online
 
     def spy(*args):
-        stops.append(online(*args))
-        return stops[-1]
+        calls.append(args)
+        online(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(novikov, "_exp_online", spy)
         result = exp(a)
-    if not stops:
-        return result, "keys" if dense_exp(a) else "dicts", 0
-    top = novikov._semigroup(sorted(a._terms), a._bound)[-1] + 1
-    # the outermost call returns last
-    path = "online" if stops[-1] == top else ("hand-off", stops[-1])
-    return result, path, len(stops)
+    return result, "online" if calls else "dicts", len(calls)
 
 
 def log_binomials(factors, q, cutoff):
@@ -581,18 +566,17 @@ MIXED = [(1, 1, -1), (3, -1, 1), (4, 1, 1), (7, -1, -1)]
 # w[d] = 1 + (-1)^(d + 1) * HUGE^d + ...: above 2^64, of both signs
 HUGE_FACTORS = [(1, 1, -1), (1, -HUGE, 1), (2, -HUGE, 1), (3, 3 * HUGE, 2)]
 
-# (name, series, path, _exp_online calls or None); a range is the keys
+# (name, series, path, _exp_online calls); a range is the keys
 # 0 to the largest reachable, one more than that key
 EXP_CASES = [
     ("fine elliptic orbit",
      S({F(d, 120): F(1, d) for d in range(1, 241)}, 2), "online", 3),
     ("int coefficients",
-     S({F(k, 7): (-1) ** k * k for k in range(1, 20)}, 3), ("hand-off", 2),
-     1),
+     S({F(k, 7): (-1) ** k * k for k in range(1, 20)}, 3), "online", 1),
     ("mixed coefficients",
      S({F(k, 5): F(k, 3) if k % 2 else -k for k in range(2, 30, 3)}, 6),
-     "keys", 0),
-    ("reach at a quarter", S({4: 1}, 40), ("hand-off", 8), 1),
+     "online", 1),
+    ("reach at a quarter", S({4: 1}, 40), "online", 1),
     ("sparse weights", log_binomials([(3, 1, -1), (5, -1, 1)], 100, 3),
      "online", 7),
     ("reach below a quarter", S({5: 1}, 50), "dicts", 0),
@@ -611,14 +595,14 @@ EXP_CASES = [
     # but two of the result cancel
     ("coefficients cancel to zero",
      log_binomials([(1, HUGE, 1), (1, -HUGE, 1)], 150, 2), "online", 7),
-    ("fraction weights", S({1: F(1, 2)}, 300), "keys", 0),
-    ("exp(t)", S({1: 1}, 300), ("hand-off", 2), None),
+    # Fraction values: quotients that are not ints, from the first key on
+    ("fraction weights", S({1: F(1, 2)}, 300), "online", 7),
+    ("exp(t)", S({1: 1}, 300), "online", 7),
     ("exp(t^2 / 2): an int weight from a Fraction",
-     S({2: F(1, 2)}, 300), ("hand-off", 2), None),
-    # the inexact quotient in the right half of the top range
-    ("hand-off after the first half",
-     log_binomials(MIXED, 100, 3) + S({2: F(1, 200)}, 3), ("hand-off", 200),
-     None),
+     S({2: F(1, 2)}, 300), "online", 7),
+    # the first inexact quotient in the right half of the top range
+    ("inexact quotient after the first half",
+     log_binomials(MIXED, 100, 3) + S({2: F(1, 200)}, 3), "online", 7),
 ]
 
 
@@ -628,7 +612,7 @@ class TestExpKernel:
         _, a, path, calls = case
         result, took, made = exp_path(a)
         assert took == path
-        assert calls is None or made == calls
+        assert made == calls
         assert stored(result) == stored(exp_reference(a))
 
     def test_ranges_have_the_stated_length(self):
@@ -667,7 +651,7 @@ class TestExpKernel:
 
     def test_conv_is_the_pair_loop_on_the_shapes_exp_feeds_it(self):
         # every (offset, g) x (j, w) product of the online pass, on both
-        # sides of the packed-product gate
+        # sides of the packed-product gate, Fraction values among them
         calls, conv = [], novikov._conv
 
         def spy(a, b, bound):
@@ -679,8 +663,10 @@ class TestExpKernel:
             for _, a, _, _ in EXP_CASES:
                 exp(a)
             exp(log_binomials(ONE_ORBIT, 600, 1))
-        sides = {True: 0, False: 0}
+        sides, fractions = {True: 0, False: 0}, 0
         for a, b, bound in calls:
             assert typed(conv(a, b, bound)) == typed(conv_reference(a, b, bound))
             sides[packs(a, b, bound)] += 1
+            fractions += any(type(c) is F for _, c in a + b)
         assert sides[True] >= 5 and sides[False] >= 5
+        assert fractions >= 1

@@ -23,8 +23,6 @@ PACKAGE = ROOT / "src" / "reebzeta"
 
 # Public names kept without a caller, each for a stated reason.
 ALLOWED = {
-    "zeta_via_mobius": "the Moebius-vs-product cross-check route, an "
-                       "independent computation the tests compare",
     "barcode_from_obj": "the barcode decoder, the inverse of the barcode "
                         "emitted by the CLI, which the fuzz test exercises",
 }
