@@ -19,9 +19,9 @@ The zeta function of a complex collects the Euler characteristic jumps of
 its persistence module.  By the Euler-Poincare principle the jump of
 chi(H) at a level equals the jump of chi of the chain complex, the signed
 count (-1)^eps of the generators entering there, so ``zeta_persistence``
-is one O(generators) pass that never reduces the differential: the
-series constructor puts the levels on the integer grid of
-``novikov.grid`` and sums the signed counts per level.  The
+is one O(generators) pass that never reduces the differential: it sums
+the signed counts per int key and hands only the levels up to the
+cutoff to the series constructor.  The
 barcode route ``zeta_barcode(barcode_decompose(c))`` is a genuinely
 different computation of the same series, and the tests check one against
 the other and both against rank-nullity.
@@ -29,10 +29,10 @@ the other and both against rank-nullity.
 Every ``FilteredComplex`` is valid: its constructor ends by running
 ``validate``, so a complex that breaks a rule is never built, and the
 computations below take validity for granted.  A complex keeps its
-filtrations also as int keys on the 1/q grid of ``novikov.grid``, and
-whole coefficients as ints, as ``NovikovSeries`` does, so ``validate``
-and ``barcode_decompose`` compare levels as ints and do int arithmetic
-wherever the coefficients are whole.
+levels as q and int keys on the 1/q grid of ``novikov.grid``, and whole
+coefficients as ints, as ``NovikovSeries`` does, so the code below compares
+levels as ints and does int arithmetic wherever the coefficients are whole.
+Keys come first; the Fraction ``filtrations`` are built when first read.
 """
 
 from __future__ import annotations
@@ -51,16 +51,16 @@ class FilteredComplex:
     """Chain complex over Q with graded, filtered basis.
 
     ``generators`` are triples (label, eps, filtration), eps 0 or 1, kept
-    as the parallel lists ``labels``, ``eps``, ``filtrations`` and
-    ``keys`` (the filtrations as ints on one 1/q grid).  ``boundary``
-    entries are triples (x, y, coeff) meaning the coefficient of y in the
-    boundary of x is coeff.  The constructor is one pass over each, then
-    ``validate``, which checks grading, filtration and d^2 = 0 with one
-    step per entry of d and per term of the products forming d^2, and
-    raises on a violation.
+    as the parallel lists ``labels``, ``eps`` and ``keys`` (the levels as
+    ints on the 1/q grid of ``novikov.grid``, with ``q``); ``filtrations``
+    are built from the keys.  ``boundary`` entries are triples (x, y, coeff)
+    meaning the coefficient of y in the boundary of x is coeff.  The
+    constructor is one pass over each, then ``validate``, which checks
+    grading, filtration and d^2 = 0 with one step per entry of d and per
+    term of the products forming d^2, and raises on a violation.
     """
 
-    __slots__ = ("labels", "eps", "filtrations", "keys", "_columns")
+    __slots__ = ("labels", "eps", "q", "keys", "_filtrations", "_columns")
 
     def __init__(self, generators: Iterable, boundary: Iterable[Tuple] = ()):
         labels, eps, filtrations = [], [], []
@@ -70,13 +70,23 @@ class FilteredComplex:
                 raise ValueError(f"generator {echo(label)}: eps must be 0 or 1")
             labels.append(label)
             eps.append(e)
+        self._build(labels, eps, filtrations, *grid(filtrations), boundary)
+
+    @classmethod
+    def _from_keys(cls, labels, eps, q, keys, boundary) -> "FilteredComplex":
+        # Internal: eps all 0 or 1, (q, keys) what ``grid`` gives.
+        self = object.__new__(cls)
+        self._build(labels, eps, None, q, keys, boundary)
+        return self
+
+    def _build(self, labels, eps, filtrations, q, keys, boundary) -> None:
         index = {label: i for i, label in enumerate(labels)}
         if len(index) < len(labels):
             seen = set()   # the first label met twice
             label = next(x for x in labels if x in seen or seen.add(x))
             raise DuplicateLabel(f"generator label {echo(label)} repeated")
-        self.labels, self.eps, self.filtrations = labels, eps, filtrations
-        self.keys = grid(filtrations)[1]
+        self.labels, self.eps, self.q, self.keys = labels, eps, q, keys
+        self._filtrations = filtrations
         # column j -> {row i: coefficient of generator i in boundary of j}
         self._columns: Dict[int, Dict[int, object]] = {}
         for x, y, coeff in boundary:
@@ -100,6 +110,12 @@ class FilteredComplex:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @property
+    def filtrations(self) -> List[Fraction]:
+        if self._filtrations is None:
+            self._filtrations = [Fraction(n, self.q) for n in self.keys]
+        return self._filtrations
 
     # -- validity --------------------------------------------------------
 
@@ -318,10 +334,14 @@ def zeta_persistence(complex_: FilteredComplex,
 
     By Euler-Poincare the jump at a level is the signed count (-1)^eps of
     the generators with that filtration, so this is one O(generators)
-    pass: the series constructor sums the counts per level on the integer
-    grid and drops the levels above the cutoff; no decomposition runs.
+    pass over the int keys up to the scaled cutoff; only the levels up to
+    the cutoff go to the series constructor, and no decomposition runs.
     Equals ``zeta_barcode`` of ``barcode_decompose``, an independent route
     the tests compare.
     """
-    return NovikovSeries(zip(complex_.filtrations,
-                             map((1, -1).__getitem__, complex_.eps)), cutoff)
+    cutoff, q = as_ratio(cutoff), complex_.q
+    bound, counts = cutoff.numerator * q // cutoff.denominator, {}
+    for n, e in zip(complex_.keys, complex_.eps):
+        if n <= bound:
+            counts[n] = counts.get(n, 0) + 1 - 2 * e
+    return NovikovSeries({Fraction(n, q): c for n, c in counts.items()}, cutoff)

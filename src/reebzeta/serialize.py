@@ -12,7 +12,8 @@ ValueErrors; the loop builds "where[k].key" only when one does.  Quoted
 values go through ``errors.echo``, which cuts them to 80 characters.
 Series and complex files first take a direct pass, one regex scan a
 column of ratios, which gives up on anything not well formed; that loop
-alone words errors.  Series are read and written on int grid keys.
+alone words errors.  Both passes go from digits straight to int grid keys,
+through one helper ``_grid``, with no Fraction per term or generator.
 """
 
 from __future__ import annotations
@@ -147,15 +148,23 @@ def _ratio_lines(texts) -> list:
     return ratios
 
 
+def _grid(ratios) -> tuple:
+    """``novikov.grid`` of the Fractions of ``_ratio_lines`` digits, bit
+    for bit; dividing by the gcd undoes scaled texts such as "6/4"."""
+    dens = {den: int(den or 1) for _, den in ratios}
+    q = lcm(*dens.values())
+    keys = [int(num) * (q // dens[den]) for num, den in ratios]
+    g = gcd(q, *keys)
+    return q // g, [n // g for n in keys] if g > 1 else keys
+
+
 def _series_direct(obj):
     """The series of a well-formed file, straight on int keys; None when
     anything is off, so that ``series_from_obj`` finds and words it."""
     try:
         terms, cutoff = obj.get("terms", []), _ratio(obj["cutoff"])
         ratios = _ratio_lines([t for pair in map(_TERM_TEXTS, terms) for t in pair])
-        dens = {den: int(den or 1) for _, den in ratios[::2]}
-        q = lcm(*dens.values())
-        keys = [int(num) * (q // dens[den]) for num, den in ratios[::2]]
+        q, keys = _grid(ratios[::2])
         coeffs = [_norm_coeff(Fraction(int(num), int(den))) if den else int(num)
                   for num, den in ratios[1::2]]
     except (AttributeError, KeyError, TypeError, ValueError):
@@ -237,8 +246,7 @@ def _complex_direct(obj):
                                for key in _GENERATOR]
         froms, tos, coeffs = [list(map(operator.itemgetter(key), edges))
                               for key in _DIFFERENTIAL]
-        filtrations = [Fraction(int(num), int(den or 1))
-                       for num, den in _ratio_lines(levels)]
+        q, keys = _grid(_ratio_lines(levels))
         coeffs = [_norm_coeff(Fraction(int(num), int(den))) if den else int(num)
                   for num, den in _ratio_lines(coeffs)]
     except (AttributeError, KeyError, TypeError, ValueError):
@@ -250,8 +258,8 @@ def _complex_direct(obj):
             and {*map(type, eps)} <= {int} and {*eps} <= {0, 1}
             and {*map(type, labels), *map(type, froms), *map(type, tos)} <= {str}
             and {*labels}.issuperset(froms + tos)):
-        return FilteredComplex(zip(labels, eps, filtrations),
-                               zip(froms, tos, coeffs))
+        return FilteredComplex._from_keys(labels, eps, q, keys,
+                                          zip(froms, tos, coeffs))
     return None
 
 

@@ -91,13 +91,23 @@ def complex_from_obj_reference(obj, where: str = "complex") -> FilteredComplex:
 
 
 def complex_bits(complex_: FilteredComplex) -> tuple:
-    """Everything a complex stores, with the type of each filtration and
-    coefficient and the order of the columns: equal exactly when two
-    complexes are the same bits."""
+    """Everything a complex stores, with its grid q, the type of each
+    filtration and coefficient and the order of the columns: equal exactly
+    when two complexes are the same bits."""
     return (complex_.labels, complex_.eps,
-            [(type(f), f) for f in complex_.filtrations], complex_.keys,
+            [(type(f), f) for f in complex_.filtrations], complex_.q,
+            complex_.keys,
             [(j, [(i, type(c), c) for i, c in col.items()])
              for j, col in complex_._columns.items()])
+
+
+def zeta_persistence_reference(complex_: FilteredComplex,
+                               cutoff) -> NovikovSeries:
+    """``persistence.zeta_persistence`` as it was before it counted on the
+    int keys: one (Fraction filtration, (-1)^eps) pair per generator, put
+    on a grid and summed per level by the series constructor."""
+    return NovikovSeries(zip(complex_.filtrations,
+                             map((1, -1).__getitem__, complex_.eps)), cutoff)
 
 
 def dict_terms(series: NovikovSeries) -> dict:
@@ -492,6 +502,31 @@ def boundary_entries(complex_: FilteredComplex) -> list:
     return [(labels[j], labels[i], c)
             for j in sorted(complex_._columns)
             for i, c in sorted(complex_._columns[j].items())]
+
+
+def scaled_complex_file(rng, complex_: FilteredComplex) -> dict:
+    """The file object of a complex, each filtration and coefficient
+    spelled "p/q" with both parts scaled by 1, 2 or 3 ("6/4" for 3/2,
+    "-2/2" for -1)."""
+    def spell(value):
+        k = rng.choice((1, 2, 3))
+        return f"{value.numerator * k}/{value.denominator * k}"
+    return {"generators": [{"label": x, "eps": e, "filtration": spell(F(f))}
+                           for x, e, f in zip(complex_.labels, complex_.eps,
+                                              complex_.filtrations)],
+            "differential": [{"from": x, "to": y, "coeff": spell(F(c))}
+                             for x, y, c in boundary_entries(complex_)]}
+
+
+def shifted_to_zero(complex_: FilteredComplex) -> FilteredComplex:
+    """The complex with every level moved down by its middle level, so
+    that one level is 0 and the lower ones negative."""
+    if not len(complex_):
+        return complex_
+    shift = sorted(complex_.filtrations)[len(complex_) // 2]
+    return FilteredComplex(zip(complex_.labels, complex_.eps,
+                               [f - shift for f in complex_.filtrations]),
+                           boundary_entries(complex_))
 
 
 def probe_levels(complex_):

@@ -5,10 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import fresh_rng, random_ratio
-from reebzeta import Bar, Barcode, cli, orbits
+from helpers import (fresh_rng, planted_complex, probe_levels,
+                     random_complex, random_ratio, scaled_complex_file,
+                     shifted_to_zero, stored)
+from reebzeta import (Bar, Barcode, barcode_decompose, cli, orbits,
+                      zeta_persistence)
 from reebzeta.novikov import NovikovSeries
-from reebzeta.serialize import barcode_to_obj
+from reebzeta.serialize import (barcode_from_obj, barcode_to_obj,
+                                series_from_obj)
 
 ORBITS_EN = [
     {"label": "e", "action": "1", "type": "elliptic"},
@@ -154,6 +158,35 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "mobius-transform", series, "--cutoff", "4")
         assert code == 0
         assert out == "0\t1\n1\t1\n2\t1\n3\t1\n4\t1\ncutoff\t4\n"
+
+
+def bar_bits(barcode) -> list:
+    return [(type(bar.birth), bar.birth, type(bar.death), bar.death, bar.eps)
+            for bar in barcode]
+
+
+class TestPersistenceFilesReadBack:
+    """What ``barcode --out`` and ``zeta-persistence --out`` write reads
+    back as the library's own result, bit for bit: seeded complexes with
+    levels at 0 and below, spelled in scaled forms such as "6/4"."""
+
+    def test_barcode_and_zeta_files(self, tmp_path, capsys):
+        rng = fresh_rng(919)
+        for k in range(16):
+            complex_ = shifted_to_zero(planted_complex(rng, 60)[0] if k % 2
+                                       else random_complex(rng)[0])
+            path = write(tmp_path, f"cx{k}.json",
+                         scaled_complex_file(rng, complex_))
+            out = tmp_path / f"out{k}.json"
+            assert run(capsys, "barcode", path, "--out", str(out))[0] == 0
+            assert bar_bits(barcode_from_obj(json.loads(out.read_text()))) \
+                == bar_bits(barcode_decompose(complex_))
+            cutoff = rng.choice([c for c in probe_levels(complex_) if c > 0]
+                                or [F(1, 3)])
+            assert run(capsys, "zeta-persistence", path, "--cutoff",
+                       str(cutoff), "--out", str(out))[0] == 0
+            assert stored(series_from_obj(json.loads(out.read_text()))) == \
+                stored(zeta_persistence(complex_, cutoff))
 
 
 class TestCompare:

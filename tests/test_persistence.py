@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (boundary_entries, fresh_rng, planted_complex,
-                     probe_levels, random_complex, stored, validate_reference)
+                     probe_levels, random_complex, shifted_to_zero, stored,
+                     validate_reference, zeta_persistence_reference)
 from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries,
                       barcode_decompose, euler_jump, homology_dims,
                       zeta_barcode, zeta_persistence)
@@ -307,6 +308,20 @@ class TestZetaPersistence:
             NovikovSeries({F(1, 2): 1, F(2, 3): -1, F(5, 7): 2}, F(5, 7))
         assert zeta_persistence(c, F(7, 10)) == \
             NovikovSeries({F(1, 2): 1, F(2, 3): -1}, F(7, 10))
+
+    def test_matches_the_fraction_route_around_every_level(self):
+        # Cutoffs below the lowest level, on each level, between each two
+        # and above every level, on complexes with levels at 0 and below.
+        rng = fresh_rng(307)
+        cases = [shifted_to_zero(random_complex(rng)[0]) for _ in range(40)]
+        cases += [shifted_to_zero(planted_complex(rng, 150)[0])
+                  for _ in range(3)]
+        levels = {f for c in cases for f in c.filtrations}
+        assert min(levels) < 0 and 0 in levels
+        for c in cases:
+            for cutoff in probe_levels(c) + [F(1, 7)]:
+                assert stored(zeta_persistence(c, cutoff)) == \
+                    stored(zeta_persistence_reference(c, cutoff))
 
 
 def chi(dims):

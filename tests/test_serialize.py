@@ -10,14 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (boundary_entries, complex_bits,
                      complex_from_obj_reference, format_ratio, fresh_rng,
-                     random_complex, random_orbit_set, random_series,
+                     planted_complex, probe_levels, random_complex,
+                     random_orbit_set, random_series, scaled_complex_file,
                      series_from_obj_reference, series_lines_reference,
-                     series_to_obj_reference, stored)
+                     series_to_obj_reference, shifted_to_zero, stored,
+                     zeta_persistence_reference)
 from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       barcode_decompose, ech_generators, elliptic,
-                      negative_hyperbolic, positive_hyperbolic,
-                      s1_invariant_zeta)
+                      negative_hyperbolic, novikov, positive_hyperbolic,
+                      s1_invariant_zeta, zeta_persistence)
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional)
 from reebzeta import cli
@@ -795,3 +797,58 @@ class TestComplexDirect:
         assert complex_outcome(complex_from_obj, obj) == expected
         if expected[0] == "SchemaError":
             assert _complex_direct(obj) is None
+
+
+# -- complexes on the int grid ----------------------------------------------
+#
+# The direct pass puts the filtrations of a file on int keys without a
+# Fraction each; they must be the keys novikov.grid gives on the Fractions,
+# and zeta_persistence must count on them what the Fraction route counts.
+
+SPELLED_LEVELS = {"generators": [
+    {"label": "a", "eps": 0, "filtration": "-0"},
+    {"label": "b", "eps": 1, "filtration": "6/4"},
+    {"label": "c", "eps": 0, "filtration": "-003/2"},
+    {"label": "d", "eps": 1, "filtration": "0/3"},
+    {"label": "e", "eps": 0, "filtration": "007"}]}
+
+
+class TestComplexIntGrid:
+    @IO_PROPERTY
+    @given(complex_files())
+    @example(SPELLED_LEVELS)
+    @example({"generators": [{"label": "x", "eps": 0, "filtration": "6/4"}]})
+    @example({"generators": [{"label": "x", "eps": 1, "filtration": "-0/3"}]})
+    def test_keys_are_the_fraction_grid(self, obj):
+        direct, reference = _complex_direct(obj), complex_from_obj_reference(obj)
+        assert (direct.q, direct.keys) == (reference.q, reference.keys)
+        for complex_ in (direct, reference):
+            assert (complex_.q, complex_.keys) == \
+                novikov.grid(complex_.filtrations)
+
+    @IO_PROPERTY
+    @given(complex_files())
+    @example(SPELLED_LEVELS)
+    def test_zeta_matches_the_fraction_route(self, obj):
+        complex_ = complex_from_obj(obj)
+        cutoffs = probe_levels(complex_from_obj_reference(obj)) + [F(1, 7)]
+        zetas = [stored(zeta_persistence(complex_, cut)) for cut in cutoffs]
+        assert zetas == [stored(zeta_persistence_reference(complex_, cut))
+                         for cut in cutoffs]
+
+    def test_zeta_builds_no_filtration_list(self):
+        rng = fresh_rng(611)
+        for n in range(0, 400, 20):
+            obj = scaled_complex_file(rng, shifted_to_zero(
+                planted_complex(rng, n)[0] if n else random_complex(rng)[0]))
+            complex_ = complex_from_obj(obj)
+            for cutoff in (-1, 0, F(7, 3), 10**6):
+                zeta_persistence(complex_, cutoff)
+            assert complex_._filtrations is None
+            barcode = barcode_decompose(complex_)
+            assert {type(f) for f in complex_._filtrations} <= {F}
+            assert {type(end) for bar in barcode
+                    for end in (bar.birth, bar.death)} <= {F, type(None)}
+            assert complex_.filtrations == \
+                [F(entry["filtration"]) for entry in obj["generators"]]
+
