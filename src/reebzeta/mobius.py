@@ -32,41 +32,29 @@ cancel to the single level m = 1/N.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from . import orbits as _orbits
 from .errors import NonIntegerCoefficients, NonPositiveSupport
 from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
 
-_memo = {1: 1}
-
-
+@cache
 def mobius(n: int) -> int:
     """Moebius mu(n): 0 if a prime square divides n, else (-1)^(number of
     prime factors).  Trial division with memoization."""
     if n < 1:
         raise ValueError(f"mobius needs n >= 1, got {n}")
-    cached = _memo.get(n)
-    if cached is not None:
-        return cached
-    m = n
-    factors = 0
+    sign = 1
     p = 2
-    value = None
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            factors += 1
-            if m % p == 0:
-                value = 0
-                break
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
         else:
             p += 1 if p == 2 else 2
-    if value is None:
-        if m > 1:
-            factors += 1
-        value = -1 if factors % 2 else 1
-    _memo[n] = value
-    return value
+    return -sign if n > 1 else sign
 
 
 def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:

@@ -257,16 +257,8 @@ def zeta_ech_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
 
 def good_orbit_count(orbit_set: OrbitSet, at: RatioLike) -> int:
     """Signed count of good orbit iterates with total action exactly
-    ``at``: sum of (-1)^parity over good covers gamma^d with d*A = at."""
-    at = as_ratio(at)
-    total = 0
-    for o in orbit_set:
-        d = at / o.action
-        if d.denominator == 1 and d >= 1:
-            d = int(d)
-            if is_good(o, d):
-                total += -1 if iterate_parity(o, d) else 1
-    return total
+    ``at``: the coefficient of t^at in ``zeta_good_orbits``."""
+    return int(zeta_good_orbits(orbit_set, at).coefficient(at))
 
 
 def zeta_good_orbits(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:

@@ -92,13 +92,13 @@ class FilteredComplex:
         for x, y, coeff in boundary:
             if type(coeff) is not int:
                 coeff = _norm_coeff(as_ratio(coeff))
-            if not coeff:
-                continue
             try:
                 j, i = index[x], index[y]
             except KeyError as exc:
                 raise UnknownLabel(
                     f"unknown generator label {echo(exc.args[0])}") from None
+            if not coeff:
+                continue
             col = self._columns.setdefault(j, {})
             if i in col:
                 coeff = _norm_coeff(coeff + col[i])
@@ -302,16 +302,8 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
 def euler_jump(barcode: Barcode, at: RatioLike) -> int:
     """Euler characteristic jump of the persistence module at a level:
     signed count of bars born there minus signed count of bars dying
-    there, signs (-1)^eps."""
-    at = as_ratio(at)
-    jump = 0
-    for bar in barcode:
-        sign = -1 if bar.eps else 1
-        if bar.birth == at:
-            jump += sign
-        if bar.death == at:
-            jump -= sign
-    return jump
+    there, signs (-1)^eps; the coefficient of t^at in ``zeta_barcode``."""
+    return int(zeta_barcode(barcode, at).coefficient(at))
 
 
 def zeta_barcode(barcode: Barcode, cutoff: RatioLike) -> NovikovSeries:

@@ -26,12 +26,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .domains import MorseData
-from .errors import ReebZetaError, TooManyDigits, echo
+from .errors import (DuplicateLabel, ReebZetaError, TooManyDigits,
+                     UnknownLabel, echo)
 from .novikov import NovikovSeries, _norm_coeff
 from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
 
-_RATIO_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?\Z")
+_LINE_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$", re.MULTILINE)
 
 
 class SchemaError(ReebZetaError, ValueError):
@@ -43,13 +44,27 @@ class SchemaError(ReebZetaError, ValueError):
         self.where = where
 
 
+def _ratio_lines(texts) -> list:
+    """The (numerator, denominator or "") digits of each text; ValueError
+    unless each is one ratio: findall skips a line that is not a ratio,
+    and a text holding a newline adds a line."""
+    joined = "\n".join(texts)
+    ratios = _LINE_RE.findall(joined)
+    if len(ratios) != len(texts) or (
+            texts and joined.count("\n") != len(texts) - 1):
+        raise ValueError("not one ratio a text")
+    return ratios
+
+
 def _ratio(text, whole=Fraction):
     """The value of a 'p/q' string; whole(p) when it has no '/q'."""
-    if not isinstance(text, str) or not _RATIO_RE.match(text):
-        raise ValueError(f"expected a rational 'p/q' string, got {echo(text)}")
+    try:
+        (num, den), = _ratio_lines([text])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"expected a rational 'p/q' string, got {echo(text)}") from None
     # The regex has vetted the text, so build the value from ints; int()
     # raises ValueError on more digits than it accepts.
-    num, _, den = text.partition("/")
     return Fraction(int(num), int(den)) if den else whole(int(num))
 
 
@@ -118,7 +133,6 @@ def _records(obj, where: str, fields):
 
 _TERM = {"exponent": _ratio, "coefficient": _ratio}
 _TERM_TEXTS = operator.itemgetter("exponent", "coefficient")
-_LINE_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$", re.MULTILINE)
 
 
 def series_to_obj(series: NovikovSeries) -> dict:
@@ -134,18 +148,6 @@ def series_to_obj(series: NovikovSeries) -> dict:
                 if max(abs(c.numerator), c.denominator) >= 10 ** limit)
         raise TooManyDigits(f"the coefficient of t^{Fraction(n, q)} has more "
                             f"digits than Python's limit of {limit}") from None
-
-
-def _ratio_lines(texts) -> list:
-    """The (numerator, denominator or "") digits of each text; ValueError
-    unless each is one ratio: findall skips a line that is not a ratio,
-    and a text holding a newline adds a line."""
-    joined = "\n".join(texts)
-    ratios = _LINE_RE.findall(joined)
-    if len(ratios) != len(texts) or (
-            texts and joined.count("\n") != len(texts) - 1):
-        raise ValueError("not one ratio a text")
-    return ratios
 
 
 def _grid(ratios) -> tuple:
@@ -251,15 +253,19 @@ def _complex_direct(obj):
                   for num, den in _ratio_lines(coeffs)]
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
-    # Labels are all strings before a set is made: a list is unhashable.
+    # Labels are all strings before ``_build`` indexes them: a list is
+    # unhashable.  A repeated or unknown label is left to the record loop,
+    # which words it as the file's first fault.
     if (obj.keys() <= {"generators", "differential"}
             and type(gens) is list and type(edges) is list
             and {*map(len, gens), *map(len, edges)} <= {3}
             and {*map(type, eps)} <= {int} and {*eps} <= {0, 1}
-            and {*map(type, labels), *map(type, froms), *map(type, tos)} <= {str}
-            and {*labels}.issuperset(froms + tos)):
-        return FilteredComplex._from_keys(labels, eps, q, keys,
-                                          zip(froms, tos, coeffs))
+            and {*map(type, labels), *map(type, froms), *map(type, tos)} <= {str}):
+        try:
+            return FilteredComplex._from_keys(labels, eps, q, keys,
+                                              zip(froms, tos, coeffs))
+        except (DuplicateLabel, UnknownLabel):
+            pass
     return None
 
 

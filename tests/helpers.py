@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 from reebzeta import (Bar, Barcode, EchGenerator, FilteredComplex,
                       NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
-                      mobius, novikov)
+                      is_good, iterate_parity, mobius, novikov)
 from reebzeta.errors import (FiltrationViolation, GradingViolation,
                              NotSquareZero, echo)
 from reebzeta.serialize import (_DIFFERENTIAL, _GENERATOR, _TERM, SchemaError,
@@ -221,6 +221,21 @@ def exp_input_reference(orbit_set: OrbitSet, cutoff) -> NovikovSeries:
             terms.append((d * o.action, F(-1 if eps else 1, d)))
             d += 1
     return NovikovSeries(terms, cutoff)
+
+
+def good_orbit_count_reference(orbit_set: OrbitSet, at) -> int:
+    """``orbits.good_orbit_count`` as it was before it read the coefficient
+    of ``zeta_good_orbits``: one cover gamma^d per orbit with d*A = at,
+    signed (-1)^parity when it is good."""
+    at = F(at)
+    total = 0
+    for o in orbit_set:
+        d = at / o.action
+        if d.denominator == 1 and d >= 1:
+            d = int(d)
+            if is_good(o, d):
+                total += -1 if iterate_parity(o, d) else 1
+    return total
 
 
 def ech_labels(gen: EchGenerator) -> tuple:

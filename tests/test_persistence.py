@@ -13,7 +13,7 @@ from reebzeta import (Bar, Barcode, FilteredComplex, NovikovSeries,
                       barcode_decompose, euler_jump, homology_dims,
                       zeta_barcode, zeta_persistence)
 from reebzeta.errors import (DuplicateLabel, FiltrationViolation,
-                             GradingViolation, NotSquareZero)
+                             GradingViolation, NotSquareZero, UnknownLabel)
 
 
 def pair_complex():
@@ -97,6 +97,11 @@ class TestValidation:
         with pytest.raises(KeyError) as info:
             FilteredComplex([("x", 0, 1)], [("x", "nope", 1)])
         assert str(info.value) == "unknown generator label 'nope'"
+
+    def test_unknown_label_in_zero_entry(self):
+        # The labels are looked up before a zero coefficient is skipped.
+        with pytest.raises(UnknownLabel):
+            FilteredComplex([("a", 0, 1), ("b", 1, 2)], [("b", "nope", 0)])
 
     def test_repeated_entries_accumulate(self):
         c = FilteredComplex([("x", 1, 2), ("y", 0, 1)],

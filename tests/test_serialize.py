@@ -23,7 +23,7 @@ from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional)
 from reebzeta import cli
-from reebzeta.serialize import (_RATIO_RE, SchemaError, _complex_direct,
+from reebzeta.serialize import (_LINE_RE, SchemaError, _complex_direct,
                                 _series_direct, barcode_from_obj, barcode_to_obj,
                                 complex_from_obj, morse_from_obj,
                                 orbit_set_from_obj, parse_ratio,
@@ -54,7 +54,7 @@ class TestRatios:
                 parse_ratio(text, "x.action")
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.from_regex(_RATIO_RE))
+    @given(st.from_regex(_LINE_RE, fullmatch=True))
     @example("-0")
     @example("007")
     @example("6/4")
@@ -369,6 +369,11 @@ MESSAGES = [
      "complex.differential[0]: unknown generator 'ghost'"),
     (complex_from_obj, edges(EDGE, dict(EDGE, **{"from": "ghost"})),
      "complex.differential[1]: unknown generator 'ghost'"),
+    (complex_from_obj, edges(dict(EDGE, to="ghost", coeff="0")),
+     "complex.differential[0]: unknown generator 'ghost'"),
+    (complex_from_obj, {"generators": [GEN, GEN],
+                        "differential": [dict(EDGE, to="ghost")]},
+     "complex.differential[0]: unknown generator 'ghost'"),
     (complex_from_obj, edges(dict(EDGE, coeff="01/2 ")),
      f"complex.differential[0].coeff: {RATIO} '01/2 '"),
     (complex_from_obj, edges(dict(EDGE, coeff=None)),
