@@ -184,20 +184,10 @@ def _cmd_zeta_s1(args) -> int:
     return 0
 
 
-_BAR_TEXT = ('  {{\n    "birth": "{birth}",\n    "death": "{death}",\n'
-             '    "eps": {eps}\n  }}')
-
-
-def _barcode_text(records: list) -> str:
-    """dump_json's text of barcode_to_obj's records; none needs escaping."""
-    bars = ",\n".join([_BAR_TEXT.format_map(r) for r in records])
-    return f"[\n{bars}\n]\n" if records else "[]\n"
-
-
 def _cmd_barcode(args) -> int:
     complex_ = _load(args.file, serialize.complex_from_obj)
     barcode = persistence.barcode_decompose(complex_)
-    text = _barcode_text(serialize.barcode_to_obj(barcode))
+    text = serialize._barcode_text(serialize.barcode_to_obj(barcode))
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

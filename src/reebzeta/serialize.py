@@ -14,6 +14,8 @@ Series and complex files first take a direct pass, one regex scan a
 column of ratios, which gives up on anything not well formed; that loop
 alone words errors.  Both passes go from digits straight to int grid keys,
 through one helper ``_grid``, with no Fraction per term or generator.
+Series and barcode files are written from fixed templates, byte for byte
+the text that the json module writes with indent=2.
 """
 
 from __future__ import annotations
@@ -341,7 +343,24 @@ def load_json(path: str):
         raise SchemaError(path, "JSON nested too deeply") from exc
 
 
+# The indent=2 JSON texts of the two written schemas.  Their strings come
+# from ints and hold only digits, "-", "/" or "inf": none needs escaping.
+_TERM_TEXT = ('    {{\n      "exponent": "{exponent}",\n'
+              '      "coefficient": "{coefficient}"\n    }}')
+_BAR_TEXT = ('  {{\n    "birth": "{birth}",\n    "death": "{death}",\n'
+             '    "eps": {eps}\n  }}')
+
+
+def _barcode_text(records: list) -> str:
+    """The file text of barcode_to_obj's records."""
+    bars = ",\n".join([_BAR_TEXT.format_map(r) for r in records])
+    return f"[\n{bars}\n]\n" if records else "[]\n"
+
+
 def dump_json(obj, path: str) -> None:
-    text = json.dumps(obj, indent=2)  # one write; json.dump makes one a token
+    """Write series_to_obj's record from a fixed template, byte for byte
+    the json module's indent=2 text of it and a newline."""
+    terms = ",\n".join([_TERM_TEXT.format_map(t) for t in obj["terms"]])
+    terms = f"[\n{terms}\n  ]" if terms else "[]"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.write(f'{{\n  "terms": {terms},\n  "cutoff": "{obj["cutoff"]}"\n}}\n')

@@ -6,9 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (fresh_rng, planted_complex, probe_levels,
-                     random_complex, random_ratio, scaled_complex_file,
+                     random_3d_orbit_set, random_complex, random_orbit_set,
+                     random_ratio, random_series, scaled_complex_file,
                      shifted_to_zero, stored)
-from reebzeta import (Bar, Barcode, barcode_decompose, cli, orbits,
+from reebzeta import (Bar, Barcode, MorseData, OrbitSet, SimpleOrbit,
+                      ToricDomain, barcode_decompose, cli, mobius_product,
+                      orbits, s1_invariant_zeta, serialize, toric_zeta,
                       zeta_persistence)
 from reebzeta.novikov import NovikovSeries
 from reebzeta.serialize import (barcode_from_obj, barcode_to_obj,
@@ -141,8 +144,10 @@ class TestGoldenOutputs:
                    for barcode in barcodes for bar in barcode)
         for barcode in barcodes:
             records = barcode_to_obj(barcode)
-            assert cli._barcode_text(records) == \
+            assert serialize._barcode_text(records) == \
                 json.dumps(records, indent=2) + "\n"
+            assert all(json.dumps(r[key]) == f'"{r[key]}"'
+                       for r in records for key in ("birth", "death"))
 
     def test_zeta_persistence(self, tmp_path, capsys):
         path = write(tmp_path, "cx.json", COMPLEX_PAIR)
@@ -187,6 +192,77 @@ class TestPersistenceFilesReadBack:
                        str(cutoff), "--out", str(out))[0] == 0
             assert stored(series_from_obj(json.loads(out.read_text()))) == \
                 stored(zeta_persistence(complex_, cutoff))
+
+
+def orbit_file(orbit_set) -> list:
+    return [{"label": o.label, "action": str(o.action), "eps1": o.eps1,
+             "eps2": o.eps2} for o in orbit_set]
+
+
+class TestSeriesFilesReadBack:
+    """What each series subcommand writes with ``--out`` reads back as the
+    library's own result, bit for bit, and ``compare`` finds the file equal
+    to itself: seeded orbit sets under every form (some on the fine grid
+    1/120), toric domains, Morse data, complexes, and Moebius inputs with
+    negative and cancelling counts."""
+
+    def cases(self, rng, tmp_path):
+        """(argv without --out, the library's series) of each subcommand."""
+        cutoff = F(rng.randint(3, 18), rng.choice((1, 2, 3)))
+        form = rng.choice(("exp", "product", "both"))
+        orbit_set = random_orbit_set(rng, max_orbits=4)
+        route = {"exp": orbits.zeta_exp_form}.get(form, orbits.zeta_product_form)
+        fine = OrbitSet(SimpleOrbit(f"f{i}", F(rng.randint(1, 12), 120),
+                                    *rng.choice(((0, 0), (1, 0), (1, 1))))
+                        for i in range(rng.randint(1, 4)))
+        ech = random_3d_orbit_set(rng, max_orbits=3)
+        a, b = random_ratio(rng, lo=1, hi=3), random_ratio(rng, lo=1, hi=3)
+        n_min, n_max = rng.randint(1, 3), rng.randint(1, 3)
+        morse = MorseData([(f"p{i}", random_ratio(rng, lo=1, hi=5), index)
+                           for i, index in enumerate(
+                               [0] * n_min + [1] * (n_min + n_max - 2)
+                               + [2] * n_max)])
+        complex_ = random_complex(rng)[0]
+        counts = [random_series(rng, cutoff, positive=True, integer=True)
+                  for _ in range(3)]
+        counts = counts[0] * counts[1] - counts[2]
+        files = {name: write(tmp_path, f"{name}.json", obj) for name, obj in
+                 [("orbits", orbit_file(orbit_set)), ("fine", orbit_file(fine)),
+                  ("ech", orbit_file(ech)),
+                  ("morse", [{"label": p.label, "action": str(p.action),
+                              "index": p.index} for p in morse]),
+                  ("complex", scaled_complex_file(rng, complex_)),
+                  ("counts", serialize.series_to_obj(counts))]}
+        text = str(cutoff)
+        return [
+            (["zeta-orbits", files["orbits"], "--cutoff", text, "--form", form],
+             route(orbit_set, cutoff)),
+            (["zeta-orbits", files["fine"], "--cutoff", "1", "--form", form],
+             route(fine, 1)),
+            (["zeta-orbits", files["ech"], "--cutoff", text, "--form", "ech"],
+             orbits.zeta_ech_form(ech, cutoff)),
+            (["zeta-toric", "--a", str(a), "--b", str(b), "--cutoff", text],
+             toric_zeta(ToricDomain(a, b), cutoff)),
+            (["zeta-s1", files["morse"], "--cutoff", text],
+             s1_invariant_zeta(morse, cutoff)),
+            (["zeta-persistence", files["complex"], "--cutoff", text],
+             zeta_persistence(complex_, cutoff)),
+            (["mobius-transform", files["counts"], "--cutoff", text],
+             mobius_product(counts, cutoff)),
+        ]
+
+    def test_series_files(self, tmp_path, capsys):
+        rng = fresh_rng(2020)
+        out = str(tmp_path / "out.json")
+        for _ in range(16):
+            for argv, expected in self.cases(rng, tmp_path):
+                assert run(capsys, *argv, "--out", out)[0] == 0, argv
+                with open(out, encoding="utf-8") as handle:
+                    assert stored(series_from_obj(json.load(handle))) == \
+                        stored(expected), argv
+                cutoff = str(expected.cutoff)
+                assert run(capsys, "compare", out, out, "--cutoff", cutoff) \
+                    == (0, "EQUAL\n", "")
 
 
 class TestCompare:

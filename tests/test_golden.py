@@ -60,6 +60,9 @@ CASES = (
     ("zeta-persistence", ["zeta-persistence", "{data}/complex_pair.json",
                           "--cutoff", "3",
                           "--out", "{tmp}/zeta-persistence.json"]),
+    ("zeta-persistence-empty", ["zeta-persistence",
+                                "{data}/complex_pair.json", "--cutoff", "1/2",
+                                "--out", "{tmp}/zeta-persistence-empty.json"]),
     ("compare-exp-product", ["compare", "{tmp}/zeta-orbits-exp.json",
                              "{tmp}/zeta-orbits-product.json",
                              "--cutoff", "12"]),

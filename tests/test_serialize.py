@@ -2,6 +2,7 @@
 validation with located errors."""
 
 import io
+import json
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
@@ -25,7 +26,7 @@ from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
 from reebzeta import cli
 from reebzeta.serialize import (_LINE_RE, SchemaError, _complex_direct,
                                 _series_direct, barcode_from_obj, barcode_to_obj,
-                                complex_from_obj, morse_from_obj,
+                                complex_from_obj, dump_json, morse_from_obj,
                                 orbit_set_from_obj, parse_ratio,
                                 series_from_obj, series_to_obj)
 
@@ -80,6 +81,33 @@ class TestSeriesSchema:
         series = NovikovSeries({F(3, 2): 1, 1: -2, F(1, 3): 5}, 4)
         exponents = [t["exponent"] for t in series_to_obj(series)["terms"]]
         assert exponents == ["1/3", "1", "3/2"]
+
+    def test_written_text_is_the_json_text(self, tmp_path):
+        # the templated dump_json against json.dumps: empty and one-term
+        # series, cancelled and negative coefficients, Fraction exponents
+        # (some negative) and coefficients, whole and fractional cutoffs,
+        # and coefficients of a few thousand digits, below Python's 4,300
+        rng = fresh_rng(2024)
+        series_list = [
+            NovikovSeries.zero(F(5, 2)), NovikovSeries({}, 3),
+            NovikovSeries({F(1, 2): 7}, 1),
+            NovikovSeries({1: 2, 2: -3}, 4) + NovikovSeries({1: -2, 3: 5}, 4),
+            NovikovSeries({F(2, 3): 2}, F(7, 3)).inverse(),
+            NovikovSeries({1: 10 ** 3999 + 1,
+                           F(3, 2): -F(10 ** 2000 + 7, 3 ** 4000)}, 2)]
+        for _ in range(60):
+            cutoff = rng.choice((rng.randint(1, 12), F(rng.randint(8, 80), 7)))
+            a, b = random_series(rng, cutoff), random_series(rng, cutoff)
+            series_list += [a, a * b, a - a.truncate(F(cutoff) / 2)]
+        path = tmp_path / "series.json"
+        for series in series_list:
+            obj = series_to_obj(series)
+            dump_json(obj, str(path))
+            assert path.read_text(encoding="utf-8") == \
+                json.dumps(obj, indent=2) + "\n"
+            texts = [obj["cutoff"], *(text for term in obj["terms"]
+                                      for text in term.values())]
+            assert all(json.dumps(text) == f'"{text}"' for text in texts)
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(SchemaError, match=r"terms\[0\]"):
