@@ -4,8 +4,9 @@
 Writes the sample inputs from demos/data into a scratch directory, then
 runs the command line tool as ``python -m reebzeta.cli`` (the entry point
 of the installed ``reebzeta`` script): computing a zeta three ways,
-comparing series files, decomposing a barcode, and testing a domain
-against the toric form.  From a checkout, run it with PYTHONPATH=src.
+comparing series files, decomposing a barcode and reading its file back,
+and testing a domain against the toric form.  From a checkout, run it
+with PYTHONPATH=src.
 """
 
 import pathlib
@@ -13,6 +14,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+from reebzeta import barcode_decompose, serialize
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -62,8 +65,17 @@ with tempfile.TemporaryDirectory() as scratch:
     run("distinguish", s1_file, "--cutoff", "2")
 
     print("== barcode and persistence zeta of a filtered complex ==")
-    run("barcode", complex_file)
+    bars_file = str(scratch / "bars.json")
+    run("barcode", complex_file, "--out", bars_file)
     run("zeta-persistence", complex_file, "--cutoff", "3")
+
+    print("== the barcode file reads back as the library's barcode ==")
+    read_back = serialize.barcode_from_obj(serialize.load_json(bars_file))
+    direct = barcode_decompose(
+        serialize.complex_from_obj(serialize.load_json(complex_file)))
+    print("read back == barcode_decompose:", read_back == direct)
+    assert read_back == direct
+    print()
 
     print("== the exit codes distinguish failure kinds ==")
     run("zeta-orbits", str(scratch / "missing.json"), "--cutoff", "2")

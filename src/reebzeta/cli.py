@@ -53,69 +53,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="reebzeta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def cutoff_arg(p):
-        p.add_argument("--cutoff", type=_positive_ratio_flag, required=True,
-                       metavar="p/q", help="action cutoff (positive rational)")
-
-    def out_arg(p):
-        p.add_argument("--out", metavar="PATH",
-                       help="also write the result as a JSON series file")
-
-    p = sub.add_parser("zeta-orbits", help="zeta function of an orbit set file")
-    p.add_argument("file")
-    cutoff_arg(p)
-    p.add_argument("--form", choices=("exp", "product", "ech", "both"),
-                   default="both",
-                   help="computation route; 'both' runs exp and product "
-                        "and fails if they disagree (default)")
-    out_arg(p)
-    p.set_defaults(func=_cmd_zeta_orbits)
-
-    p = sub.add_parser("zeta-toric", help="zeta of a toric domain from axis actions")
-    p.add_argument("--a", type=_positive_ratio_flag, required=True, metavar="p/q")
-    p.add_argument("--b", type=_positive_ratio_flag, required=True, metavar="p/q")
-    cutoff_arg(p)
-    out_arg(p)
-    p.set_defaults(func=_cmd_zeta_toric)
-
-    p = sub.add_parser("zeta-s1", help="zeta of a circle-invariant domain "
-                                       "from a Morse data file")
-    p.add_argument("file")
-    cutoff_arg(p)
-    out_arg(p)
-    p.set_defaults(func=_cmd_zeta_s1)
-
-    p = sub.add_parser("barcode", help="barcode of a filtered complex file")
-    p.add_argument("file")
-    p.add_argument("--out", metavar="PATH",
-                   help="also write the barcode as a JSON file")
-    p.set_defaults(func=_cmd_barcode)
-
-    p = sub.add_parser("zeta-persistence",
-                       help="zeta of the persistence module of a complex file")
-    p.add_argument("file")
-    cutoff_arg(p)
-    out_arg(p)
-    p.set_defaults(func=_cmd_zeta_persistence)
-
-    p = sub.add_parser("mobius-transform",
-                       help="Moebius product transform of an integer series file")
-    p.add_argument("file")
-    cutoff_arg(p)
-    out_arg(p)
-    p.set_defaults(func=_cmd_mobius)
-
-    p = sub.add_parser("compare", help="compare two series files up to a cutoff")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    cutoff_arg(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("distinguish",
-                       help="test a zeta series file against the toric form")
-    p.add_argument("file")
-    cutoff_arg(p)
-    p.set_defaults(func=_cmd_distinguish)
+    ratio = {"type": _positive_ratio_flag, "required": True, "metavar": "p/q"}
+    cutoff = ("--cutoff", dict(ratio, help="action cutoff (positive rational)"))
+    out = ("--out", {"metavar": "PATH",
+                     "help": "also write the result as a JSON series file"})
+    file = ("file", {})
+    # One row a subcommand: name, help, handler, arguments in help order.
+    # Rows name handlers, not library functions: handlers look those up when
+    # they run, so a library name rebound later (bench/tracing.py) is seen.
+    for name, help_, func, arguments in [
+        ("zeta-orbits", "zeta function of an orbit set file", _cmd_zeta_orbits,
+         [file, cutoff, ("--form", {
+             "choices": ("exp", "product", "ech", "both"), "default": "both",
+             "help": "computation route; 'both' runs exp and product "
+                     "and fails if they disagree (default)"}), out]),
+        ("zeta-toric", "zeta of a toric domain from axis actions",
+         _cmd_zeta_toric, [("--a", ratio), ("--b", ratio), cutoff, out]),
+        ("zeta-s1", "zeta of a circle-invariant domain from a Morse data file",
+         _cmd_zeta_s1, [file, cutoff, out]),
+        ("barcode", "barcode of a filtered complex file", _cmd_barcode,
+         [file, ("--out", {"metavar": "PATH",
+                           "help": "also write the barcode as a JSON file"})]),
+        ("zeta-persistence", "zeta of the persistence module of a complex file",
+         _cmd_zeta_persistence, [file, cutoff, out]),
+        ("mobius-transform",
+         "Moebius product transform of an integer series file", _cmd_mobius,
+         [file, cutoff, out]),
+        ("compare", "compare two series files up to a cutoff", _cmd_compare,
+         [("file_a", {}), ("file_b", {}), cutoff]),
+        ("distinguish", "test a zeta series file against the toric form",
+         _cmd_distinguish, [file, cutoff]),
+    ]:
+        p = sub.add_parser(name, help=help_)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
 
     return parser
 

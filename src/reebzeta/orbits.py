@@ -23,7 +23,6 @@ core consistency check of the library.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple
@@ -153,12 +152,6 @@ def is_good(orbit: SimpleOrbit, d: int) -> bool:
     return not (d % 2 == 0 and orbit.eps2 != orbit.eps1)
 
 
-def _iterates(orbit: SimpleOrbit, cutoff: Fraction):
-    """(d, d*action) for all covers with total action <= cutoff."""
-    d_max = math.floor(cutoff / orbit.action)
-    return ((d, d * orbit.action) for d in range(1, d_max + 1))
-
-
 def zeta_exp_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     """Zeta via the exponential: exp of the sum, over all orbit iterates
     with action below the cutoff, of (-1)^parity / d * t^(d*A)."""
@@ -270,8 +263,15 @@ def zeta_good_orbits(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     it to the Moebius product transform recovers the zeta function.
     """
     cutoff = as_ratio(cutoff)
-    return NovikovSeries([(action, -1 if iterate_parity(o, d) else 1)
-                          for o in orbit_set
-                          for d, action in _iterates(o, cutoff)
-                          if is_good(o, d)], cutoff)
+    orbits = [o for o in orbit_set if o.action <= cutoff]
+    q, keys = novikov.grid([o.action for o in orbits])
+    bound = cutoff.numerator * q // cutoff.denominator
+    counts = {}
+    for o, a in zip(orbits, keys):
+        # Every good cover has the parity of the orbit itself, and the even
+        # covers, at keys 2a, 4a, ..., are good or bad together.
+        sign = -1 if iterate_parity(o, 1) else 1
+        for n in range(a, bound + 1, a if is_good(o, 2) else 2 * a):
+            counts[n] = counts.get(n, 0) + sign
+    return NovikovSeries._raw(q, {n: c for n, c in counts.items() if c}, cutoff)
 

@@ -146,10 +146,17 @@ def series_to_obj(series: NovikovSeries) -> dict:
             for n in sorted(terms)], "cutoff": str(series.cutoff)}
     except ValueError:   # str() of an int past Python's digit limit
         limit = sys.get_int_max_str_digits()
-        n = min(n for n, c in terms.items()
-                if max(abs(c.numerator), c.denominator) >= 10 ** limit)
-        raise TooManyDigits(f"the coefficient of t^{Fraction(n, q)} has more "
-                            f"digits than Python's limit of {limit}") from None
+        big, what = 10 ** limit, "the cutoff"
+        for k, n in enumerate(sorted(terms)):
+            # An exponent too long to print is named by its position.
+            if max(abs(n), q) // gcd(n, q) >= big:
+                what = f"the exponent of terms[{k}]"
+                break
+            if max(abs(terms[n].numerator), terms[n].denominator) >= big:
+                what = f"the coefficient of t^{Fraction(n, q)}"
+                break
+        raise TooManyDigits(f"{what} has more digits than Python's limit "
+                            f"of {limit}") from None
 
 
 def _grid(ratios) -> tuple:
@@ -343,24 +350,22 @@ def load_json(path: str):
         raise SchemaError(path, "JSON nested too deeply") from exc
 
 
-# The indent=2 JSON texts of the two written schemas.  Their strings come
-# from ints and hold only digits, "-", "/" or "inf": none needs escaping.
-_TERM_TEXT = ('    {{\n      "exponent": "{exponent}",\n'
-              '      "coefficient": "{coefficient}"\n    }}')
-_BAR_TEXT = ('  {{\n    "birth": "{birth}",\n    "death": "{death}",\n'
-             '    "eps": {eps}\n  }}')
-
-
+# Both writers build the json module's indent=2 text from f-strings.  Its
+# strings come from ints and hold only digits, "-", "/" or "inf": no escapes.
 def _barcode_text(records: list) -> str:
     """The file text of barcode_to_obj's records."""
-    bars = ",\n".join([_BAR_TEXT.format_map(r) for r in records])
+    bars = ",\n".join([f'  {{\n    "birth": "{r["birth"]}",\n    "death": '
+                       f'"{r["death"]}",\n    "eps": {r["eps"]}\n  }}'
+                       for r in records])
     return f"[\n{bars}\n]\n" if records else "[]\n"
 
 
 def dump_json(obj, path: str) -> None:
-    """Write series_to_obj's record from a fixed template, byte for byte
-    the json module's indent=2 text of it and a newline."""
-    terms = ",\n".join([_TERM_TEXT.format_map(t) for t in obj["terms"]])
+    """Write series_to_obj's record, byte for byte the json module's
+    indent=2 text of it and a newline."""
+    terms = ",\n".join([f'    {{\n      "exponent": "{t["exponent"]}",\n      '
+                        f'"coefficient": "{t["coefficient"]}"\n    }}'
+                        for t in obj["terms"]])
     terms = f"[\n{terms}\n  ]" if terms else "[]"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f'{{\n  "terms": {terms},\n  "cutoff": "{obj["cutoff"]}"\n}}\n')

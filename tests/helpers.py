@@ -223,6 +223,21 @@ def exp_input_reference(orbit_set: OrbitSet, cutoff) -> NovikovSeries:
     return NovikovSeries(terms, cutoff)
 
 
+def zeta_good_orbits_reference(orbit_set: OrbitSet, cutoff) -> NovikovSeries:
+    """``orbits.zeta_good_orbits`` as it was before it counted on int keys:
+    one Fraction exponent d*A per good cover gamma^d with d*A <= cutoff,
+    signed (-1)^parity, put on a grid by the series constructor."""
+    cutoff = F(cutoff)
+    terms = []
+    for o in orbit_set:
+        d = 1
+        while d * o.action <= cutoff:
+            if is_good(o, d):
+                terms.append((d * o.action, -1 if iterate_parity(o, d) else 1))
+            d += 1
+    return NovikovSeries(terms, cutoff)
+
+
 def good_orbit_count_reference(orbit_set: OrbitSet, at) -> int:
     """``orbits.good_orbit_count`` as it was before it read the coefficient
     of ``zeta_good_orbits``: one cover gamma^d per orbit with d*A = at,

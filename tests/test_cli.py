@@ -75,6 +75,123 @@ LONG_LABEL_CASES = [
 ]
 
 
+# The text of "reebzeta --help" ("") and of each "<subcommand> --help" at
+# COLUMNS=80, where argparse wraps alike on Python 3.10, 3.11 and 3.12.
+HELP = {
+    "": """\
+usage: reebzeta [-h] command ...
+
+Batch command line front end.
+
+positional arguments:
+  command
+    zeta-orbits     zeta function of an orbit set file
+    zeta-toric      zeta of a toric domain from axis actions
+    zeta-s1         zeta of a circle-invariant domain from a Morse data file
+    barcode         barcode of a filtered complex file
+    zeta-persistence
+                    zeta of the persistence module of a complex file
+    mobius-transform
+                    Moebius product transform of an integer series file
+    compare         compare two series files up to a cutoff
+    distinguish     test a zeta series file against the toric form
+
+options:
+  -h, --help        show this help message and exit
+""",
+    "zeta-orbits": """\
+usage: reebzeta zeta-orbits [-h] --cutoff p/q [--form {exp,product,ech,both}]
+                            [--out PATH]
+                            file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --cutoff p/q          action cutoff (positive rational)
+  --form {exp,product,ech,both}
+                        computation route; 'both' runs exp and product and
+                        fails if they disagree (default)
+  --out PATH            also write the result as a JSON series file
+""",
+    "zeta-toric": """\
+usage: reebzeta zeta-toric [-h] --a p/q --b p/q --cutoff p/q [--out PATH]
+
+options:
+  -h, --help    show this help message and exit
+  --a p/q
+  --b p/q
+  --cutoff p/q  action cutoff (positive rational)
+  --out PATH    also write the result as a JSON series file
+""",
+    "zeta-s1": """\
+usage: reebzeta zeta-s1 [-h] --cutoff p/q [--out PATH] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help    show this help message and exit
+  --cutoff p/q  action cutoff (positive rational)
+  --out PATH    also write the result as a JSON series file
+""",
+    "barcode": """\
+usage: reebzeta barcode [-h] [--out PATH] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+  --out PATH  also write the barcode as a JSON file
+""",
+    "zeta-persistence": """\
+usage: reebzeta zeta-persistence [-h] --cutoff p/q [--out PATH] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help    show this help message and exit
+  --cutoff p/q  action cutoff (positive rational)
+  --out PATH    also write the result as a JSON series file
+""",
+    "mobius-transform": """\
+usage: reebzeta mobius-transform [-h] --cutoff p/q [--out PATH] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help    show this help message and exit
+  --cutoff p/q  action cutoff (positive rational)
+  --out PATH    also write the result as a JSON series file
+""",
+    "compare": """\
+usage: reebzeta compare [-h] --cutoff p/q file_a file_b
+
+positional arguments:
+  file_a
+  file_b
+
+options:
+  -h, --help    show this help message and exit
+  --cutoff p/q  action cutoff (positive rational)
+""",
+    "distinguish": """\
+usage: reebzeta distinguish [-h] --cutoff p/q file
+
+positional arguments:
+  file
+
+options:
+  -h, --help    show this help message and exit
+  --cutoff p/q  action cutoff (positive rational)
+""",
+}
+
+
 def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -491,6 +608,29 @@ class TestExitCodes:
         assert err == ("reebzeta: error: TooManyDigits: the coefficient of "
                        "t^2 has more digits than Python's limit of 4300\n")
 
+    @pytest.mark.parametrize("form", [None, "exp", "product", "ech", "both"])
+    def test_exponent_past_the_digit_limit_is_math_error(self, tmp_path,
+                                                         capsys, form):
+        # With P = 10^2500 + 1 and Q = P + 1 every input holds 2,501 digits,
+        # but the result's fifth term, t^(1/P + 1/Q), has a 5,001-digit
+        # denominator: the toric zeta, or two elliptic orbits (form None
+        # runs zeta-toric).
+        p = 10 ** 2500 + 1
+        a, b = f"1/{p}", f"1/{p + 1}"
+        if form is None:
+            argv = ["zeta-toric", "--a", a, "--b", b]
+        else:
+            path = write(tmp_path, "orbits.json", [
+                {"label": "a", "action": a, "type": "elliptic"},
+                {"label": "b", "action": b, "type": "elliptic"}])
+            argv = ["zeta-orbits", path, "--form", form]
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, *argv, "--cutoff", f"2/{p}",
+                                "--out", str(out))
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert err == ("reebzeta: error: TooManyDigits: the exponent of "
+                       "terms[4] has more digits than Python's limit of 4300\n")
+
     def test_form_disagreement_is_consistency_error(self, tmp_path, capsys,
                                                     monkeypatch):
         # The two forms agree mathematically, so force a disagreement to
@@ -528,6 +668,12 @@ class TestDeterminism:
 
 
 class TestParserReuse:
+    @pytest.mark.parametrize("command", HELP, ids=lambda c: c or "reebzeta")
+    def test_help_text_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        assert run(capsys, *argv) == (0, HELP[command], "")
+
     def test_help_is_unchanged_on_every_call(self, capsys):
         expected = cli.build_parser().format_help()
         for _ in range(2):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (PARITY_PAIRS, ech_generators_reference, ech_labels,
                      ech_multiplicities, exp_input_reference, fresh_rng,
                      good_orbit_count_reference, random_3d_orbit_set,
-                     random_orbit_set, stored)
+                     random_orbit_set, stored, zeta_good_orbits_reference)
 from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       ech_generators, elliptic, good_orbit_count, is_good,
                       iterate_parity, negative_hyperbolic, orbits,
@@ -278,6 +278,19 @@ class TestFormAgreement:
             for at in levels:
                 assert good_orbit_count_reference(orbit_set, at) == \
                     jumps.coefficient(at)
+
+    def test_good_orbit_series_is_the_per_cover_sum(self):
+        # whole series and stored grid, on all four parity pairs, cutoffs
+        # below, at and between actions, and fine grids
+        rng = fresh_rng(205)
+        for _ in range(40):
+            orbit_set = random_orbit_set(rng, max_orbits=6,
+                                         max_den=rng.choice((12, 60)))
+            for cutoff in (F(1, 2), 1, F(rng.randint(7, 60), 7), 8):
+                jumps = zeta_good_orbits(orbit_set, cutoff)
+                reference = zeta_good_orbits_reference(orbit_set, cutoff)
+                assert stored(jumps) == stored(reference)
+                assert jumps._q == reference._q
 
     def test_multiplicative_under_disjoint_union(self):
         rng = fresh_rng(204)

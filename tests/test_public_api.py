@@ -22,10 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reebzeta"
 
 # Public names kept without a caller, each for a stated reason.
-ALLOWED = {
-    "barcode_from_obj": "the barcode decoder, the inverse of the barcode "
-                        "emitted by the CLI, which the fuzz test exercises",
-}
+ALLOWED = {}
 
 
 def _modules():

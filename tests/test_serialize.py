@@ -22,7 +22,7 @@ from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       negative_hyperbolic, novikov, positive_hyperbolic,
                       s1_invariant_zeta, zeta_persistence)
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
-                             NotThreeDimensional)
+                             NotThreeDimensional, TooManyDigits)
 from reebzeta import cli
 from reebzeta.serialize import (_LINE_RE, SchemaError, _complex_direct,
                                 _series_direct, barcode_from_obj, barcode_to_obj,
@@ -108,6 +108,23 @@ class TestSeriesSchema:
             texts = [obj["cutoff"], *(text for term in obj["terms"]
                                       for text in term.values())]
             assert all(json.dumps(text) == f'"{text}"' for text in texts)
+
+    def test_text_past_the_digit_limit_is_named(self):
+        # a whole exponent, a fractional one, a coefficient and the cutoff,
+        # each past Python's 4,300-digit limit for int text; an exponent
+        # that cannot be printed is named by its position
+        big = 10 ** 4300
+        cases = [(NovikovSeries({1: 1, big: 1}, big), "the exponent of terms[1]"),
+                 (NovikovSeries({0: 1, F(1, big): big}, 1),
+                  "the exponent of terms[1]"),
+                 (NovikovSeries({1: 2, 2: F(1, big)}, 2),
+                  "the coefficient of t^2"),
+                 (NovikovSeries.zero(F(1, big)), "the cutoff")]
+        for series, what in cases:
+            with pytest.raises(TooManyDigits) as info:
+                series_to_obj(series)
+            assert str(info.value) == \
+                f"{what} has more digits than Python's limit of 4300"
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(SchemaError, match=r"terms\[0\]"):
