@@ -32,6 +32,12 @@ GOOD_ORBITS_CUTOFF = 12
 #: 1/120, dense enough that the packed product and the list-indexed exp
 #: both run.  Committed by hand, not written by ``write_inputs``.
 FINE_ORBITS = "orbits_fine.json"
+#: Input of the barcode-spelled and zeta-persistence-spelled cases: a
+#: complex whose levels are negative, zero and whole, spelled scaled
+#: ("6/4", "-10/4", "-0/3") over mixed denominators with ties, with a
+#: repeated entry that sums, one that cancels to 0, a pivot quotient of
+#: 1/2 and infinite bars.  Committed by hand.
+SPELLED_COMPLEX = "complex_spelled.json"
 
 # (case name, argv); "{data}", "{golden}" and "{tmp}" are directories.
 # A case with --out writes "{tmp}/<case name>.json".
@@ -60,6 +66,12 @@ CASES = (
     ("zeta-persistence", ["zeta-persistence", "{data}/complex_pair.json",
                           "--cutoff", "3",
                           "--out", "{tmp}/zeta-persistence.json"]),
+    ("barcode-spelled", ["barcode", "{golden}/" + SPELLED_COMPLEX,
+                         "--out", "{tmp}/barcode-spelled.json"]),
+    ("zeta-persistence-spelled", ["zeta-persistence",
+                                  "{golden}/" + SPELLED_COMPLEX,
+                                  "--cutoff", "5/2", "--out",
+                                  "{tmp}/zeta-persistence-spelled.json"]),
     ("zeta-persistence-empty", ["zeta-persistence",
                                 "{data}/complex_pair.json", "--cutoff", "1/2",
                                 "--out", "{tmp}/zeta-persistence-empty.json"]),
@@ -119,7 +131,8 @@ def test_every_subcommand_is_covered():
 
 
 def test_golden_directory_has_no_stale_files(produced):
-    stored = {p.name for p in GOLDEN.iterdir()} - {GOOD_ORBITS, FINE_ORBITS}
+    stored = {p.name for p in GOLDEN.iterdir()} - {
+        GOOD_ORBITS, FINE_ORBITS, SPELLED_COMPLEX}
     assert stored == set(produced)
 
 
