@@ -7,8 +7,8 @@ barcodes as JSON, comparisons as EQUAL or the first differing exponent.
 
 Exit codes: 0 success; 1 parse or validation error (bad flags, unreadable
 or schema-violating files); 2 violated mathematical precondition (e.g.
-inverting a non-unit, level on the spectrum); 3 internal consistency
-failure (the exp and product zeta forms disagree under --form both).
+inverting a non-unit, level on the spectrum); 3 the program is wrong (the
+exp and product forms disagree, or a reduction keeps its pivot row).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import domains, orbits, persistence, serialize
-from .errors import ReebZetaError
+from .errors import InternalError, ReebZetaError
 from .mobius import mobius_product
 from .novikov import NovikovSeries
 from .serialize import SchemaError
@@ -219,6 +219,8 @@ def main(argv=None) -> int:
         # Precondition of a computation on valid inputs; file-content
         # problems were already routed to SchemaError by the loaders.
         return _fail(MATH_ERROR, f"{type(exc).__name__}: {exc}")
+    except InternalError as exc:
+        return _fail(CONSISTENCY_ERROR, f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

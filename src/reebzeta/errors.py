@@ -13,6 +13,10 @@ class ReebZetaError(Exception):
     """Base class of the library's precondition errors."""
 
 
+class InternalError(Exception):
+    """A computation broke its own invariant: a bug, not a bad input."""
+
+
 def echo(value) -> str:
     """repr of a value quoted in an error message, cut to 80 characters,
     so that a huge label or field in an input file gives a short message."""

@@ -33,6 +33,7 @@ levels as q and int keys on the 1/q grid of ``novikov.grid``, and whole
 coefficients as ints, as ``NovikovSeries`` does, so the code below compares
 levels as ints and does int arithmetic wherever the coefficients are whole.
 Keys come first; the Fraction ``filtrations`` are built when first read.
+A ``Barcode`` likewise keeps rows of keys, its Bars built on first read.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (DuplicateLabel, FiltrationViolation, GradingViolation,
-                     NotSquareZero, UnknownLabel, echo)
+                     InternalError, NotSquareZero, UnknownLabel, echo)
 from .novikov import (NovikovSeries, RatioLike, _norm_coeff, _quotient,
                       as_ratio, grid)
 
@@ -80,7 +81,7 @@ class FilteredComplex:
         return self
 
     def _build(self, labels, eps, filtrations, q, keys, boundary) -> None:
-        index = {label: i for i, label in enumerate(labels)}
+        index = dict(zip(labels, range(len(labels))))
         if len(index) < len(labels):
             seen = set()   # the first label met twice
             label = next(x for x in labels if x in seen or seen.add(x))
@@ -150,7 +151,8 @@ class FilteredComplex:
 def _reduce(col: Dict[int, object], pivots: Dict[int, Dict[int, object]]):
     """Subtract multiples of the pivot columns (keyed by their lowest row)
     from col, in place, until col is empty or its lowest row has no pivot;
-    then file col as that row's pivot and return the row, or None."""
+    then file col as that row's pivot and return the row, or None.  A step
+    that leaves its pivot row raises InternalError rather than loop."""
     while col:
         low = max(col)
         pivot = pivots.get(low)
@@ -164,6 +166,8 @@ def _reduce(col: Dict[int, object], pivots: Dict[int, Dict[int, object]]):
                 col[r] = v
             elif r in col:
                 del col[r]
+        if low in col:
+            raise InternalError(f"column reduction left pivot row {low}")
     return None
 
 
@@ -214,31 +218,41 @@ class Bar:
         if type(self.eps) is not int or self.eps not in (0, 1):
             raise ValueError("bar eps must be 0 or 1")
 
-    def _key(self):
-        # infinite bars sort after the finite bars of the same birth
-        infinite = self.death is None
-        return (self.birth, infinite, 0 if infinite else self.death, self.eps)
-
 
 class Barcode:
-    """A finite multiset of bars, kept in sorted order (birth, death, eps),
+    """A finite multiset of bars, kept as sorted ``rows`` (birth key, death
+    key or None, eps) on the grid q of its endpoints (``novikov.grid``),
     infinite bars after the finite ones of the same birth, so equal
     barcodes are structurally equal."""
 
-    __slots__ = ("bars",)
+    __slots__ = ("q", "rows", "_bars")
 
     def __init__(self, bars: Iterable[Bar] = ()):
-        self.bars: Tuple[Bar, ...] = tuple(sorted(bars, key=Bar._key))
+        bars = list(bars)
+        ends = [x for b in bars for x in (b.birth, b.death) if x is not None]
+        self.q, keys = grid(ends)
+        key = {None: None, **dict(zip(ends, keys))}
+        self.rows = sorted([(key[b.birth], key[b.death], b.eps) for b in bars],
+                           key=lambda r: (r[0], r[1] is None, r[1] or 0, r[2]))
+        self._bars = None
+
+    @property
+    def bars(self) -> Tuple[Bar, ...]:
+        if self._bars is None:
+            q, rows = self.q, self.rows
+            self._bars = tuple(Bar(Fraction(b, q), d if d is None else
+                                   Fraction(d, q), e) for b, d, e in rows)
+        return self._bars
 
     def __iter__(self):
         return iter(self.bars)
 
     def __len__(self):
-        return len(self.bars)
+        return len(self.rows)
 
     def __eq__(self, other):
         if isinstance(other, Barcode):
-            return self.bars == other.bars
+            return (self.q, self.rows) == (other.q, other.rows)
         return NotImplemented
 
     def __repr__(self):
@@ -246,12 +260,13 @@ class Barcode:
 
     def graded_dims(self, level: RatioLike) -> Tuple[int, int]:
         """(even, odd) counts of bars alive at the level, i.e. with
-        birth <= level < death."""
+        birth <= level < death, compared as keys."""
         level = as_ratio(level)
+        bound = level.numerator * self.q // level.denominator
         dims = [0, 0]
-        for bar in self.bars:
-            if bar.birth <= level and (bar.death is None or level < bar.death):
-                dims[bar.eps] += 1
+        for b, d, e in self.rows:
+            if b <= bound and (d is None or bound < d):
+                dims[e] += 1
         return (dims[0], dims[1])
 
 
@@ -265,12 +280,12 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     module.
 
     Filtrations are compared through the complex's int ``keys``: the
-    stable sort keeps equal levels in input order, and the bars come out
-    valid and in ``Barcode`` order, so they skip the checks and the sort
-    of the constructors.  Pivots divide through ``novikov._quotient``,
+    stable sort keeps equal levels in input order, and the result holds
+    the complex's q and rows of keys in ``Barcode`` order, with no
+    Fraction or Bar built.  Pivots divide through ``novikov._quotient``,
     so whole coefficients stay ints.
     """
-    keys, eps, filtrations = complex_.keys, complex_.eps, complex_.filtrations
+    keys, eps = complex_.keys, complex_.eps
     order = sorted(range(len(keys)), key=keys.__getitem__)
     pos = {i: p for p, i in enumerate(order)}
 
@@ -282,20 +297,15 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
         if low is not None:
             killed[order[low]] = i
 
-    # (birth key, infinite?, death key, eps, birth index, death index)
-    rows = [(keys[b], False, keys[d], eps[b], b, d)
-            for b, d in killed.items()]
+    # (birth key, infinite?, death key, eps), sorted into Barcode order
+    rows = [(keys[b], False, keys[d], eps[b]) for b, d in killed.items()]
     deaths = set(killed.values())
-    rows.extend((keys[i], True, 0, eps[i], i, i) for i in order
+    rows.extend((keys[i], True, 0, eps[i]) for i in order
                 if i not in killed and i not in deaths)
     rows.sort()
-    bars = []
-    for _, infinite, _, e, b, d in rows:
-        bars.append(bar := object.__new__(Bar))
-        vars(bar).update(birth=filtrations[b],
-                         death=None if infinite else filtrations[d], eps=e)
-    barcode = object.__new__(Barcode)
-    barcode.bars = tuple(bars)
+    barcode = Barcode()
+    barcode.q, barcode.rows = complex_.q, [(b, None if infinite else d, e)
+                                           for b, infinite, d, e in rows]
     return barcode
 
 

@@ -11,11 +11,12 @@ no keys outside an ordered {key: parser} table.  Parsers raise location-free
 ValueErrors; the loop builds "where[k].key" only when one does.  Quoted
 values go through ``errors.echo``, which cuts them to 80 characters.
 Series and complex files first take a direct pass, one regex scan a
-column of ratios, which gives up on anything not well formed; that loop
-alone words errors.  Both passes go from digits straight to int grid keys,
-through one helper ``_grid``, with no Fraction per term or generator.
-Series and barcode files are written from fixed templates, byte for byte
-the text that the json module writes with indent=2.
+column of ratios (one match and ``int`` a text for whole coefficients),
+which gives up on anything not well formed; that loop alone words errors.
+Both passes go from digits straight to int grid keys, through one helper
+``_grid``, with no Fraction per term or generator.  Series and barcode
+files are written from fixed templates, byte for byte the json module's
+indent=2 text, ratios from int keys by ``_key_texts``, one gcd a key.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
 
 _LINE_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$", re.MULTILINE)
+_WHOLE_RE = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*")
 
 
 class SchemaError(ReebZetaError, ValueError):
@@ -137,13 +139,18 @@ _TERM = {"exponent": _ratio, "coefficient": _ratio}
 _TERM_TEXTS = operator.itemgetter("exponent", "coefficient")
 
 
+def _key_texts(q: int, keys) -> dict:
+    """{n: text of n/q as ``str`` of its Fraction}, one gcd a key."""
+    return {n: f"{n // g}/{q // g}" if (g := gcd(n, q)) != q else str(n // q)
+            for n in keys}
+
+
 def series_to_obj(series: NovikovSeries) -> dict:
     q, terms = series._q, series._terms
     try:
-        return {"terms": [
-            {"exponent": f"{n // g}/{q // g}" if (g := gcd(n, q)) != q
-             else str(n // q), "coefficient": str(terms[n])}
-            for n in sorted(terms)], "cutoff": str(series.cutoff)}
+        return {"terms": [{"exponent": text, "coefficient": str(terms[n])}
+                          for n, text in _key_texts(q, sorted(terms)).items()],
+                "cutoff": str(series.cutoff)}
     except ValueError:   # str() of an int past Python's digit limit
         limit = sys.get_int_max_str_digits()
         big, what = 10 ** limit, "the cutoff"
@@ -169,15 +176,23 @@ def _grid(ratios) -> tuple:
     return q // g, [n // g for n in keys] if g > 1 else keys
 
 
+def _coeffs(texts) -> list:
+    """The ratio texts' values, ints when whole; raises unless each text is
+    one ratio (a newline inside a text fails the match or ``int``)."""
+    if _WHOLE_RE.fullmatch("\n".join(texts)):
+        return list(map(int, texts))
+    return [_norm_coeff(Fraction(int(num), int(den))) if den else int(num)
+            for num, den in _ratio_lines(texts)]
+
+
 def _series_direct(obj):
     """The series of a well-formed file, straight on int keys; None when
     anything is off, so that ``series_from_obj`` finds and words it."""
     try:
         terms, cutoff = obj.get("terms", []), _ratio(obj["cutoff"])
-        ratios = _ratio_lines([t for pair in map(_TERM_TEXTS, terms) for t in pair])
-        q, keys = _grid(ratios[::2])
-        coeffs = [_norm_coeff(Fraction(int(num), int(den))) if den else int(num)
-                  for num, den in ratios[1::2]]
+        texts = [t for pair in map(_TERM_TEXTS, terms) for t in pair]
+        q, keys = _grid(_ratio_lines(texts[::2]))
+        coeffs = _coeffs(texts[1::2])
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
     if (obj.keys() <= {"terms", "cutoff"} and type(terms) is list
@@ -258,8 +273,7 @@ def _complex_direct(obj):
         froms, tos, coeffs = [list(map(operator.itemgetter(key), edges))
                               for key in _DIFFERENTIAL]
         q, keys = _grid(_ratio_lines(levels))
-        coeffs = [_norm_coeff(Fraction(int(num), int(den))) if den else int(num)
-                  for num, den in _ratio_lines(coeffs)]
+        coeffs = _coeffs(coeffs)
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
     # Labels are all strings before ``_build`` indexes them: a list is
@@ -302,10 +316,10 @@ def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
 
 
 def barcode_to_obj(barcode: Barcode) -> list:
-    return [{"birth": str(bar.birth),
-             "death": "inf" if bar.death is None else str(bar.death),
-             "eps": bar.eps}
-            for bar in barcode]
+    rows = barcode.rows
+    ends = {row[k] for k in (0, 1) for row in rows} - {None}
+    text = {**_key_texts(barcode.q, ends), None: "inf"}
+    return [{"birth": text[b], "death": text[d], "eps": e} for b, d, e in rows]
 
 
 _BAR = {"birth": _ratio,

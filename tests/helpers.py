@@ -2,6 +2,7 @@
 and filtered complexes, plus naive dict-based oracles kept deliberately
 independent of the library's own arithmetic."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -99,6 +100,14 @@ def complex_bits(complex_: FilteredComplex) -> tuple:
             complex_.keys,
             [(j, [(i, type(c), c) for i, c in col.items()])
              for j, col in complex_._columns.items()])
+
+
+def barcode_text_reference(barcode: Barcode) -> str:
+    """The ``barcode`` report as it was before it formatted the int keys:
+    ``str`` of each endpoint Fraction, written by the json module."""
+    return json.dumps([{"birth": str(bar.birth),
+                        "death": "inf" if bar.death is None else str(bar.death),
+                        "eps": bar.eps} for bar in barcode], indent=2) + "\n"
 
 
 def zeta_persistence_reference(complex_: FilteredComplex,

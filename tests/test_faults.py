@@ -12,11 +12,9 @@ runs the same cases unfaulted.
 The check that catches a fault in the exp or product route, or in a
 kernel they share, is their comparison under ``--form both``: exit 3.
 The ECH and barcode routes have no partner at run time, so their faults
-are caught by the golden stdout.
-
-A wrong pivot quotient in ``persistence._reduce`` is left out: the column
-then never clears its pivot row, and the reduction loops forever instead
-of printing anything a check could compare.
+are caught by the golden stdout.  A wrong pivot quotient in
+``persistence._reduce`` leaves the pivot row in the column; the guard
+after each subtraction raises InternalError, and the CLI exits 3.
 """
 
 import inspect
@@ -28,6 +26,7 @@ from reebzeta import cli, novikov, orbits, persistence, serialize
 from test_golden import CASES, DATA, GOLDEN
 
 COMPARISON, GOLDEN_DIFF = "the --form both comparison", "the golden stdout"
+GUARD = "the reduction guard"
 
 # (fault, module, function, line as written, the line with the fault,
 # golden case, check that catches, exp and product routes of the case's
@@ -65,6 +64,12 @@ FAULTS = [
      "for i in filter(columns.__contains__, order):",
      "for i in list(filter(columns.__contains__, order))[1:]:",
      "barcode", GOLDEN_DIFF, set()),
+    # The case's complex reduces one column by another with the quotient
+    # 1/2, so the inverted quotient 2 leaves the pivot row.
+    ("wrong pivot quotient", persistence, "_reduce",
+     "factor = _quotient(col[low], pivot[low])",
+     "factor = _quotient(pivot[low], col[low])",
+     "barcode-spelled", GUARD, set()),
 ]
 
 
@@ -112,6 +117,10 @@ def test_each_fault_is_caught(monkeypatch, capsys, tmp_path, fault):
         assert code == 3, f"{name}: exit {code}, missed by {check}"
         assert err.startswith(
             "reebzeta: error: exp and product forms disagree at t^")
+    elif check == GUARD:
+        assert code == 3, f"{name}: exit {code}, missed by {check}"
+        assert err.startswith("reebzeta: error: InternalError: column "
+                              "reduction left pivot row")
     else:
         assert code == 0
         assert out != (GOLDEN / f"{case}.stdout").read_text(), \

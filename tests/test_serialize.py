@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (boundary_entries, complex_bits,
+from helpers import (barcode_text_reference, boundary_entries, complex_bits,
                      complex_from_obj_reference, format_ratio, fresh_rng,
                      planted_complex, probe_levels, random_complex,
                      random_orbit_set, random_series, scaled_complex_file,
@@ -24,8 +24,9 @@ from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional, TooManyDigits)
 from reebzeta import cli
-from reebzeta.serialize import (_LINE_RE, SchemaError, _complex_direct,
-                                _series_direct, barcode_from_obj, barcode_to_obj,
+from reebzeta.serialize import (_LINE_RE, SchemaError, _barcode_text, _coeff,
+                                _coeffs, _complex_direct, _series_direct,
+                                barcode_from_obj, barcode_to_obj,
                                 complex_from_obj, dump_json, morse_from_obj,
                                 orbit_set_from_obj, parse_ratio,
                                 series_from_obj, series_to_obj)
@@ -896,9 +897,117 @@ class TestComplexIntGrid:
                 zeta_persistence(complex_, cutoff)
             assert complex_._filtrations is None
             barcode = barcode_decompose(complex_)
-            assert {type(f) for f in complex_._filtrations} <= {F}
-            assert {type(end) for bar in barcode
-                    for end in (bar.birth, bar.death)} <= {F, type(None)}
+            barcode_to_obj(barcode)
+            assert complex_._filtrations is None
+            # each generator is the birth or the death of one bar
+            ends = [end for bar in barcode for end in (bar.birth, bar.death)
+                    if end is not None]
+            assert {type(end) for end in ends} <= {F}
+            assert sorted(ends) == sorted(complex_.filtrations)
             assert complex_.filtrations == \
                 [F(entry["filtration"]) for entry in obj["generators"]]
+
+
+# -- barcodes from the int keys ----------------------------------------------
+#
+# barcode_to_obj formats each distinct key of the rows once; the text must
+# be what str() of the endpoint Fractions gave, on levels spelled scaled
+# over mixed denominators, some a thousand digits long and coprime.
+
+HUGE = 10**1000 + 1     # odd, so HUGE and HUGE + 2 are coprime
+BAR_DENOMINATORS = (1, 2, 3, 4, 6, HUGE, HUGE + 2)
+
+
+def relevelled(rng, complex_: FilteredComplex) -> FilteredComplex:
+    """The complex with its i-th distinct level moved to i + r/den, for a
+    den drawn from BAR_DENOMINATORS and 0 <= r < den: the order of the
+    levels, their ties and so the barcode's pairing stay the same."""
+    levels = sorted(set(complex_.filtrations))
+    moved = {}
+    for i, level in enumerate(levels):
+        den = rng.choice(BAR_DENOMINATORS)
+        moved[level] = i + F(rng.randrange(den), den)
+    return FilteredComplex(zip(complex_.labels, complex_.eps,
+                               [moved[f] for f in complex_.filtrations]),
+                           boundary_entries(complex_))
+
+
+class TestBarcodeText:
+    def test_text_matches_the_fraction_route(self):
+        rng = fresh_rng(2203)
+        for n in range(0, 300, 15):
+            complex_ = planted_complex(rng, n)[0] if n else random_complex(rng)[0]
+            if n % 2:
+                complex_ = relevelled(rng, complex_)
+            obj = scaled_complex_file(rng, shifted_to_zero(complex_))
+            barcode = barcode_decompose(complex_from_obj(obj))
+            records = barcode_to_obj(barcode)
+            assert _barcode_text(records) == barcode_text_reference(barcode)
+            assert barcode_from_obj(records) == barcode
+            assert Barcode(list(barcode)) == barcode
+            assert Barcode(reversed(list(barcode))) == barcode
+
+    def test_palette_reaches_huge_coprime_denominators(self):
+        rng = fresh_rng(2203)
+        complex_ = relevelled(rng, planted_complex(rng, 120)[0])
+        dens = {f.denominator for f in complex_.filtrations}
+        assert {HUGE, HUGE + 2} <= dens
+        assert novikov.grid(complex_.filtrations)[0] % (HUGE * (HUGE + 2)) == 0
+
+
+# -- coefficient columns -----------------------------------------------------
+#
+# The direct passes read a column of coefficient texts through _coeffs: it
+# must give what the record loop's _coeff gives text by text, or raise, and
+# then the file goes to the record loop and its message.
+
+COEFF_PALETTE = ["+1", " 1", "1_000", "\u0661", "1.0", "1e3", "-0", "0",
+                 "3/1", "6/4", "-10/4", "1\n", "1\n2", 1, None,
+                 "9" * 5000, "-7", "007"]
+
+
+def column_outcome(parse, texts):
+    try:
+        return [(type(c), c) for c in parse(texts)]
+    except (TypeError, ValueError):
+        return "raises"
+
+
+def record_loop_column(texts):
+    return [_coeff(text) for text in texts]
+
+
+@pytest.mark.parametrize("text", COEFF_PALETTE, ids=repr)
+class TestCoefficientColumn:
+    COLUMNS = (lambda t: [t], lambda t: ["2", t, "-5"],
+               lambda t: ["1/2", t], lambda t: [t, t])
+
+    def test_column_matches_the_record_loop(self, text):
+        for column in self.COLUMNS:
+            texts = column(text)
+            assert column_outcome(_coeffs, texts) == \
+                column_outcome(record_loop_column, texts)
+
+    def test_series_file(self, text):
+        for column in self.COLUMNS:
+            obj = {"terms": [{"exponent": str(k), "coefficient": c}
+                             for k, c in enumerate(column(text))],
+                   "cutoff": "9"}
+            expected = decoded(series_from_obj_reference, obj)
+            assert decoded(series_from_obj, obj) == expected
+            if isinstance(expected, str):
+                assert _series_direct(obj) is None
+
+    def test_complex_file(self, text):
+        gens = [{"label": x, "eps": e, "filtration": level}
+                for x, e, level in (("x", 1, "2"), ("y", 0, "1"),
+                                    ("z", 0, "-1/2"))]
+        for column in self.COLUMNS:
+            obj = {"generators": gens, "differential": [
+                {"from": "x", "to": y, "coeff": c}
+                for y, c in zip("yzyz", column(text))]}
+            expected = complex_outcome(complex_from_obj_reference, obj)
+            assert complex_outcome(complex_from_obj, obj) == expected
+            if expected[0] == "SchemaError":
+                assert _complex_direct(obj) is None
 
