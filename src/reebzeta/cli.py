@@ -112,11 +112,11 @@ def _load(path: str, decode):
 
 def _emit_series(series: NovikovSeries, out_path) -> None:
     obj = serialize.series_to_obj(series)
+    if out_path:   # first, so that a failed write prints no result
+        serialize.dump_json(obj, out_path)
     sys.stdout.write("".join([f"{term['exponent']}\t{term['coefficient']}\n"
                               for term in obj["terms"]])
                      + f"cutoff\t{obj['cutoff']}\n")
-    if out_path:
-        serialize.dump_json(obj, out_path)
 
 
 def _first_difference(a: NovikovSeries, b: NovikovSeries):
@@ -160,10 +160,10 @@ def _cmd_barcode(args) -> int:
     complex_ = _load(args.file, serialize.complex_from_obj)
     barcode = persistence.barcode_decompose(complex_)
     text = serialize._barcode_text(serialize.barcode_to_obj(barcode))
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:   # before stdout, as in _emit_series
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    sys.stdout.write(text)
     return 0
 
 

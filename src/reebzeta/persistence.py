@@ -32,8 +32,8 @@ computations below take validity for granted.  A complex keeps its
 levels as q and int keys on the 1/q grid of ``novikov.grid``, and whole
 coefficients as ints, as ``NovikovSeries`` does, so the code below compares
 levels as ints and does int arithmetic wherever the coefficients are whole.
-Keys come first; the Fraction ``filtrations`` are built when first read.
-A ``Barcode`` likewise keeps rows of keys, its Bars built on first read.
+Keys are the only stored form: ``filtrations`` and Bars are built on each
+read, and one builder, ``Barcode._from_rows``, orders every barcode's rows.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class FilteredComplex:
     term of the products forming d^2, and raises on a violation.
     """
 
-    __slots__ = ("labels", "eps", "q", "keys", "_filtrations", "_columns")
+    __slots__ = ("labels", "eps", "q", "keys", "_columns")
 
     def __init__(self, generators: Iterable, boundary: Iterable[Tuple] = ()):
         labels, eps, filtrations = [], [], []
@@ -71,23 +71,22 @@ class FilteredComplex:
                 raise ValueError(f"generator {echo(label)}: eps must be 0 or 1")
             labels.append(label)
             eps.append(e)
-        self._build(labels, eps, filtrations, *grid(filtrations), boundary)
+        self._build(labels, eps, *grid(filtrations), boundary)
 
     @classmethod
     def _from_keys(cls, labels, eps, q, keys, boundary) -> "FilteredComplex":
         # Internal: eps all 0 or 1, (q, keys) what ``grid`` gives.
         self = object.__new__(cls)
-        self._build(labels, eps, None, q, keys, boundary)
+        self._build(labels, eps, q, keys, boundary)
         return self
 
-    def _build(self, labels, eps, filtrations, q, keys, boundary) -> None:
+    def _build(self, labels, eps, q, keys, boundary) -> None:
         index = dict(zip(labels, range(len(labels))))
         if len(index) < len(labels):
             seen = set()   # the first label met twice
             label = next(x for x in labels if x in seen or seen.add(x))
             raise DuplicateLabel(f"generator label {echo(label)} repeated")
         self.labels, self.eps, self.q, self.keys = labels, eps, q, keys
-        self._filtrations = filtrations
         # column j -> {row i: coefficient of generator i in boundary of j}
         self._columns: Dict[int, Dict[int, object]] = {}
         for x, y, coeff in boundary:
@@ -114,9 +113,7 @@ class FilteredComplex:
 
     @property
     def filtrations(self) -> List[Fraction]:
-        if self._filtrations is None:
-            self._filtrations = [Fraction(n, self.q) for n in self.keys]
-        return self._filtrations
+        return [Fraction(n, self.q) for n in self.keys]
 
     # -- validity --------------------------------------------------------
 
@@ -132,8 +129,8 @@ class FilteredComplex:
                     if eps[i] == e:
                         raise GradingViolation(f"{entry} with equal gradings")
                     raise FiltrationViolation(
-                        f"{entry} but filtration {self.filtrations[j]} <= "
-                        f"{self.filtrations[i]}")
+                        f"{entry} but filtration {Fraction(key, self.q)} <= "
+                        f"{Fraction(keys[i], self.q)}")
         # d(d(x)) = 0 for each basis column
         for j, col in columns.items():
             square: Dict[int, object] = {}
@@ -225,24 +222,30 @@ class Barcode:
     infinite bars after the finite ones of the same birth, so equal
     barcodes are structurally equal."""
 
-    __slots__ = ("q", "rows", "_bars")
+    __slots__ = ("q", "rows")
 
-    def __init__(self, bars: Iterable[Bar] = ()):
+    def __new__(cls, bars: Iterable[Bar] = ()):
         bars = list(bars)
         ends = [x for b in bars for x in (b.birth, b.death) if x is not None]
-        self.q, keys = grid(ends)
-        key = {None: None, **dict(zip(ends, keys))}
-        self.rows = sorted([(key[b.birth], key[b.death], b.eps) for b in bars],
-                           key=lambda r: (r[0], r[1] is None, r[1] or 0, r[2]))
-        self._bars = None
+        q, keys = grid(ends)
+        key = {None: 0, **dict(zip(ends, keys))}
+        return cls._from_rows(q, [(key[b.birth], b.death is None, key[b.death],
+                                   b.eps) for b in bars])
+
+    @classmethod
+    def _from_rows(cls, q: int, rows: list) -> "Barcode":
+        """The barcode on the grid q of (birth key, infinite?, death key or
+        0, eps) tuples: the one place the row order is set, by sorting."""
+        self = object.__new__(cls)
+        self.q, self.rows = q, [(b, None if infinite else d, e)
+                                for b, infinite, d, e in sorted(rows)]
+        return self
 
     @property
     def bars(self) -> Tuple[Bar, ...]:
-        if self._bars is None:
-            q, rows = self.q, self.rows
-            self._bars = tuple(Bar(Fraction(b, q), d if d is None else
-                                   Fraction(d, q), e) for b, d, e in rows)
-        return self._bars
+        q = self.q
+        return tuple(Bar(Fraction(b, q), d if d is None else Fraction(d, q), e)
+                     for b, d, e in self.rows)
 
     def __iter__(self):
         return iter(self.bars)
@@ -297,16 +300,12 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
         if low is not None:
             killed[order[low]] = i
 
-    # (birth key, infinite?, death key, eps), sorted into Barcode order
+    # (birth key, infinite?, death key or 0, eps), for Barcode._from_rows
     rows = [(keys[b], False, keys[d], eps[b]) for b, d in killed.items()]
     deaths = set(killed.values())
     rows.extend((keys[i], True, 0, eps[i]) for i in order
                 if i not in killed and i not in deaths)
-    rows.sort()
-    barcode = Barcode()
-    barcode.q, barcode.rows = complex_.q, [(b, None if infinite else d, e)
-                                           for b, infinite, d, e in rows]
-    return barcode
+    return Barcode._from_rows(complex_.q, rows)
 
 
 def euler_jump(barcode: Barcode, at: RatioLike) -> int:
@@ -319,12 +318,12 @@ def euler_jump(barcode: Barcode, at: RatioLike) -> int:
 def zeta_barcode(barcode: Barcode, cutoff: RatioLike) -> NovikovSeries:
     """Zeta of a barcode: each finite bar contributes
     (-1)^eps (t^birth - t^death), each infinite bar (-1)^eps t^birth."""
-    pairs = []
-    for bar in barcode:
-        sign = -1 if bar.eps else 1
-        pairs.append((bar.birth, sign))
-        if bar.death is not None:
-            pairs.append((bar.death, -sign))
+    q, pairs = barcode.q, []
+    for b, d, e in barcode.rows:
+        sign = -1 if e else 1
+        pairs.append((Fraction(b, q), sign))
+        if d is not None:
+            pairs.append((Fraction(d, q), -sign))
     return NovikovSeries(pairs, cutoff)
 
 

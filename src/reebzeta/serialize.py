@@ -60,8 +60,8 @@ def _ratio_lines(texts) -> list:
     return ratios
 
 
-def _ratio(text, whole=Fraction):
-    """The value of a 'p/q' string; whole(p) when it has no '/q'."""
+def _ratio(text) -> Fraction:
+    """The value of a 'p/q' string."""
     try:
         (num, den), = _ratio_lines([text])
     except (TypeError, ValueError):
@@ -69,12 +69,12 @@ def _ratio(text, whole=Fraction):
             f"expected a rational 'p/q' string, got {echo(text)}") from None
     # The regex has vetted the text, so build the value from ints; int()
     # raises ValueError on more digits than it accepts.
-    return Fraction(int(num), int(den)) if den else whole(int(num))
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _coeff(text):
     """A ratio, stored as an int when it is whole, as series store them."""
-    return _norm_coeff(_ratio(text, int))
+    return _norm_coeff(_ratio(text))
 
 
 def parse_ratio(text, where: str = "value") -> Fraction:
@@ -203,20 +203,20 @@ def _series_direct(obj):
     return None
 
 
-def series_from_obj(obj, where: str = "series") -> NovikovSeries:
+def series_from_obj(obj) -> NovikovSeries:
     series = _series_direct(obj)
     if series is not None:
         return series
-    _object(obj, {"terms", "cutoff"}, where)
+    _object(obj, {"terms", "cutoff"}, "series")
     if "cutoff" not in obj:
-        raise SchemaError(where, "missing 'cutoff'")
-    cutoff = parse_ratio(obj["cutoff"], f"{where}.cutoff")
+        raise SchemaError("series", "missing 'cutoff'")
+    cutoff = parse_ratio(obj["cutoff"], "series.cutoff")
     if cutoff <= 0:
-        raise SchemaError(f"{where}.cutoff", f"must be positive, got {cutoff}")
+        raise SchemaError("series.cutoff", f"must be positive, got {cutoff}")
     terms = []
     previous = None
-    for k, (s, c) in enumerate(_records(obj.get("terms", []),
-                                        f"{where}.terms", _TERM)):
+    for k, (s, c) in enumerate(_records(obj.get("terms", []), "series.terms",
+                                        _TERM)):
         if c == 0:
             problem = "zero coefficients must not be stored"
         elif previous is not None and not s > previous:
@@ -227,7 +227,7 @@ def series_from_obj(obj, where: str = "series") -> NovikovSeries:
             previous = s
             terms.append((s, c))
             continue
-        raise SchemaError(f"{where}.terms[{k}]", problem)
+        raise SchemaError(f"series.terms[{k}]", problem)
     return NovikovSeries(terms, cutoff)
 
 
@@ -251,10 +251,10 @@ def _orbit_fields(entry) -> dict:
     return _TYPED if isinstance(entry, dict) and "type" in entry else _PARITY
 
 
-def orbit_set_from_obj(obj, where: str = "orbits") -> OrbitSet:
+def orbit_set_from_obj(obj) -> OrbitSet:
     return OrbitSet(SimpleOrbit.of_type(*row) if len(row) == 3
                     else SimpleOrbit(*row)
-                    for row in _records(obj, where, _orbit_fields))
+                    for row in _records(obj, "orbits", _orbit_fields))
 
 
 # -- filtered complexes ---------------------------------------------------
@@ -292,21 +292,21 @@ def _complex_direct(obj):
     return None
 
 
-def complex_from_obj(obj, where: str = "complex") -> FilteredComplex:
+def complex_from_obj(obj) -> FilteredComplex:
     complex_ = _complex_direct(obj)
     if complex_ is not None:
         return complex_
-    _object(obj, {"generators", "differential"}, where)
+    _object(obj, {"generators", "differential"}, "complex")
     generators = list(_records(obj.get("generators", []),
-                               f"{where}.generators", _GENERATOR))
+                               "complex.generators", _GENERATOR))
     labels = {g[0] for g in generators}
     entries = []
     for k, (x, y, coeff) in enumerate(_records(obj.get("differential", []),
-                                               f"{where}.differential",
+                                               "complex.differential",
                                                _DIFFERENTIAL)):
         for label in (x, y):
             if label not in labels:
-                raise SchemaError(f"{where}.differential[{k}]",
+                raise SchemaError(f"complex.differential[{k}]",
                                   f"unknown generator {echo(label)}")
         entries.append((x, y, coeff))
     return FilteredComplex(generators, entries)
@@ -327,13 +327,13 @@ _BAR = {"birth": _ratio,
         "eps": _bit}
 
 
-def barcode_from_obj(obj, where: str = "barcode") -> Barcode:
+def barcode_from_obj(obj) -> Barcode:
     bars = []
-    for k, row in enumerate(_records(obj, where, _BAR)):
+    for k, row in enumerate(_records(obj, "barcode", _BAR)):
         try:
             bars.append(Bar(*row))
         except ValueError as exc:  # birth >= death
-            raise SchemaError(f"{where}[{k}]", str(exc)) from exc
+            raise SchemaError(f"barcode[{k}]", str(exc)) from exc
     return Barcode(bars)
 
 
@@ -344,9 +344,9 @@ def barcode_from_obj(obj, where: str = "barcode") -> Barcode:
 _POINT = {"index": _index, "label": _string, "action": _ratio}
 
 
-def morse_from_obj(obj, where: str = "morse") -> MorseData:
+def morse_from_obj(obj) -> MorseData:
     return MorseData([(label, action, index) for index, label, action
-                      in _records(obj, where, _POINT)])
+                      in _records(obj, "morse", _POINT)])
 
 
 # -- file helpers ----------------------------------------------------------

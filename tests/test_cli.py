@@ -466,6 +466,22 @@ class TestExitCodes:
                 code, out, err = run(capsys, *argv)
                 assert (code, out, err) == (1, "", expected)
 
+    @pytest.mark.parametrize("argv, obj", [
+        (["zeta-orbits", "--cutoff", "2"], ORBITS_EN),
+        (["barcode"], COMPLEX_PAIR),
+    ], ids=["series", "barcode"])
+    def test_failed_out_write_prints_no_result(self, tmp_path, capsys, argv,
+                                               obj):
+        # The --out file is written before stdout, so exit 1 comes with
+        # nothing on stdout and one line naming the path on stderr.
+        path = write(tmp_path, "input.json", obj)
+        out_path = str(tmp_path / "no-such-dir" / "x.json")
+        code, out, err = run(capsys, argv[0], path, *argv[1:],
+                             "--out", out_path)
+        assert (code, out) == (1, "")
+        assert err.startswith("reebzeta: error: ") and out_path in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_boolean_parity_bit_is_parse_error(self, tmp_path, capsys):
         path = write(tmp_path, "orbits.json",
                      [{"label": "x", "action": "1", "eps1": True, "eps2": 0}])

@@ -16,6 +16,7 @@ from helpers import (barcode_text_reference, boundary_entries, complex_bits,
                      series_from_obj_reference, series_lines_reference,
                      series_to_obj_reference, shifted_to_zero, stored,
                      zeta_persistence_reference)
+from test_golden import CASES, DATA, GOLDEN
 from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
                       barcode_decompose, ech_generators, elliptic,
@@ -640,15 +641,22 @@ def swap(obj, k):
         terms[k], terms[k + 1] = terms[k + 1], terms[k]
 
 
+# U+0661 ARABIC-INDIC DIGIT ONE is a digit to int but not to _LINE_RE,
+# whose [0-9] is ASCII only, so the file is malformed; a coefficient
+# respelled "4/2" or "-007" keeps it well formed.
+ARABIC_ONE = retext("exponent", "\u0661")
+RESPELLED = retext("coefficient", "4/2")
+
 # Each changes term k (or the whole file) of a well-formed file.  The
 # result may still be well formed (a swap at the last term does nothing,
-# and U+0661 ARABIC-INDIC DIGIT ONE is a digit to the regex and to int),
-# and then both decoders must give the same series.
+# and RESPELLED changes only the spelling), and then both decoders must
+# give the same series.
 MANGLES = [
     retext("exponent", "1.5"), retext("exponent", None),
     retext("exponent", "1\n"), retext("exponent", "1\n2"),
     retext("exponent", "1/0"), retext("exponent", "1" + "0" * 5000),
-    retext("exponent", "\u0661"), retext("coefficient", 1),
+    ARABIC_ONE, RESPELLED, retext("coefficient", "-007"),
+    retext("coefficient", 1),
     retext("coefficient", "0"), retext("coefficient", "-0/7"),
     retext("coefficient", ""), retext("coefficient", " 1"),
     lambda obj, k: obj["terms"][k].update(power=2),
@@ -709,6 +717,17 @@ class TestSeriesIntGrid:
         assert _series_direct(obj) is not None or not obj.get("terms")
         assert decoded(series_from_obj, obj) == \
             decoded(series_from_obj_reference, obj)
+
+    def test_mangles_reach_both_branches(self):
+        for mangle, expected in [
+                (ARABIC_ONE, "series.terms[0].exponent: expected a rational "
+                             "'p/q' string, got '\u0661'"),
+                (RESPELLED, stored(NovikovSeries({1: 2}, 2)))]:
+            obj = {"terms": [{"exponent": "1", "coefficient": "3"}],
+                   "cutoff": "2"}
+            mangle(obj, 0)
+            assert decoded(series_from_obj, obj) == expected
+            assert decoded(series_from_obj_reference, obj) == expected
 
     # Every mangle, each on files of its own: drawn from one list, six of
     # the mangles were never met.
@@ -887,18 +906,42 @@ class TestComplexIntGrid:
         assert zetas == [stored(zeta_persistence_reference(complex_, cut))
                          for cut in cutoffs]
 
-    def test_zeta_builds_no_filtration_list(self):
+    def test_zeta_builds_no_filtration_list(self, monkeypatch, tmp_path):
+        # The persistence jobs run on the int keys alone: with the Fraction
+        # views FilteredComplex.filtrations and Barcode.bars made to raise,
+        # the library calls still run and the CLI cases print their golden
+        # bytes.
+        def refuse(self):
+            raise AssertionError(f"a persistence job read {type(self).__name__}"
+                                 " as Fractions")
         rng = fresh_rng(611)
-        for n in range(0, 400, 20):
-            obj = scaled_complex_file(rng, shifted_to_zero(
-                planted_complex(rng, n)[0] if n else random_complex(rng)[0]))
-            complex_ = complex_from_obj(obj)
-            for cutoff in (-1, 0, F(7, 3), 10**6):
-                zeta_persistence(complex_, cutoff)
-            assert complex_._filtrations is None
-            barcode = barcode_decompose(complex_)
-            barcode_to_obj(barcode)
-            assert complex_._filtrations is None
+        objs = [scaled_complex_file(rng, shifted_to_zero(
+                    planted_complex(rng, n)[0] if n else random_complex(rng)[0]))
+                for n in range(0, 400, 20)]
+        jobs = []
+        with monkeypatch.context() as patched:
+            patched.setattr(FilteredComplex, "filtrations", property(refuse))
+            patched.setattr(Barcode, "bars", property(refuse))
+            for obj in objs:
+                complex_ = complex_from_obj(obj)
+                for cutoff in (-1, 0, F(7, 3), 10**6):
+                    zeta_persistence(complex_, cutoff)
+                barcode = barcode_decompose(complex_)
+                barcode_to_obj(barcode)
+                jobs.append((obj, complex_, barcode))
+            dirs = {"data": DATA, "golden": GOLDEN, "tmp": tmp_path}
+            for name, argv in CASES:
+                if argv[0] not in ("barcode", "zeta-persistence"):
+                    continue
+                argv = [arg.format(**dirs) for arg in argv]
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert cli.main(argv) == 0
+                assert out.getvalue() == \
+                    (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+                assert (tmp_path / f"{name}.json").read_text(encoding="utf-8") \
+                    == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        for obj, complex_, barcode in jobs:
             # each generator is the birth or the death of one bar
             ends = [end for bar in barcode for end in (bar.birth, bar.death)
                     if end is not None]
