@@ -7,8 +7,8 @@ barcodes as JSON, comparisons as EQUAL or the first differing exponent.
 
 Exit codes: 0 success; 1 parse or validation error (bad flags, unreadable
 or schema-violating files); 2 violated mathematical precondition (e.g.
-inverting a non-unit, level on the spectrum); 3 the program is wrong (the
-exp and product forms disagree, or a reduction keeps its pivot row).
+inverting a non-unit, level on the spectrum, BeyondValidity); 3 the program
+is wrong (exp and product forms disagree, or a reduction keeps its pivot row).
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "help": "also write the result as a JSON series file"})
     file = ("file", {})
     # One row a subcommand: name, help, handler, arguments in help order.
-    # Rows name handlers, not library functions: handlers look those up when
-    # they run, so a library name rebound later (bench/tracing.py) is seen.
+    # Handlers and the lambdas of ``_series_command`` look library names up
+    # when they run, so a name rebound later (bench/tracing.py) is seen.
     for name, help_, func, arguments in [
         ("zeta-orbits", "zeta function of an orbit set file", _cmd_zeta_orbits,
          [file, cutoff, ("--form", {
@@ -68,16 +68,24 @@ def build_parser() -> argparse.ArgumentParser:
              "help": "computation route; 'both' runs exp and product "
                      "and fails if they disagree (default)"}), out]),
         ("zeta-toric", "zeta of a toric domain from axis actions",
-         _cmd_zeta_toric, [("--a", ratio), ("--b", ratio), cutoff, out]),
+         _series_command(lambda a: domains.toric_zeta(
+             domains.ToricDomain(a.a, a.b), a.cutoff)),
+         [("--a", ratio), ("--b", ratio), cutoff, out]),
         ("zeta-s1", "zeta of a circle-invariant domain from a Morse data file",
-         _cmd_zeta_s1, [file, cutoff, out]),
+         _series_command(lambda a: domains.s1_invariant_zeta(
+             _load(a.file, serialize.morse_from_obj), a.cutoff)),
+         [file, cutoff, out]),
         ("barcode", "barcode of a filtered complex file", _cmd_barcode,
          [file, ("--out", {"metavar": "PATH",
                            "help": "also write the barcode as a JSON file"})]),
         ("zeta-persistence", "zeta of the persistence module of a complex file",
-         _cmd_zeta_persistence, [file, cutoff, out]),
+         _series_command(lambda a: persistence.zeta_persistence(
+             _load(a.file, serialize.complex_from_obj), a.cutoff)),
+         [file, cutoff, out]),
         ("mobius-transform",
-         "Moebius product transform of an integer series file", _cmd_mobius,
+         "Moebius product transform of an integer series file",
+         _series_command(lambda a: mobius_product(
+             _load(a.file, serialize.series_from_obj), a.cutoff)),
          [file, cutoff, out]),
         ("compare", "compare two series files up to a cutoff", _cmd_compare,
          [("file_a", {}), ("file_b", {}), cutoff]),
@@ -119,6 +127,14 @@ def _emit_series(series: NovikovSeries, out_path) -> None:
                      + f"cutoff\t{obj['cutoff']}\n")
 
 
+def _series_command(compute):
+    """The handler that prints ``compute(args)`` through ``_emit_series``."""
+    def handler(args) -> int:
+        _emit_series(compute(args), args.out)
+        return 0
+    return handler
+
+
 def _first_difference(a: NovikovSeries, b: NovikovSeries):
     """Smallest exponent where two unequal series differ, and both coefficients."""
     s = (a - b).min_exponent()
@@ -144,18 +160,6 @@ def _cmd_zeta_orbits(args) -> int:
     return 0
 
 
-def _cmd_zeta_toric(args) -> int:
-    domain = domains.ToricDomain(args.a, args.b)
-    _emit_series(domains.toric_zeta(domain, args.cutoff), args.out)
-    return 0
-
-
-def _cmd_zeta_s1(args) -> int:
-    morse = _load(args.file, serialize.morse_from_obj)
-    _emit_series(domains.s1_invariant_zeta(morse, args.cutoff), args.out)
-    return 0
-
-
 def _cmd_barcode(args) -> int:
     complex_ = _load(args.file, serialize.complex_from_obj)
     barcode = persistence.barcode_decompose(complex_)
@@ -167,27 +171,10 @@ def _cmd_barcode(args) -> int:
     return 0
 
 
-def _cmd_zeta_persistence(args) -> int:
-    complex_ = _load(args.file, serialize.complex_from_obj)
-    _emit_series(persistence.zeta_persistence(complex_, args.cutoff), args.out)
-    return 0
-
-
-def _cmd_mobius(args) -> int:
-    series = _load(args.file, serialize.series_from_obj)
-    _emit_series(mobius_product(series, args.cutoff), args.out)
-    return 0
-
-
 def _cmd_compare(args) -> int:
-    series_a = _load(args.file_a, serialize.series_from_obj)
-    series_b = _load(args.file_b, serialize.series_from_obj)
-    limit = min(series_a.cutoff, series_b.cutoff)
-    if args.cutoff > limit:
-        return _fail(MATH_ERROR, f"cutoff {args.cutoff} exceeds the "
-                     f"validity {limit} of the inputs")
-    series_a = series_a.truncate(args.cutoff)
-    series_b = series_b.truncate(args.cutoff)
+    series = [_load(path, serialize.series_from_obj)
+              for path in (args.file_a, args.file_b)]
+    series_a, series_b = [s.truncate(args.cutoff) for s in series]
     if series_a == series_b:
         print("EQUAL")
     else:
@@ -198,9 +185,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_distinguish(args) -> int:
     series = _load(args.file, serialize.series_from_obj)
-    if args.cutoff > series.cutoff:
-        return _fail(MATH_ERROR, f"cutoff {args.cutoff} exceeds the "
-                     f"series validity {series.cutoff}")
     result = domains.distinguish_from_toric(series.truncate(args.cutoff))
     if result.witness is None:
         print(result.verdict.value)

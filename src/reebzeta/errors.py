@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 A violated mathematical precondition raises a ReebZetaError, which the
-CLI tells apart from a genuine bug.  A malformed constructor argument,
+CLI tells apart from a genuine bug and exits 2 on: BeyondValidity, say,
+for a cutoff above a series' validity.  A malformed constructor argument,
 such as a parity not 0 or 1, raises a ValueError or a KeyError; the
 ``serialize`` decoders check each field first and raise SchemaError,
 and the CLI reports a ReebZetaError from loading a file as one too.
@@ -41,6 +42,10 @@ class BadLeadingTerm(ReebZetaError, ValueError):
 
 class TooManyDigits(ReebZetaError, ValueError):
     """A result coefficient has too many digits for Python to write."""
+
+
+class BeyondValidity(ReebZetaError, ValueError):
+    """Truncation to a cutoff above the validity of the series."""
 
 
 # --- Orbit data ---

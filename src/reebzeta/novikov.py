@@ -42,7 +42,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Tuple, Union
 
-from .errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
+from .errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
+                     NotPositivelySupported)
 
 RatioLike = Union[int, str, Fraction]
 _LEAF = 128   # exp's divide and conquer stops at ranges of this many keys
@@ -291,8 +292,8 @@ class NovikovSeries:
         """Restrict validity to a smaller cutoff, dropping terms above it."""
         cut = as_ratio(cutoff)
         if cut > self._cutoff:
-            raise ValueError(
-                f"cannot extend validity: new cutoff {cut} exceeds {self._cutoff}")
+            raise BeyondValidity(f"cutoff {cut} exceeds the validity "
+                                 f"{self._cutoff} of the series")
         out = NovikovSeries._raw(self._q, {}, cut)
         out._terms = {n: c for n, c in self._terms.items() if n <= out._bound}
         return out

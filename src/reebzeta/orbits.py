@@ -136,6 +136,17 @@ def _orbit_key(o: SimpleOrbit):
     return (o.action, o.label)
 
 
+def _on_grid(orbit_set: OrbitSet, cutoff: Fraction):
+    """The orbits of action <= cutoff sorted by ``_orbit_key``, the grid
+    (q, keys) of their actions, and the cutoff's bound floor(q * cutoff).
+    Sorts (key, label) pairs, the same order on ints: labels are distinct."""
+    orbits = [o for o in orbit_set if o.action <= cutoff]
+    q, keys = novikov.grid([o.action for o in orbits])
+    rows = sorted(zip(keys, [o.label for o in orbits], orbits))
+    return ([o for _, _, o in rows], q, [a for a, _, _ in rows],
+            cutoff.numerator * q // cutoff.denominator)
+
+
 def iterate_parity(orbit: SimpleOrbit, d: int) -> int:
     """Lefschetz parity of the d-fold cover: eps1 for d odd, eps2 for d
     even (the parity of the count of return-map eigenvalues in (0,1),
@@ -162,9 +173,7 @@ def _exp_input(orbit_set: OrbitSet, cutoff: Fraction) -> NovikovSeries:
     # The exp argument on the int grid of the actions below the cutoff.
     # The d-fold cover of an orbit with key a sits at key n = d * a, and
     # its coefficient +-1/d is +-a/n, so each key sums int numerators.
-    orbits = [o for o in orbit_set if o.action <= cutoff]
-    q, keys = novikov.grid([o.action for o in orbits])
-    bound = cutoff.numerator * q // cutoff.denominator
+    orbits, q, keys, bound = _on_grid(orbit_set, cutoff)
     numerators = {}
     for o, a in zip(orbits, keys):
         # eps1 is the parity of the odd covers, eps2 of the even ones
@@ -206,7 +215,7 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]
 
     Only defined for 3D orbit sets: the parity pair (1, 0) has no
     3-dimensional orbit type and is rejected.  Runs on the int grid of
-    the actions and the cutoff in O(generators * log), for the sort.
+    the actions in O(generators * log), for the sort.
     """
     cutoff = as_ratio(cutoff)
     for o in orbit_set:
@@ -215,10 +224,7 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]
                 f"orbit {echo(o.label)} has parities (1, 0)")
     if cutoff < 0:
         return []
-    orbits = sorted((o for o in orbit_set if o.action <= cutoff),
-                    key=_orbit_key)
-    q, keys = novikov.grid([o.action for o in orbits] + [cutoff])
-    bound = keys.pop()
+    orbits, q, keys, bound = _on_grid(orbit_set, cutoff)
     # Depth-first on a stack of (next orbit, pairs, int total action,
     # grading); pairs come out sorted, hyperbolic orbits at multiplicity 1.
     found, stack = [], [(0, (), 0, 0)]
@@ -263,9 +269,7 @@ def zeta_good_orbits(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     it to the Moebius product transform recovers the zeta function.
     """
     cutoff = as_ratio(cutoff)
-    orbits = [o for o in orbit_set if o.action <= cutoff]
-    q, keys = novikov.grid([o.action for o in orbits])
-    bound = cutoff.numerator * q // cutoff.denominator
+    orbits, q, keys, bound = _on_grid(orbit_set, cutoff)
     counts = {}
     for o, a in zip(orbits, keys):
         # Every good cover has the parity of the orbit itself, and the even

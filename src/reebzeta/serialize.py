@@ -45,7 +45,6 @@ class SchemaError(ReebZetaError, ValueError):
 
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
-        self.where = where
 
 
 def _ratio_lines(texts) -> list:
@@ -70,11 +69,6 @@ def _ratio(text) -> Fraction:
     # The regex has vetted the text, so build the value from ints; int()
     # raises ValueError on more digits than it accepts.
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
-
-
-def _coeff(text):
-    """A ratio, stored as an int when it is whole, as series store them."""
-    return _norm_coeff(_ratio(text))
 
 
 def parse_ratio(text, where: str = "value") -> Fraction:
@@ -260,7 +254,7 @@ def orbit_set_from_obj(obj) -> OrbitSet:
 # -- filtered complexes ---------------------------------------------------
 
 _GENERATOR = {"label": _string, "eps": _bit, "filtration": _ratio}
-_DIFFERENTIAL = {"from": _string, "to": _string, "coeff": _coeff}
+_DIFFERENTIAL = {"from": _string, "to": _string, "coeff": _ratio}
 
 
 def _complex_direct(obj):

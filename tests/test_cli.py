@@ -576,11 +576,20 @@ class TestExitCodes:
         assert err == (f"reebzeta: error: {path}: series.cutoff: "
                        f"must be positive, got {shown}\n")
 
+    BEYOND = ("reebzeta: error: BeyondValidity: cutoff 3 exceeds the "
+              "validity 2 of the series\n")
+
     def test_compare_beyond_validity_is_math_error(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", {"terms": [], "cutoff": "2"})
         b = write(tmp_path, "b.json", {"terms": [], "cutoff": "5"})
-        code, _, err = run(capsys, "compare", a, b, "--cutoff", "3")
-        assert code == 2 and "validity" in err
+        for files in ([a, b], [b, a]):
+            code, out, err = run(capsys, "compare", *files, "--cutoff", "3")
+            assert (code, out, err) == (2, "", self.BEYOND)
+
+    def test_distinguish_beyond_validity_is_math_error(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", {"terms": [], "cutoff": "2"})
+        code, out, err = run(capsys, "distinguish", a, "--cutoff", "3")
+        assert (code, out, err) == (2, "", self.BEYOND)
 
     def test_ech_on_higher_dimensional_parities_is_math_error(
             self, tmp_path, capsys):

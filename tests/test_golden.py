@@ -18,7 +18,8 @@ import tempfile
 
 import pytest
 
-from reebzeta import cli, serialize, zeta_good_orbits
+from reebzeta import (cli, domains, orbits, persistence, serialize,
+                      zeta_good_orbits)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -90,6 +91,40 @@ CASES = (
 )
 
 
+# (module, name) of the library functions each subcommand reaches, besides
+# the zeta-orbits routes, which its --form picks.
+REACHED = {
+    "zeta-orbits": [(serialize, "load_json"), (serialize, "orbit_set_from_obj"),
+                    (serialize, "series_to_obj")],
+    "zeta-toric": [(domains, "toric_zeta"), (serialize, "series_to_obj")],
+    "zeta-s1": [(serialize, "load_json"), (serialize, "morse_from_obj"),
+                (domains, "s1_invariant_zeta"), (serialize, "series_to_obj")],
+    "barcode": [(serialize, "load_json"), (serialize, "complex_from_obj"),
+                (persistence, "barcode_decompose"),
+                (serialize, "barcode_to_obj")],
+    "zeta-persistence": [(serialize, "load_json"),
+                         (serialize, "complex_from_obj"),
+                         (persistence, "zeta_persistence"),
+                         (serialize, "series_to_obj")],
+    "mobius-transform": [(serialize, "load_json"),
+                         (serialize, "series_from_obj"),
+                         (cli, "mobius_product"),
+                         (serialize, "series_to_obj")],
+    "compare": [(serialize, "load_json"), (serialize, "series_from_obj")],
+    "distinguish": [(serialize, "load_json"), (serialize, "series_from_obj"),
+                    (domains, "distinguish_from_toric")],
+}
+
+
+def reached(argv) -> list:
+    """(module, name) of the library functions a case's argv reaches."""
+    forms = []
+    if argv[0] == "zeta-orbits":
+        form = argv[argv.index("--form") + 1] if "--form" in argv else "both"
+        forms = ["exp", "product"] if form == "both" else [form]
+    return REACHED[argv[0]] + [(orbits, f"zeta_{f}_form") for f in forms]
+
+
 def write_inputs() -> None:
     orbit_set = serialize.orbit_set_from_obj(
         serialize.load_json(str(DATA / "orbits_mixed.json")))
@@ -98,9 +133,10 @@ def write_inputs() -> None:
                         str(GOLDEN / GOOD_ORBITS))
 
 
-def run_cases() -> dict:
+def run_cases(after=lambda name, argv: None) -> dict:
     """{file name: text} for each case's stdout and each --out file.
-    Raises if a case exits nonzero or writes to stderr."""
+    Raises if a case exits nonzero or writes to stderr.  ``after`` is
+    called with each case's name and argv once the case has run."""
     produced = {}
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {"data": DATA, "golden": GOLDEN, "tmp": tmp}
@@ -116,6 +152,7 @@ def run_cases() -> dict:
             if "--out" in argv:
                 written = pathlib.Path(argv[argv.index("--out") + 1])
                 produced[f"{name}.json"] = written.read_text(encoding="utf-8")
+            after(name, argv)
     return produced
 
 
@@ -134,6 +171,35 @@ def test_golden_directory_has_no_stale_files(produced):
     stored = {p.name for p in GOLDEN.iterdir()} - {
         GOOD_ORBITS, FINE_ORBITS, SPELLED_COMPLEX}
     assert stored == set(produced)
+
+
+def test_cases_look_library_functions_up_when_they_run(monkeypatch):
+    # The parser is built, and cached, before the functions are rebound, as
+    # bench/tracing.py rebinds them: a handler that bound a library function
+    # when the table was built would miss the counting wrapper.
+    cli.build_parser()
+    calls = []
+
+    def counting(module, name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((module, name))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in {pair for _, argv in CASES for pair in reached(argv)}:
+        monkeypatch.setattr(module, name,
+                            counting(module, name, getattr(module, name)))
+
+    def check(name, argv):
+        missed = [f"{module.__name__}.{function}"
+                  for module, function in reached(argv)
+                  if (module, function) not in calls]
+        assert not missed, f"{name} did not reach {missed}"
+        calls.clear()
+
+    produced = run_cases(check)
+    for file_name, text in produced.items():
+        assert text == (GOLDEN / file_name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CASES])

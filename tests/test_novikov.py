@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import conv_reference, dict_exp, dict_mul, dict_terms, \
     exp_reference, fresh_rng, random_series, random_unit, stored
 from reebzeta import NovikovSeries, exp, log, novikov
-from reebzeta.errors import BadLeadingTerm, NotAUnit, NotPositivelySupported
+from reebzeta.errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
+                             NotPositivelySupported)
 from reebzeta.novikov import binomial_product
 
 
@@ -274,7 +275,8 @@ class TestRingLaws:
             assert u.inverse().truncate(small) == u.truncate(small).inverse()
 
     def test_truncate_cannot_extend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BeyondValidity,
+                           match="^cutoff 4 exceeds the validity 3 of the series$"):
             S({1: 1}, 3).truncate(4)
 
 

@@ -25,9 +25,9 @@ from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional, TooManyDigits)
 from reebzeta import cli
-from reebzeta.serialize import (_LINE_RE, SchemaError, _barcode_text, _coeff,
-                                _coeffs, _complex_direct, _series_direct,
-                                barcode_from_obj, barcode_to_obj,
+from reebzeta.serialize import (_LINE_RE, SchemaError, _barcode_text,
+                                _coeffs, _complex_direct, _ratio,
+                                _series_direct, barcode_from_obj, barcode_to_obj,
                                 complex_from_obj, dump_json, morse_from_obj,
                                 orbit_set_from_obj, parse_ratio,
                                 series_from_obj, series_to_obj)
@@ -1001,8 +1001,9 @@ class TestBarcodeText:
 # -- coefficient columns -----------------------------------------------------
 #
 # The direct passes read a column of coefficient texts through _coeffs: it
-# must give what the record loop's _coeff gives text by text, or raise, and
-# then the file goes to the record loop and its message.
+# must give what the record loop's _ratio gives text by text, stored as an
+# int when whole as FilteredComplex and series store it, or raise, and then
+# the file goes to the record loop and its message.
 
 COEFF_PALETTE = ["+1", " 1", "1_000", "\u0661", "1.0", "1e3", "-0", "0",
                  "3/1", "6/4", "-10/4", "1\n", "1\n2", 1, None,
@@ -1017,7 +1018,7 @@ def column_outcome(parse, texts):
 
 
 def record_loop_column(texts):
-    return [_coeff(text) for text in texts]
+    return [novikov._norm_coeff(_ratio(text)) for text in texts]
 
 
 @pytest.mark.parametrize("text", COEFF_PALETTE, ids=repr)
