@@ -140,7 +140,7 @@ def s1_invariant_zeta(morse: MorseData, cutoff: RatioLike) -> NovikovSeries:
     for indices 0 and 2 and kept as-is for saddles (index 1)."""
     return binomial_product(
         [(p.action, 1, 1 if p.index == 1 else -1)
-         for p in sorted(morse, key=lambda p: (p.action, p.label))], cutoff)
+         for p in morse], cutoff)
 
 
 class ToricVerdict(enum.Enum):

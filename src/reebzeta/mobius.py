@@ -16,14 +16,14 @@ factors with n*A beyond the cutoff being 1.  Per single action with count
 which is exactly what makes the transform invert the orbit-iterate
 bookkeeping of the zeta function.
 
-Many factors share a level m = n*A, so ``mobius_product`` merges their
-exponents first and applies one factor per level:
+Many factors share a level m = n*A, and ``novikov.binomial_product``
+merges factors of one exponent, so one factor per level is applied:
 
     prod_m (1 - t^m)^E(m),    E(m) = -sum_{n*A = m} mu(n) * a(A).
 
-The merge runs on the input series' own integer grid of step 1/q (see
-``novikov``), in int arithmetic on its keys and bound: sum_A
-floor(cutoff / A) steps in all.  Only levels with E(m) != 0 cost a
+``mobius_product`` lists the pairs (A, n) as int keys on the input
+series' own grid of step 1/q (see ``novikov``) for that merge's core:
+sum_A floor(cutoff / A) pairs in all.  Only levels with E(m) != 0 cost a
 binomial factor, and there are at most floor(q*cutoff) of them.
 For one orbit of action 1/N the N*log(N) factors of the unmerged product
 cancel to the single level m = 1/N.
@@ -31,12 +31,11 @@ cancel to the single level m = 1/N.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from . import orbits as _orbits
 from .errors import NonIntegerCoefficients, NonPositiveSupport
-from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
+from .novikov import NovikovSeries, RatioLike, _binomial_product, as_ratio
 
 @cache
 def mobius(n: int) -> int:
@@ -61,10 +60,11 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
     """The Moebius product transform of an integer series supported on
     positive exponents; see the module docstring for the factor formula.
 
-    Computed as prod_m (1 - t^m)^E(m) over levels m <= cutoff in
-    ascending order, with E(m) = -sum_{n*A = m} mu(n) * a(A) merged first
-    on the int keys of a's own grid, so each level is one factor of
-    ``novikov.binomial_product`` however many pairs (A, n) reach it.
+    Computed as prod_m (1 - t^m)^E(m) over levels m <= cutoff, with
+    E(m) = -sum_{n*A = m} mu(n) * a(A): one (n*A, 1, -mu(n) * a(A))
+    triple per pair on the int keys of a's own grid, merged by
+    ``novikov._binomial_product``, so each level is one factor however
+    many pairs (A, n) reach it.
 
     The result is valid modulo min(cutoff, a.cutoff) and carries that
     cutoff; its constant term is 1.
@@ -77,17 +77,10 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
         raise NonPositiveSupport(
             "transform input must be supported on positive exponents")
     a = a.truncate(cutoff)
-    merged = {}
-    for key, coeff in a._terms.items():
-        count = int(coeff)
-        for n in range(1, a._bound // key + 1):
-            mu = mobius(n)
-            if mu:
-                level = n * key
-                merged[level] = merged.get(level, 0) - mu * count
-    return binomial_product([(Fraction(level, a._q), 1, merged[level])
-                             for level in sorted(merged) if merged[level]],
-                            cutoff)
+    return _binomial_product(
+        a._q, [(n * key, 1, -mu * count) for key, count in a._terms.items()
+               for n in range(1, a._bound // key + 1) if (mu := mobius(n))],
+        cutoff)
 
 
 def zeta_via_mobius(orbit_set, cutoff: RatioLike) -> NovikovSeries:

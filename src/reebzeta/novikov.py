@@ -6,8 +6,8 @@ and rational exponents s ("actions"), considered modulo the ideal of terms
 with exponent greater than a fixed rational cutoff.  Addition is pointwise,
 multiplication is convolution of exponents, units are inverted by summing a
 geometric series, and exp/log connect additive and multiplicative pictures.
-``binomial_product`` forms the products of factors (1 - c * t^a)^k that
-every product-formula zeta in the library is made of.
+``binomial_product`` merges and multiplies the factors (1 - c * t^a)^k
+that every product-formula zeta in the library is made of.
 Everything is exact: equality of two series is equality of their terms,
 never an approximation.
 
@@ -331,16 +331,29 @@ class NovikovSeries:
 
 
 def binomial_product(factors: Iterable[Tuple], cutoff: RatioLike) -> NovikovSeries:
-    """prod (1 - c * t^a)^k over the (a, c, k) triples, in the given
-    order, modulo the cutoff; a factor with a above the cutoff is 1 and
-    is skipped.  The product-formula zetas (orbits, toric and
-    circle-invariant domains, the Moebius transform) all go through here.
-    """
-    cutoff = as_ratio(cutoff)
+    """prod (1 - c * t^a)^k over the (a, c, k) triples, in any order,
+    modulo the cutoff: the exponents go on one grid and
+    ``_binomial_product`` merges and applies the factors.  The orbit,
+    toric and circle-invariant zetas come here; the Moebius transform,
+    already on int keys, calls the core directly."""
+    factors = list(factors)
+    q, keys = grid(as_ratio(a) for a, _, _ in factors)
+    return _binomial_product(q, [(n, c, k) for n, (_, c, k)
+                                 in zip(keys, factors)], as_ratio(cutoff))
+
+
+def _binomial_product(q: int, factors, cutoff: Fraction) -> NovikovSeries:
+    """``binomial_product`` of (n, c, k) triples on int keys of the 1/q
+    grid: drops keys above the cutoff, merges equal (n, c) by summing k,
+    skips a merged k of 0 and applies the rest in ascending (n, c)."""
+    bound = cutoff.numerator * q // cutoff.denominator
+    merged = {}
+    for n, c, k in factors:
+        if n <= bound:
+            merged[n, c] = merged.get((n, c), 0) + k
     result = NovikovSeries.one(cutoff)
-    for a, c, k in factors:
-        if as_ratio(a) <= cutoff:
-            result = result * NovikovSeries({0: 1, a: -c}, cutoff) ** k
+    for (n, c), k in sorted(item for item in merged.items() if item[1]):
+        result *= NovikovSeries([(0, 1), (Fraction(n, q), -c)], cutoff) ** k
     return result
 
 

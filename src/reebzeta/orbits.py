@@ -124,22 +124,19 @@ class OrbitSet:
 
     def __eq__(self, other):
         if isinstance(other, OrbitSet):
-            return sorted(self.orbits, key=_orbit_key) == \
-                sorted(other.orbits, key=_orbit_key)
+            # a set loses nothing: labels are distinct within a set
+            return set(self.orbits) == set(other.orbits)
         return NotImplemented
 
     def __repr__(self):
         return f"OrbitSet({list(self.orbits)!r})"
 
 
-def _orbit_key(o: SimpleOrbit):
-    return (o.action, o.label)
-
-
 def _on_grid(orbit_set: OrbitSet, cutoff: Fraction):
-    """The orbits of action <= cutoff sorted by ``_orbit_key``, the grid
-    (q, keys) of their actions, and the cutoff's bound floor(q * cutoff).
-    Sorts (key, label) pairs, the same order on ints: labels are distinct."""
+    """The orbits of action <= cutoff in ascending action, then label; the
+    grid (q, keys) of their actions; and the cutoff's bound
+    floor(q * cutoff).  Sorts (key, label, orbit) rows, the same order on
+    ints: labels are distinct."""
     orbits = [o for o in orbit_set if o.action <= cutoff]
     q, keys = novikov.grid([o.action for o in orbits])
     rows = sorted(zip(keys, [o.label for o in orbits], orbits))
@@ -158,9 +155,7 @@ def iterate_parity(orbit: SimpleOrbit, d: int) -> int:
 
 def is_good(orbit: SimpleOrbit, d: int) -> bool:
     """False exactly for the bad covers: d even with eps2 != eps1."""
-    if d < 1:
-        raise ValueError(f"covering multiplicity must be >= 1, got {d}")
-    return not (d % 2 == 0 and orbit.eps2 != orbit.eps1)
+    return iterate_parity(orbit, d) == orbit.eps1
 
 
 def zeta_exp_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
@@ -194,7 +189,7 @@ def zeta_product_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     """
     return novikov.binomial_product(
         [(o.action, -1 if (o.eps1 + o.eps2) % 2 else 1, 1 if o.eps2 else -1)
-         for o in sorted(orbit_set, key=_orbit_key)], cutoff)
+         for o in orbit_set], cutoff)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 and filtered complexes, plus naive dict-based oracles kept deliberately
 independent of the library's own arithmetic."""
 
+import contextlib
 import json
 import random
 from fractions import Fraction as F
+
+import pytest
 
 from reebzeta import (Bar, Barcode, EchGenerator, FilteredComplex,
                       NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
@@ -348,6 +351,28 @@ def stored(series):
     itself (which need not be minimal) does not enter the comparison."""
     return series.cutoff, sorted((F(n, series._q), type(c), c)
                                  for n, c in series._terms.items())
+
+
+@contextlib.contextmanager
+def counting_powers():
+    """Yield the list of exponents k of the ``NovikovSeries.__pow__`` calls
+    made inside the block, one per factor: a negative power recurses once
+    on the inverse, and that inner call is not counted again."""
+    powers, depth = [], [0]
+    original = NovikovSeries.__pow__
+
+    def counting_pow(self, k):
+        if not depth[0]:
+            powers.append(k)
+        depth[0] += 1
+        try:
+            return original(self, k)
+        finally:
+            depth[0] -= 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NovikovSeries, "__pow__", counting_pow)
+        yield powers
 
 
 # -- random inputs -------------------------------------------------------

@@ -156,6 +156,19 @@ class TestS1InvariantZeta:
             zeta = s1_invariant_zeta(MorseData(points), 6)
             assert all(c > 0 for _, c in zeta.items())
 
+    def test_point_order_does_not_matter(self):
+        rng = fresh_rng(505)
+        for _ in range(20):
+            # each saddle comes with one more extremum: #min - #sad + #max = 2
+            indices = [0, 2]
+            for _ in range(rng.randint(0, 3)):
+                indices += [1, rng.choice((0, 2))]
+            points = [(f"p{i}", F(rng.randint(1, 8), rng.randint(1, 4)), index)
+                      for i, index in enumerate(indices)]
+            shuffled = rng.sample(points, len(points))
+            assert s1_invariant_zeta(MorseData(shuffled), 6) == \
+                s1_invariant_zeta(MorseData(points), 6)
+
     def test_isolated_saddle_action_witnesses(self):
         # saddle action not a sum of the other actions within the cutoff
         morse = MorseData([("min", 2, 0), ("sad", F(5, 2), 1),

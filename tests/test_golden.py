@@ -39,6 +39,13 @@ FINE_ORBITS = "orbits_fine.json"
 #: repeated entry that sums, one that cancels to 0, a pivot quotient of
 #: 1/2 and infinite bars.  Committed by hand.
 SPELLED_COMPLEX = "complex_spelled.json"
+#: Input of the zeta-orbits-coincident case: orbits whose actions coincide
+#: under different spellings ("3/2" and "6/4", "1" and "2/2", two at "2"),
+#: so that an elliptic and a positive hyperbolic factor cancel, as do a
+#: negative hyperbolic and an (eps1, eps2) = (1, 0) factor, and two
+#: elliptic factors merge into one square, plus one lone orbit.
+#: Committed by hand.
+COINCIDENT_ORBITS = "orbits_coincident.json"
 
 # (case name, argv); "{data}", "{golden}" and "{tmp}" are directories.
 # A case with --out writes "{tmp}/<case name>.json".
@@ -55,6 +62,8 @@ CASES = (
                          "--cutoff", "12", "--form", "ech"]),
     ("zeta-orbits-fine", ["zeta-orbits", "{golden}/" + FINE_ORBITS,
                           "--cutoff", "2", "--form", "both"]),
+    ("zeta-orbits-coincident", ["zeta-orbits", "{golden}/" + COINCIDENT_ORBITS,
+                                "--cutoff", "8", "--form", "both"]),
     ("mobius-transform", ["mobius-transform", "{golden}/" + GOOD_ORBITS,
                           "--cutoff", "12",
                           "--out", "{tmp}/mobius-transform.json"]),
@@ -169,7 +178,7 @@ def test_every_subcommand_is_covered():
 
 def test_golden_directory_has_no_stale_files(produced):
     stored = {p.name for p in GOLDEN.iterdir()} - {
-        GOOD_ORBITS, FINE_ORBITS, SPELLED_COMPLEX}
+        GOOD_ORBITS, FINE_ORBITS, SPELLED_COMPLEX, COINCIDENT_ORBITS}
     assert stored == set(produced)
 
 

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import conv_reference, dict_exp, dict_mul, dict_terms, \
-    exp_reference, fresh_rng, random_series, random_unit, stored
+from helpers import conv_reference, counting_powers, dict_exp, dict_mul, \
+    dict_terms, exp_reference, fresh_rng, random_series, random_unit, stored
 from reebzeta import NovikovSeries, exp, log, novikov
 from reebzeta.errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
                              NotPositivelySupported)
@@ -135,19 +135,49 @@ class TestBinomialProduct:
     def test_empty_product_is_one(self):
         assert binomial_product([], 3) == NovikovSeries.one(3)
 
-    def test_factors_above_the_cutoff_are_skipped(self, monkeypatch):
-        powers = []
-        original = NovikovSeries.__pow__
-
-        def counting_pow(self, k):
-            powers.append(k)
-            return original(self, k)
-
-        monkeypatch.setattr(NovikovSeries, "__pow__", counting_pow)
-        result = binomial_product([(5, 1, -1), (F(7, 2), 3, 2), (3, 1, 4)], 3)
-        monkeypatch.undo()
+    def test_factors_above_the_cutoff_are_skipped(self):
+        with counting_powers() as powers:
+            result = binomial_product(
+                [(5, 1, -1), (F(7, 2), 3, 2), (3, 1, 4)], 3)
         assert powers == [4]
         assert result == S({0: 1, 3: -4}, 3)
+
+    def test_coincident_factors_merge(self):
+        # 1/2 and "2/4" are one exponent with one c: the powers -1 and 3
+        # merge into a single square
+        with counting_powers() as powers:
+            result = binomial_product([(F(1, 2), 1, -1), ("2/4", 1, 3)], 2)
+        assert powers == [2]
+        assert result == S({0: 1, F(1, 2): -2, 1: 1}, 2)
+
+    def test_cancelling_factors_cost_nothing(self):
+        with counting_powers() as powers:
+            result = binomial_product([(1, 2, 3), ("3/3", 2, -3)], 4)
+        assert powers == []
+        assert result == NovikovSeries.one(4)
+
+    def test_opposite_coefficients_stay_two_factors(self):
+        # (1 - t)(1 + t) = 1 - t^2: one exponent, two values of c
+        with counting_powers() as powers:
+            result = binomial_product([(1, 1, 1), (1, -1, 1)], 3)
+        assert powers == [1, 1]
+        assert result == S({0: 1, 2: -1}, 3)
+
+    def test_exponent_zero_is_a_constant_factor(self):
+        # (1 - 3 * t^0)^2 = 4
+        assert binomial_product([(F(0), 3, 2)], 2) == S({0: 4}, 2)
+        assert binomial_product([(0, 3, 1), (1, 1, -1)], 2) == \
+            S({0: -2, 1: -2, 2: -2}, 2)
+
+    def test_factor_order_does_not_matter(self):
+        rng = fresh_rng(108)
+        for _ in range(40):
+            factors = [(F(rng.randint(1, 12), rng.choice((1, 2, 3, 4))),
+                        rng.choice((1, -1, 2, F(1, 2))), rng.randint(-3, 3))
+                       for _ in range(rng.randint(0, 8))]
+            shuffled = rng.sample(factors, len(factors))
+            assert binomial_product(shuffled, 4) == \
+                binomial_product(factors, 4)
 
 
 class TestInverse:

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (PARITY_PAIRS, ech_generators_reference, ech_labels,
-                     ech_multiplicities, exp_input_reference, fresh_rng,
-                     good_orbit_count_reference, random_3d_orbit_set,
-                     random_orbit_set, stored, zeta_good_orbits_reference)
+from helpers import (PARITY_PAIRS, counting_powers, ech_generators_reference,
+                     ech_labels, ech_multiplicities, exp_input_reference,
+                     fresh_rng, good_orbit_count_reference,
+                     random_3d_orbit_set, random_orbit_set, stored,
+                     zeta_good_orbits_reference)
 from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       ech_generators, elliptic, good_orbit_count, is_good,
                       iterate_parity, negative_hyperbolic, orbits,
@@ -46,6 +47,14 @@ class TestOrbitModel:
         with pytest.raises(DuplicateLabel):
             OrbitSet([elliptic("a", 1), elliptic("a", 2)])
 
+    def test_equality_ignores_order(self):
+        a, b = elliptic("a", 1), negative_hyperbolic("b", F(2, 4))
+        assert OrbitSet([a, b]) == OrbitSet([b, a])
+        assert OrbitSet([a, b]) != OrbitSet([a])
+        assert OrbitSet([a]) != OrbitSet([elliptic("a", 2)])
+        assert OrbitSet([a]) != OrbitSet([positive_hyperbolic("a", 1)])
+        assert OrbitSet([a]).__eq__([a]) is NotImplemented
+
 
 class TestIterateParity:
     def test_odd_cover_uses_eps1(self):
@@ -74,6 +83,13 @@ class TestGoodBad:
     def test_equal_parities_never_bad(self):
         assert is_good(elliptic("e", 1), 6)
         assert is_good(positive_hyperbolic("h", 1), 6)
+
+    def test_rejects_nonpositive_multiplicity(self):
+        for d in (0, -2):
+            with pytest.raises(ValueError) as info:
+                is_good(negative_hyperbolic("n", 1), d)
+            assert str(info.value) == \
+                f"covering multiplicity must be >= 1, got {d}"
 
 
 class TestZetaExpForm:
@@ -156,6 +172,24 @@ class TestZetaProductForm:
         single = OrbitSet([SimpleOrbit("x", 1, 1, 0)])
         assert zeta_product_form(single, 3) == \
             S({0: 1, 1: -1, 2: 1, 3: -1}, 3)
+
+    def test_coincident_factors_cost_nothing(self):
+        # an elliptic and a positive hyperbolic orbit of one action give
+        # (1 - t^A)^-1 and (1 - t^A): they cancel before any power is taken
+        pair = OrbitSet([elliptic("e", F(3, 2)),
+                         positive_hyperbolic("h", "6/4")])
+        with counting_powers() as powers:
+            result = zeta_product_form(pair, 8)
+        assert powers == []
+        assert result == NovikovSeries.one(8)
+
+    def test_orbit_order_does_not_matter(self):
+        rng = fresh_rng(212)
+        for _ in range(20):
+            orbit_set = random_orbit_set(rng, max_den=4)
+            shuffled = OrbitSet(rng.sample(orbit_set.orbits, len(orbit_set)))
+            assert zeta_product_form(shuffled, 5) == \
+                zeta_product_form(orbit_set, 5)
 
 
 class TestEchGenerators:
