@@ -4,8 +4,8 @@ an action cutoff.
 A series is a finite sum  sum_s c_s * t^s  with rational coefficients c_s
 and rational exponents s ("actions"), considered modulo the ideal of terms
 with exponent greater than a fixed rational cutoff.  Addition is pointwise,
-multiplication is convolution of exponents, units are inverted by summing a
-geometric series, and exp/log connect additive and multiplicative pictures.
+multiplication is convolution of exponents, units are inverted key by key
+in ascending order, and exp/log connect additive and multiplicative pictures.
 ``binomial_product`` merges and multiplies the factors (1 - c * t^a)^k
 that every product-formula zeta in the library is made of.
 Everything is exact: equality of two series is equality of their terms,
@@ -18,11 +18,11 @@ exactly when n <= bound.  ``grid`` is the one function that puts rationals
 on such a grid.  The inner loops of *, inverse, exp and log run on int
 keys only; Fraction exponents exist at the API edge (construction,
 ``items``, ``coefficient``, ``min_exponent`` and ``repr``).
-Dense work leaves the dicts: a product of two dense int series is one
-big-int multiply of the two series packed into ints, one fixed-width slot
-per key (Kronecker substitution).  exp runs on lists indexed by key when
-its keys are dense, by divide and conquer through ``_conv`` (packed on
-ints, the pair loop on Fractions), so it shares that kernel with the
+Dense work leaves the dicts for one packed kernel on int lists,
+``_kronecker``: one big-int multiply (Kronecker substitution) and a
+window of its slots.  Products of dense int series read every slot up to
+the bound; exp, on lists when its keys are dense, reads only the middle
+slots of each divide and conquer step, so it shares the kernel with the
 product route it checks (a fault there still splits them:
 tests/test_faults.py).  Nothing allocates by the bound alone, which
 reaches about 10^9 for three-digit action denominators.
@@ -37,9 +37,13 @@ nonnegative exponents, where truncated arithmetic is self-consistent.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import mul
+from heapq import heappop, heappush
+from itertools import compress, count, repeat
+from operator import add, and_, mul
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
@@ -302,13 +306,13 @@ class NovikovSeries:
         """Multiplicative inverse modulo the cutoff.
 
         Factors the series as c * t^s0 * (1 - r) with r supported on
-        positive exponents and sums the geometric series for (1 - r)^-1,
-        which terminates because the powers of r leave the truncation
-        window.  When s0 > 0 the inverse picks up exponents down to -s0,
-        and a * a.inverse() is exactly 1 modulo the cutoff.  A negative
-        leading exponent is rejected: no truncation of the inverse could
-        satisfy the unit law modulo the cutoff.  Runs on the series' own
-        grid.
+        positive exponents and solves (1 - r) * g = 1 in ascending keys:
+        g[0] = 1, g[n] = sum_{j in r, j <= n} r[j] * g[n - j], over the keys
+        that nonzero g reach by steps of r (a heap), none sized by the
+        bound.  When s0 > 0 the inverse picks up exponents down to -s0, and
+        a * a.inverse() is exactly 1 modulo the cutoff.  A negative leading
+        exponent is rejected: no truncation of the inverse could satisfy
+        the unit law modulo the cutoff.  Runs on the series' own grid.
         """
         if not self._terms:
             raise NotAUnit("series is zero modulo its cutoff")
@@ -318,16 +322,32 @@ class NovikovSeries:
                 f"leading exponent {self.min_exponent()} is negative; the "
                 "inverse is not determined modulo the cutoff")
         c0 = self._terms[n0]
-        # neg_r = 1 - a / (c0 t^s0), supported on positive keys
-        neg_r = sorted((n - n0, _quotient(-c, c0))
-                       for n, c in self._terms.items() if n != n0)
-        # the inner sum runs to cutoff + s0; its keys are all positive
-        acc = _power_sum(neg_r, self._bound + n0, lambda k: 1)
-        acc[0] = 1
+        # r = 1 - a / (c0 t^s0), supported on positive keys
+        r = sorted((n - n0, _quotient(-c, c0))
+                   for n, c in self._terms.items() if n != n0)
+        top = self._bound + n0      # g runs to cutoff + s0
+        g, heap, seen = {}, [0], {0}
+        while heap:
+            n = heappop(heap)
+            c = 0 if n else 1
+            for j, rj in r:
+                if j > n:
+                    break
+                if prev := g.get(n - j):
+                    c += rj * prev
+            if not c:
+                continue
+            g[n] = c
+            for j, _ in r:
+                if (m := n + j) > top:
+                    break
+                if m not in seen:
+                    seen.add(m)
+                    heappush(heap, m)
         inv_c0 = _quotient(1, c0)
-        return NovikovSeries._raw(
-            self._q, {n - n0: _norm_coeff(c * inv_c0) for n, c in acc.items()},
-            self._cutoff)
+        terms = {n - n0: c * inv_c0 for n, c in g.items()}
+        _prune(terms)
+        return NovikovSeries._raw(self._q, terms, self._cutoff)
 
 
 def binomial_product(factors: Iterable[Tuple], cutoff: RatioLike) -> NovikovSeries:
@@ -394,14 +414,10 @@ def _conv(a, b, bound: int) -> dict:
 
 
 def _conv_packed(a, b, bound: int):
-    """``_conv`` by one big-int product (Kronecker substitution), or None
-    when the inputs are not dense int series.
-
-    Each side becomes the int sum_k c_k * B^k over its key offsets k, with
-    B = 2^(8 * nbytes) wide enough for any coefficient of the product.
-    After the multiply, adding half of B to each low slot makes every
-    digit nonnegative, so the masked low slots hold the coefficients plus
-    that offset, and higher slots cannot borrow into them."""
+    """``_conv`` by one ``_kronecker`` product, or None when the inputs are
+    not dense int series: the terms inside the key spans clipped to the
+    bound become two int lists indexed by key offset, and the nonzero
+    product slots up to the bound come back as the terms."""
     a0, b0 = a[0][0], b[0][0]
     top = bound - a0 - b0                 # largest offset kept
     if top < 0:
@@ -409,42 +425,57 @@ def _conv_packed(a, b, bound: int):
     la = min(a[-1][0] - a0, top) + 1      # clipped key spans
     lb = min(b[-1][0] - b0, top) + 1
     # the terms inside them; (n,) sorts before every (n, c)
-    a, b = a[:bisect_left(a, (a0 + la,))], b[:bisect_left(b, (b0 + lb,))]
-    if (len(a) * len(b) <= 32 * (la + lb)
-            or not all(type(c) is int for _, c in a)
-            or not all(type(c) is int for _, c in b)):
+    if bisect_left(a, (a0 + la,)) * bisect_left(b, (b0 + lb,)) <= 32 * (la + lb):
         return None
-    a = [(n - a0, c) for n, c in a]
-    b = [(n - b0, c) for n, c in b]
-    largest = (max(abs(c) for _, c in a) * max(abs(c) for _, c in b)
-               * min(la, lb))
-    nbytes = largest.bit_length() // 8 + 1   # 2^(8 * nbytes - 1) > largest
-    width = min(la + lb - 1, top + 1)
-    half = 1 << (8 * nbytes - 1)
-    product = _pack(a, la, nbytes) * _pack(b, lb, nbytes)
-    digits = width * nbytes
-    offset = int.from_bytes(half.to_bytes(nbytes, "little") * width, "little")
-    low = ((product + offset) & ((1 << (8 * digits)) - 1)).to_bytes(
-        digits, "little")
-    acc = {}
-    for k in range(width):
-        c = int.from_bytes(low[k * nbytes:(k + 1) * nbytes], "little") - half
-        if c:
-            acc[a0 + b0 + k] = c
-    return acc
+    slots = _kronecker(list(map(dict(a).get, range(a0, a0 + la), repeat(0))),
+                       list(map(dict(b).get, range(b0, b0 + lb), repeat(0))),
+                       0, min(la + lb - 1, top + 1))
+    return None if slots is None else \
+        dict(compress(zip(count(a0 + b0), slots), slots))
 
 
-def _pack(terms, span: int, nbytes: int) -> int:
-    # sum c * 2^(8 * nbytes * n) over (offset n, int c), as P - N so that
-    # each of the two byte strings holds magnitudes only
-    pos, neg = bytearray(span * nbytes), bytearray(span * nbytes)
-    for n, c in terms:
-        i = n * nbytes
-        if c > 0:
-            pos[i:i + nbytes] = c.to_bytes(nbytes, "little")
+def _kronecker(x, y, start: int, stop: int):
+    """Slots [start, stop) of the product of the int lists x and y, slot k
+    the coefficient of offset k (zeros past the product), by one big-int
+    multiply (Kronecker substitution); None when a value is not an int.
+
+    Each list v is sum_k v[k] * B^k, B = 2^(8 * width) with B / 2 above
+    every value and product slot: its two's complement slots (v + B where
+    v < 0), as arrays up to 8 bytes wide, less B times its sign slots.
+    B / 2 added to each product slot below stop makes those digits
+    nonnegative, so the shift and the mask drop the others exactly."""
+    if not {*map(type, x), *map(type, y)} <= {int}:
+        return None
+    mx, my = max(map(abs, x), default=0), max(map(abs, y), default=0)
+    bits = max(mx * my * min(len(x), len(y)), mx, my).bit_length() + 1
+    width = 1 << ((bits - 1) // 8).bit_length()
+    code = "bhiq"[width.bit_length() - 1] if width <= 8 else None
+    product = 1
+    for v in (x, y):
+        if code:
+            slots, signs = array(code, v), array(code.upper(), map((0).__gt__, v))
+            if sys.byteorder == "big":
+                slots.byteswap()
+                signs.byteswap()
         else:
-            neg[i:i + nbytes] = (-c).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+            slots, signs = (b"".join(map(int.to_bytes, part, repeat(width),
+                                         repeat("little")))
+                            for part in (map(and_, v, repeat((1 << 8 * width) - 1)),
+                                         map((0).__gt__, v)))
+        product *= int.from_bytes(slots, "little") - \
+            (int.from_bytes(signs, "little") << 8 * width)
+    half, size = 1 << (8 * width - 1), stop - start
+    offset = int.from_bytes(half.to_bytes(width, "little") * stop, "little")
+    window = (product + offset) >> (8 * width * start)
+    raw = (window & ((1 << (8 * width * size)) - 1)).to_bytes(width * size,
+                                                               "little")
+    if not code:
+        return [int.from_bytes(raw[i:i + width], "little") - half
+                for i in range(0, len(raw), width)]
+    slots = array(code.upper(), raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return list(map(half.__rsub__, slots))
 
 
 def _prune(acc: dict) -> None:
@@ -457,13 +488,13 @@ def _prune(acc: dict) -> None:
             del acc[n]
 
 
-def _power_sum(r, bound: int, weight) -> dict:
-    """sum_{k>=1} weight(k) * r^k on keys <= bound, for r a sorted list
-    of (int key, coeff) with positive keys: the sum is finite because the
-    lowest key of r^k grows with k and the powers leave the window."""
+def _power_sum(r, bound: int) -> dict:
+    """sum_{k>=1} (-1)^{k+1} r^k / k = log(1 + r) on keys <= bound, for r
+    sorted (int key, coeff) pairs on positive keys: finite, as the lowest
+    key of r^k grows with k and the powers leave the window."""
     acc, power, k = {}, dict(r), 1
     while power:
-        w = weight(k)
+        w = Fraction(1 if k % 2 else -1, k)
         for n, c in power.items():
             acc[n] = acc.get(n, 0) + w * c
         k += 1
@@ -482,9 +513,9 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     j * a[j], over the keys reachable below the cutoff, on the grid of a.
     When those fill a quarter of [1, N], N the largest, and the keys of a a
     quarter of theirs, w and g are lists and ``_exp_online`` takes
-    O(M(N) log N), M(N) a product of N keys (one packed multiply on ints,
-    as for every zeta's exp input).  Otherwise dicts, O(reachable keys x
-    terms of a), none sized by the bound, which reaches about 10^9.
+    O(M(N) log N), M(N) a product of N keys (a ``_kronecker`` middle
+    product on ints, as every zeta's exp input has).  Otherwise dicts,
+    O(reachable keys x terms of a), none sized by the bound (about 10^9).
     """
     if not a.is_positively_supported:
         raise NotPositivelySupported(
@@ -497,9 +528,7 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     f = {0: 1}
     if reach and 4 * len(reach) >= reach[-1] and 4 * len(keys) >= keys[-1]:
         # dense: w[j - 1] = j * a[j] and g[n] = f[n]
-        w = [0] * keys[-1]
-        for j, c in weighted:
-            w[j - 1] = c
+        w = list(map(dict(weighted).get, range(1, keys[-1] + 1), repeat(0)))
         g = [0] * (reach[-1] + 1)
         g[0] = 1
         _exp_online(w, weighted, g, [0] * len(g), reach, 0, len(g))
@@ -524,13 +553,16 @@ def _exp_online(w, pairs, g, acc, reach, lo: int, hi: int) -> None:
         return
     mid = (lo + hi) // 2
     _exp_online(w, pairs, g, acc, reach, lo, mid)
-    # the terms of g[lo:mid] in acc[mid:hi], by one product of offsets
-    weights = pairs[:bisect_left(pairs, (hi - lo,))]
-    if weights:
-        left = [(k, c) for k, c in enumerate(g[lo:mid]) if c]
-        for k, c in _conv(left, weights, hi - lo - 1).items():
-            if k >= mid - lo:
-                acc[lo + k] += c
+    # acc[mid:hi] gets the terms g[i] * w[j - 1] of key i + j from g[lo:mid]
+    slots = _kronecker(g[lo:mid], w[:hi - lo - 1], mid - lo - 1, hi - lo - 1)
+    if slots is None:       # Fractions: each g[i] meets the weights in range
+        slots = [0] * (hi - mid)
+        for k, c in enumerate(g[lo:mid], lo - mid):     # k = i - mid
+            if c:
+                for j, wj in pairs[bisect_left(pairs, (-k,)):
+                                   bisect_left(pairs, (hi - mid - k,))]:
+                    slots[k + j] += c * wj
+    acc[mid:hi] = map(add, acc[mid:hi], slots)
     _exp_online(w, pairs, g, acc, reach, mid, hi)
 
 
@@ -564,6 +596,4 @@ def log(a: NovikovSeries) -> NovikovSeries:
         raise BadLeadingTerm(
             f"log needs constant term 1, got {a.constant_term}")
     r = sorted((n, c) for n, c in terms.items() if n != 0)
-    return NovikovSeries._raw(
-        a._q, _power_sum(r, a._bound, lambda k: Fraction(1 if k % 2 else -1, k)),
-        a.cutoff)
+    return NovikovSeries._raw(a._q, _power_sum(r, a._bound), a.cutoff)

@@ -220,6 +220,35 @@ def conv_reference(a, b, bound: int) -> dict:
     return acc
 
 
+def kronecker_reference(x, y, start: int, stop: int) -> list:
+    """``novikov._kronecker`` by the pair loop: slots [start, stop) of the
+    product of the lists x and y, zeros past the product."""
+    terms = [[(k, c) for k, c in enumerate(v) if c] for v in (x, y)]
+    slots = conv_reference(*terms, stop - 1) if all(terms) else {}
+    return [slots.get(k, 0) for k in range(start, stop)]
+
+
+def inverse_reference(a: NovikovSeries) -> NovikovSeries:
+    """``NovikovSeries.inverse`` as it was before the ascending recurrence:
+    a = c0 * t^s0 * (1 - r), and 1 / (1 - r) the geometric sum of the
+    powers of r, each the pair loop of the last one with r, on keys up to
+    cutoff + s0.  Same preconditions as ``inverse`` (not re-checked)."""
+    terms = a._terms
+    n0 = min(terms)
+    c0 = terms[n0]
+    r = sorted((n - n0, novikov._quotient(-c, c0))
+               for n, c in terms.items() if n != n0)
+    acc, power = {0: 1}, dict(r)
+    while power:
+        for n, c in power.items():
+            acc[n] = acc.get(n, 0) + c
+        power = conv_reference(sorted(power.items()), r, a._bound + n0)
+    novikov._prune(acc)
+    inv_c0 = novikov._quotient(1, c0)
+    return NovikovSeries._raw(a._q, {n - n0: novikov._norm_coeff(c * inv_c0)
+                                     for n, c in acc.items()}, a.cutoff)
+
+
 def exp_input_reference(orbit_set: OrbitSet, cutoff) -> NovikovSeries:
     """The argument of exp in ``zeta_exp_form`` as it was built before it
     used int keys: one Fraction exponent d*A and one Fraction(+-1, d) per

@@ -304,3 +304,28 @@ def test_criterion_16_exp_form_on_a_finer_grid():
             samples.append(time.perf_counter() - start)
     assert min(samples) < 0.75, \
         f"criterion 16 took {min(samples):.2f}s at best, budget 0.75s"
+
+
+def test_criterion_17_unit_inverses_by_the_ascending_recurrence():
+    fine = OrbitSet([elliptic("e", F(1, 10 ** 5))])
+    unit = NovikovSeries({0: 1, F(999, 1000): -1, F(1001, 1003): -1}, 8)
+    # (name, run, terms of the result, budget in seconds), each timed at
+    # its best of three samples, as in criterion 15
+    runs = [("product form", lambda: zeta_product_form(fine, 1), 100001, 0.25),
+            ("inverse", unit.inverse, 45, 0.05)]
+    best = {}
+    with criterion(17, "product form of one elliptic orbit of action "
+                       "1/10^5 at cutoff 1 (100,001 terms), and the inverse "
+                       "of 1 - t^(999/1000) - t^(1001/1003) at cutoff 8 "
+                       "(45 terms, bound about 8*10^6), best of 3"):
+        for name, run, terms, _ in runs:
+            samples = []
+            for _ in range(3):
+                start = time.perf_counter()
+                result = run()
+                samples.append(time.perf_counter() - start)
+            assert len(result) == terms
+            best[name] = min(samples)
+    for name, _, _, budget in runs:
+        assert best[name] < budget, \
+            f"criterion 17 {name} took {best[name]:.3f}s at best, budget {budget}s"

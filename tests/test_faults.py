@@ -1,8 +1,8 @@
 """Fault injection: a one-line fault in a zeta or barcode kernel is caught
 by the CLI's route comparison or by the golden stdout.
 
-The exp route evaluates its recurrence through ``novikov._conv`` and
-``_conv_packed``, the kernels of every series product, so a fault there
+The exp route evaluates its recurrence through ``novikov._kronecker``,
+the packed kernel under every large series product, so a fault there
 can reach the product route too.  The two routes stay independent checks
 only if such a fault still shows.  Each case below changes one line of a
 library function, applies the changed function as a monkeypatch for one
@@ -28,12 +28,14 @@ from test_golden import CASES, DATA, GOLDEN
 COMPARISON, GOLDEN_DIFF = "the --form both comparison", "the golden stdout"
 GUARD = "the reduction guard"
 
-# (fault, module, function, line as written, the line with the fault,
+# (fault, module or class, function, line as written, the line with the fault,
 # golden case, check that catches, exp and product routes of the case's
 # orbit set whose result changes)
 FAULTS = [
-    ("packed product drops its top slot", novikov, "_conv_packed",
-     "for k in range(width):", "for k in range(width - 1):",
+    # the mask keeps no digit of the top slot, which then reads as -B/2
+    ("packed product drops its top slot", novikov, "_kronecker",
+     "(window & ((1 << (8 * width * size)) - 1))",
+     "(window & ((1 << (8 * width * (size - 1))) - 1))",
      "zeta-orbits-fine", COMPARISON, {"exp", "product"}),
     ("pair loop off by one at the bound", novikov, "_conv",
      "if n > bound:", "if n >= bound:",
@@ -42,8 +44,12 @@ FAULTS = [
      "reversed(g[lo:n])", "reversed(g[lo + 1:n])",
      "zeta-orbits-fine", COMPARISON, {"exp"}),
     ("middle product added one key off", novikov, "_exp_online",
-     "acc[lo + k] += c", "acc[lo + k - 1] += c",
+     "acc[mid:hi] = map(add, acc[mid:hi], slots)",
+     "acc[mid - 1:hi - 1] = map(add, acc[mid - 1:hi - 1], slots)",
      "zeta-orbits-fine", COMPARISON, {"exp"}),
+    ("inverse recurrence skips the last term of r", novikov.NovikovSeries,
+     "inverse", "for j, rj in r:", "for j, rj in r[:-1]:",
+     "zeta-orbits-fine", COMPARISON, {"product"}),
     ("exp input parity sign flipped", orbits, "_exp_input",
      "(-a if eps else a)", "(a if eps else -a)",
      "zeta-orbits-fine", COMPARISON, {"exp"}),
@@ -73,18 +79,20 @@ FAULTS = [
 ]
 
 
-def inject(monkeypatch, module, name, line, fault):
-    """Replace module.<name> by a copy with ``line`` changed to ``fault``.
-    The copy runs in a copy of the module namespace, so its own recursive
-    calls reach the faulty version and its other calls the real functions,
-    while every caller in the module reaches it through the patch."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def inject(monkeypatch, owner, name, line, fault):
+    """Replace owner.<name>, a module function or a class method, by a
+    copy with ``line`` changed to ``fault``.  The copy runs in a copy of
+    the module namespace, so its own recursive calls reach the faulty
+    version and its other calls the real functions, while every caller
+    reaches it through the patch."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(line) == 1, \
-        f"{module.__name__}.{name} no longer has {line!r}"
+        f"{owner.__name__}.{name} no longer has {line!r}"
+    module = inspect.getmodule(owner)
     namespace = dict(vars(module))
     exec(compile(source.replace(line, fault), module.__file__, "exec"),
          namespace)
-    monkeypatch.setattr(module, name, namespace[name])
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def argv_of(case, tmp_path):
@@ -105,10 +113,10 @@ def routes(argv):
 
 @pytest.mark.parametrize("fault", FAULTS, ids=[f[0] for f in FAULTS])
 def test_each_fault_is_caught(monkeypatch, capsys, tmp_path, fault):
-    name, module, function, line, faulty, case, check, changed = fault
+    name, owner, function, line, faulty, case, check, changed = fault
     argv = argv_of(case, tmp_path)
     clean = routes(argv)
-    inject(monkeypatch, module, function, line, faulty)
+    inject(monkeypatch, owner, function, line, faulty)
     faulted = routes(argv)
     assert {r for r in clean if faulted[r] != clean[r]} == changed
     code = cli.main(argv)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import conv_reference, counting_powers, dict_exp, dict_mul, \
-    dict_terms, exp_reference, fresh_rng, random_series, random_unit, stored
+    dict_terms, exp_reference, fresh_rng, inverse_reference, \
+    kronecker_reference, random_series, random_unit, stored
 from reebzeta import NovikovSeries, exp, log, novikov
 from reebzeta.errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
                              NotPositivelySupported)
@@ -215,6 +216,26 @@ class TestInverse:
         for _ in range(40):
             a = random_unit(rng, cutoff=8)
             assert a * a.inverse() == NovikovSeries.one(8)
+
+    def test_random_units_match_the_geometric_sum(self):
+        # int and Fraction coefficients, leading exponents 0 and above
+        rng = fresh_rng(3571)
+        for i in range(60):
+            a = random_unit(rng, cutoff=rng.choice((3, 8)),
+                            leading_zero=i % 2 == 0)
+            assert stored(a.inverse()) == stored(inverse_reference(a))
+
+    def test_cancelling_coefficients_match_the_geometric_sum(self):
+        # (1 + t)(1 - t^2): g[n] sums to zero on the odd keys, whose
+        # successors are still reached from the even ones
+        a = S({0: 1, 1: 1}, 9) * S({0: 1, 2: -1}, 9)
+        cases = [a, S({0: 2, 1: 2, 3: -2}, 9), S({F(1, 2): 3, F(3, 2): -3,
+                                                  F(5, 2): F(3, 2)}, 9)]
+        for unit in cases:
+            assert stored(unit.inverse()) == stored(inverse_reference(unit))
+        assert a.inverse() == S({n: 1 if n % 2 == 0 else -1
+                                 for n in range(10)}, 9) * \
+            S({n: 1 for n in range(0, 10, 2)}, 9)
 
 
 class TestExp:
@@ -682,23 +703,79 @@ class TestExpKernel:
             assert stored(result) == stored(exp_reference(a))
 
     def test_conv_is_the_pair_loop_on_the_shapes_exp_feeds_it(self):
-        # every (offset, g) x (j, w) product of the online pass, on both
-        # sides of the packed-product gate, Fraction values among them
-        calls, conv = [], novikov._conv
+        # every middle product of the online pass goes to the kernel: on
+        # ints it gives the pair loop's window, on Fractions None, and the
+        # node's own pair loop (checked by exp_reference above) takes over
+        calls, kronecker = [], novikov._kronecker
 
-        def spy(a, b, bound):
-            calls.append((list(a), list(b), bound))
-            return conv(a, b, bound)
+        def spy(x, y, start, stop):
+            slots = kronecker(x, y, start, stop)
+            calls.append((list(x), list(y), start, stop, slots))
+            return slots
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(novikov, "_conv", spy)
+            patch.setattr(novikov, "_kronecker", spy)
             for _, a, _, _ in EXP_CASES:
                 exp(a)
             exp(log_binomials(ONE_ORBIT, 600, 1))
-        sides, fractions = {True: 0, False: 0}, 0
-        for a, b, bound in calls:
-            assert typed(conv(a, b, bound)) == typed(conv_reference(a, b, bound))
-            sides[packs(a, b, bound)] += 1
-            fractions += any(type(c) is F for _, c in a + b)
+        sides = {True: 0, False: 0}
+        for x, y, start, stop, slots in calls:
+            ints = all(type(c) is int for c in x + y)
+            assert slots == (kronecker_reference(x, y, start, stop)
+                             if ints else None)
+            sides[ints] += 1
         assert sides[True] >= 5 and sides[False] >= 5
-        assert fractions >= 1
+
+
+def draw_values(rng, length, largest):
+    """``length`` ints in [-largest, largest], one of them +-largest."""
+    values = [rng.randint(-largest, largest) for _ in range(length)]
+    values[rng.randrange(length)] = rng.choice((largest, -largest))
+    return values
+
+
+def slot_bytes(x, y):
+    """The slot width the kernel needs: the least power of two in bytes
+    whose B = 2^(8 * width) has B / 2 above every value and every slot of
+    the product."""
+    mx, my = max(map(abs, x)), max(map(abs, y))
+    largest = max(mx * my * min(len(x), len(y)), mx, my)
+    width = 1
+    while 1 << (8 * width - 1) <= largest:
+        width *= 2
+    return width
+
+
+# (name, (length, largest value) of each side, slot width in bytes)
+KRONECKER_CASES = [
+    ("1-byte slots", (10, 3), (12, 3), 1),
+    ("2-byte slots", (100, 9), (120, 9), 2),
+    ("4-byte slots", (100, 1000), (90, 1000), 4),
+    ("8-byte slots", (100, 10 ** 6), (100, 10 ** 6), 8),
+    ("wider slots", (60, BIG ** 2), (50, BIG), 32),
+    ("all-zero side, small values", (40, 0), (30, 9), 1),
+    ("all-zero side, a value above 127", (40, 0), (30, 200), 2),
+    ("all-zero side, wide values", (40, 0), (30, 2 ** 40), 8),
+]
+
+
+class TestKronecker:
+    @pytest.mark.parametrize("case", KRONECKER_CASES,
+                             ids=[c[0] for c in KRONECKER_CASES])
+    def test_windows_match_the_pair_loop(self, case):
+        name, (lx, mx), (ly, my), width = case
+        rng = fresh_rng(len(name))
+        x, y = draw_values(rng, lx, mx), draw_values(rng, ly, my)
+        assert slot_bytes(x, y) == width
+        size = lx + ly - 1                  # slots of the product
+        # all of it, past its end, a middle part, the window exp's nodes
+        # read, its top slot and beyond, empty, and wholly past it
+        windows = [(0, size), (0, size + 5), (lx // 2, size - 3),
+                   (min(lx, ly) - 1, max(lx, ly)), (size - 1, size + 3),
+                   (3, 3), (size + 2, size + 4)]
+        for start, stop in windows:
+            slots = novikov._kronecker(x, y, start, stop)
+            assert [(type(c), c) for c in slots] == \
+                [(int, c) for c in kronecker_reference(x, y, start, stop)]
+        assert novikov._kronecker(y, x, 0, size) == \
+            novikov._kronecker(x, y, 0, size)
