@@ -441,7 +441,7 @@ def _kronecker(x, y, start: int, stop: int):
 
     Each list v is sum_k v[k] * B^k, B = 2^(8 * width) with B / 2 above
     every value and product slot: its two's complement slots (v + B where
-    v < 0), as arrays up to 8 bytes wide, less B times its sign slots.
+    v < 0) less B times its sign slots, each one join of ``to_bytes``.
     B / 2 added to each product slot below stop makes those digits
     nonnegative, so the shift and the mask drop the others exactly."""
     if not {*map(type, x), *map(type, y)} <= {int}:
@@ -449,19 +449,12 @@ def _kronecker(x, y, start: int, stop: int):
     mx, my = max(map(abs, x), default=0), max(map(abs, y), default=0)
     bits = max(mx * my * min(len(x), len(y)), mx, my).bit_length() + 1
     width = 1 << ((bits - 1) // 8).bit_length()
-    code = "bhiq"[width.bit_length() - 1] if width <= 8 else None
-    product = 1
+    mask, product = (1 << 8 * width) - 1, 1
     for v in (x, y):
-        if code:
-            slots, signs = array(code, v), array(code.upper(), map((0).__gt__, v))
-            if sys.byteorder == "big":
-                slots.byteswap()
-                signs.byteswap()
-        else:
-            slots, signs = (b"".join(map(int.to_bytes, part, repeat(width),
-                                         repeat("little")))
-                            for part in (map(and_, v, repeat((1 << 8 * width) - 1)),
-                                         map((0).__gt__, v)))
+        slots, signs = (b"".join(map(int.to_bytes, part, repeat(width),
+                                     repeat("little")))
+                        for part in (map(and_, v, repeat(mask)),
+                                     map((0).__gt__, v)))
         product *= int.from_bytes(slots, "little") - \
             (int.from_bytes(signs, "little") << 8 * width)
     half, size = 1 << (8 * width - 1), stop - start
@@ -469,10 +462,10 @@ def _kronecker(x, y, start: int, stop: int):
     window = (product + offset) >> (8 * width * start)
     raw = (window & ((1 << (8 * width * size)) - 1)).to_bytes(width * size,
                                                                "little")
-    if not code:
+    if width > 8:
         return [int.from_bytes(raw[i:i + width], "little") - half
                 for i in range(0, len(raw), width)]
-    slots = array(code.upper(), raw)
+    slots = array("BHIQ"[width.bit_length() - 1], raw)
     if sys.byteorder == "big":
         slots.byteswap()
     return list(map(half.__rsub__, slots))

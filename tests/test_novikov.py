@@ -702,7 +702,7 @@ class TestExpKernel:
             assert path == "online"
             assert stored(result) == stored(exp_reference(a))
 
-    def test_conv_is_the_pair_loop_on_the_shapes_exp_feeds_it(self):
+    def test_kronecker_is_the_pair_loop_on_the_middle_products_exp_feeds_it(self):
         # every middle product of the online pass goes to the kernel: on
         # ints it gives the pair loop's window, on Fractions None, and the
         # node's own pair loop (checked by exp_reference above) takes over
