@@ -20,28 +20,25 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .errors import (BadMorseCounts, NonPositiveAction, NotCoprime,
                      OnSpectrum, echo)
 from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
 
 
-@dataclass(frozen=True)
-class ToricDomain:
+class ToricDomain(namedtuple("ToricDomain", "a b")):
     """A star-shaped toric domain, reduced to its two axis orbit actions."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_ratio(self.a))
-        object.__setattr__(self, "b", as_ratio(self.b))
-        if self.a <= 0 or self.b <= 0:
+    def __new__(cls, a: RatioLike, b: RatioLike):
+        a, b = as_ratio(a), as_ratio(b)
+        if a <= 0 or b <= 0:
             raise NonPositiveAction(
-                f"toric axis actions must be positive, got ({self.a}, {self.b})")
+                f"toric axis actions must be positive, got ({a}, {b})")
+        return super().__new__(cls, a, b)
 
 
 def toric_zeta(domain: ToricDomain, cutoff: RatioLike) -> NovikovSeries:
@@ -63,29 +60,26 @@ def toric_euler(domain: ToricDomain, at: RatioLike) -> int:
     return math.floor(qa) + math.floor(qb)
 
 
-@dataclass(frozen=True)
-class MomentProfilePoint:
+class MomentProfilePoint(namedtuple("MomentProfilePoint", "w v")):
     """A boundary-profile point with rational slope: position w on the
-    moment curve (both coordinates positive) and the outward normal v in
-    coprime positive integers."""
+    moment curve (a pair of Fractions, both positive) and the outward
+    normal v (a pair of coprime positive ints)."""
 
-    w: Tuple[Fraction, Fraction]
-    v: Tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = (as_ratio(self.w[0]), as_ratio(self.w[1]))
-        object.__setattr__(self, "w", w)
+    def __new__(cls, w, v):
+        w = (as_ratio(w[0]), as_ratio(w[1]))
         if w[0] <= 0 or w[1] <= 0:
             raise ValueError(
                 f"profile point needs positive coordinates, got {w}")
-        v = tuple(self.v)
+        given, v = v, tuple(v)
         if len(v) != 2 or any(type(x) is not int for x in v):
-            raise TypeError(f"normal must be a pair of ints, got {self.v!r}")
-        object.__setattr__(self, "v", v)
+            raise TypeError(f"normal must be a pair of ints, got {given!r}")
         if v[0] < 1 or v[1] < 1:
             raise NotCoprime(f"normal components must be positive, got {v}")
         if math.gcd(v[0], v[1]) != 1:
             raise NotCoprime(f"normal {v} is not coprime")
+        return super().__new__(cls, w, v)
 
 
 def toric_family_action(point: MomentProfilePoint) -> Fraction:
@@ -94,20 +88,22 @@ def toric_family_action(point: MomentProfilePoint) -> Fraction:
     return point.v[0] * point.w[0] + point.v[1] * point.w[1]
 
 
-@dataclass(frozen=True)
-class MorseCriticalPoint:
-    label: str
-    action: Fraction   # the induced orbit action, > 0
-    index: int         # Morse index on the 2-sphere: 0, 1 or 2
+class MorseCriticalPoint(namedtuple("MorseCriticalPoint", "label action index")):
+    """A critical point of a Morse function on the 2-sphere: its
+    ``label``, the induced orbit ``action`` (a Fraction > 0) and its Morse
+    ``index`` (0, 1 or 2; the field shadows ``tuple.index``)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "action", as_ratio(self.action))
-        if self.action <= 0:
+    __slots__ = ()
+
+    def __new__(cls, label: str, action: RatioLike, index: int):
+        action = as_ratio(action)
+        if action <= 0:
             raise NonPositiveAction(
-                f"critical point {echo(self.label)}: action must be positive")
-        if type(self.index) is not int or self.index not in (0, 1, 2):
+                f"critical point {echo(label)}: action must be positive")
+        if type(index) is not int or index not in (0, 1, 2):
             raise ValueError(
-                f"critical point {echo(self.label)}: index must be 0, 1 or 2")
+                f"critical point {echo(label)}: index must be 0, 1 or 2")
+        return super().__new__(cls, label, action, index)
 
 
 class MorseData:
@@ -118,7 +114,7 @@ class MorseData:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        self.points: Tuple[MorseCriticalPoint, ...] = tuple(
+        self.points: tuple[MorseCriticalPoint, ...] = tuple(
             MorseCriticalPoint(*p) for p in points)
         counts = [0, 0, 0]
         for p in self.points:
@@ -148,10 +144,12 @@ class ToricVerdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class DistinguishResult:
-    verdict: ToricVerdict
-    witness: Optional[Fraction] = None
+class DistinguishResult(namedtuple("DistinguishResult", "verdict witness",
+                                   defaults=(None,))):
+    """A ``ToricVerdict`` and, for NOT_TORIC_INTERIOR, the witness: the
+    smallest exponent with a negative coefficient (a Fraction), else None."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.witness is None:

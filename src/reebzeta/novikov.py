@@ -40,16 +40,16 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress, count, repeat
 from operator import add, and_, mul
-from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
                      NotPositivelySupported)
 
-RatioLike = Union[int, str, Fraction]
+RatioLike = int | str | Fraction
 _LEAF = 128   # exp's divide and conquer stops at ranges of this many keys
 
 
@@ -69,7 +69,7 @@ def as_ratio(value: RatioLike) -> Fraction:
     return Fraction(value)
 
 
-def grid(fractions: Iterable[Fraction]) -> Tuple[int, list]:
+def grid(fractions: Iterable[Fraction]) -> tuple[int, list]:
     """(q, keys): q is the lcm of the denominators and keys[i] the int
     q * fractions[i], so keys order and group the rationals exactly as
     the rationals themselves do."""
@@ -106,7 +106,7 @@ class NovikovSeries:
 
     __slots__ = ("_q", "_terms", "_cutoff", "_bound")
 
-    def __init__(self, terms: Union[Mapping, Iterable[Tuple]] = (), cutoff: RatioLike = 0):
+    def __init__(self, terms: Mapping | Iterable[tuple] = (), cutoff: RatioLike = 0):
         cut = as_ratio(cutoff)
         items = terms.items() if isinstance(terms, Mapping) else terms
         pairs = [(as_ratio(s), c) for s, c in items]
@@ -350,7 +350,7 @@ class NovikovSeries:
         return NovikovSeries._raw(self._q, terms, self._cutoff)
 
 
-def binomial_product(factors: Iterable[Tuple], cutoff: RatioLike) -> NovikovSeries:
+def binomial_product(factors: Iterable[tuple], cutoff: RatioLike) -> NovikovSeries:
     """prod (1 - c * t^a)^k over the (a, c, k) triples, in any order,
     modulo the cutoff: the exponents go on one grid and
     ``_binomial_product`` merges and applies the factors.  The orbit,
@@ -371,10 +371,11 @@ def _binomial_product(q: int, factors, cutoff: Fraction) -> NovikovSeries:
     for n, c, k in factors:
         if n <= bound:
             merged[n, c] = merged.get((n, c), 0) + k
-    result = NovikovSeries.one(cutoff)
+    result = None   # the first factor starts the product: no * by one
     for (n, c), k in sorted(item for item in merged.items() if item[1]):
-        result *= NovikovSeries([(0, 1), (Fraction(n, q), -c)], cutoff) ** k
-    return result
+        power = NovikovSeries([(0, 1), (Fraction(n, q), -c)], cutoff) ** k
+        result = power if result is None else result * power
+    return NovikovSeries.one(cutoff) if result is None else result
 
 
 # -- integer-key internals ---------------------------------------------

@@ -23,9 +23,9 @@ core consistency check of the library.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Tuple
 
 from . import novikov
 from .errors import (DuplicateLabel, NonPositiveAction, NotThreeDimensional,
@@ -42,7 +42,7 @@ class OrbitType3D(enum.Enum):
     NEGATIVE_HYPERBOLIC = "neg-hyperbolic"   # negative real eigenvalues
 
     @property
-    def parities(self) -> Tuple[int, int]:
+    def parities(self) -> tuple[int, int]:
         """(eps1, eps2) for this orbit type."""
         return _TYPE_PARITIES[self]
 
@@ -54,25 +54,20 @@ _TYPE_PARITIES = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleOrbit:
+class SimpleOrbit(namedtuple("SimpleOrbit", "label action eps1 eps2")):
     """A simple (embedded) Reeb orbit: action plus the two Lefschetz
     parities from which all iterate data derives."""
 
-    label: str
-    action: Fraction
-    eps1: int
-    eps2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "action", as_ratio(self.action))
-        if self.action <= 0:
+    def __new__(cls, label: str, action: RatioLike, eps1: int, eps2: int):
+        action = as_ratio(action)
+        if action <= 0:
             raise NonPositiveAction(
-                f"orbit {echo(self.label)}: action {self.action} must be > 0")
-        if not all(type(e) is int and e in (0, 1)
-                   for e in (self.eps1, self.eps2)):
-            raise ValueError(
-                f"orbit {echo(self.label)}: parities must be 0 or 1")
+                f"orbit {echo(label)}: action {action} must be > 0")
+        if not all(type(e) is int and e in (0, 1) for e in (eps1, eps2)):
+            raise ValueError(f"orbit {echo(label)}: parities must be 0 or 1")
+        return super().__new__(cls, label, action, eps1, eps2)
 
     @classmethod
     def of_type(cls, label: str, action: RatioLike,
@@ -192,18 +187,17 @@ def zeta_product_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
          for o in orbit_set], cutoff)
 
 
-@dataclass(frozen=True)
-class EchGenerator:
+class EchGenerator(namedtuple("EchGenerator", "pairs grading total_action")):
     """A finite multiset of simple orbits with multiplicities, hyperbolic
-    orbits allowed only with multiplicity one.  The mod 2 grading is the
-    parity of the number of positive hyperbolic orbits present."""
+    orbits allowed only with multiplicity one: ``pairs`` is a tuple of
+    (SimpleOrbit, multiplicity), sorted.  The mod 2 ``grading`` is the
+    parity of the number of positive hyperbolic orbits present, and
+    ``total_action`` the Fraction sum of multiplicity times action."""
 
-    pairs: Tuple[Tuple[SimpleOrbit, int], ...]
-    grading: int
-    total_action: Fraction
+    __slots__ = ()
 
 
-def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> List[EchGenerator]:
+def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> list[EchGenerator]:
     """All ECH generators with total action <= cutoff, in deterministic
     order (total action, then labels, then multiplicities); none when the
     cutoff is negative.

@@ -38,9 +38,9 @@ read, and one builder, ``Barcode._from_rows``, orders every barcode's rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (DuplicateLabel, FiltrationViolation, GradingViolation,
                      InternalError, NotSquareZero, UnknownLabel, echo)
@@ -63,7 +63,7 @@ class FilteredComplex:
 
     __slots__ = ("labels", "eps", "q", "keys", "_columns")
 
-    def __init__(self, generators: Iterable, boundary: Iterable[Tuple] = ()):
+    def __init__(self, generators: Iterable, boundary: Iterable[tuple] = ()):
         labels, eps, filtrations = [], [], []
         for label, e, filtration in generators:
             filtrations.append(as_ratio(filtration))
@@ -88,7 +88,7 @@ class FilteredComplex:
             raise DuplicateLabel(f"generator label {echo(label)} repeated")
         self.labels, self.eps, self.q, self.keys = labels, eps, q, keys
         # column j -> {row i: coefficient of generator i in boundary of j}
-        self._columns: Dict[int, Dict[int, object]] = {}
+        self._columns: dict[int, dict[int, object]] = {}
         for x, y, coeff in boundary:
             if type(coeff) is not int:
                 coeff = _norm_coeff(as_ratio(coeff))
@@ -112,7 +112,7 @@ class FilteredComplex:
         return len(self.labels)
 
     @property
-    def filtrations(self) -> List[Fraction]:
+    def filtrations(self) -> list[Fraction]:
         return [Fraction(n, self.q) for n in self.keys]
 
     # -- validity --------------------------------------------------------
@@ -133,7 +133,7 @@ class FilteredComplex:
                         f"{Fraction(keys[i], self.q)}")
         # d(d(x)) = 0 for each basis column
         for j, col in columns.items():
-            square: Dict[int, object] = {}
+            square: dict[int, object] = {}
             for i, c in col.items():
                 below = columns.get(i)
                 if below:
@@ -145,7 +145,7 @@ class FilteredComplex:
                         f"<d(d {echo(labels[j])}), {echo(labels[i2])}> = {c}")
 
 
-def _reduce(col: Dict[int, object], pivots: Dict[int, Dict[int, object]]):
+def _reduce(col: dict[int, object], pivots: dict[int, dict[int, object]]):
     """Subtract multiples of the pivot columns (keyed by their lowest row)
     from col, in place, until col is empty or its lowest row has no pivot;
     then file col as that row's pivot and return the row, or None.  A step
@@ -168,15 +168,15 @@ def _reduce(col: Dict[int, object], pivots: Dict[int, Dict[int, object]]):
     return None
 
 
-def _rank(columns: List[Dict[int, object]]) -> int:
+def _rank(columns: list[dict[int, object]]) -> int:
     """Rank over Q of a matrix given as sparse columns."""
-    pivots: Dict[int, Dict[int, object]] = {}
+    pivots: dict[int, dict[int, object]] = {}
     for col in columns:
         _reduce(dict(col), pivots)
     return len(pivots)
 
 
-def homology_dims(complex_: FilteredComplex, level: RatioLike) -> Tuple[int, int]:
+def homology_dims(complex_: FilteredComplex, level: RatioLike) -> tuple[int, int]:
     """Graded dimensions (even, odd) of the homology of the subcomplex
     spanned by generators with filtration <= level, by exact rank-nullity
     over the rationals.  This is the oracle everything barcode-shaped is
@@ -196,24 +196,22 @@ def homology_dims(complex_: FilteredComplex, level: RatioLike) -> Tuple[int, int
 
 # -- bars and barcodes ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(namedtuple("Bar", "birth death eps")):
     """A graded interval [birth, death); death is None for a bar that
     never dies."""
 
-    birth: Fraction
-    death: Optional[Fraction]
-    eps: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "birth", as_ratio(self.birth))
-        if self.death is not None:
-            object.__setattr__(self, "death", as_ratio(self.death))
-            if not self.birth < self.death:
+    def __new__(cls, birth: RatioLike, death: RatioLike | None, eps: int):
+        birth = as_ratio(birth)
+        if death is not None:
+            death = as_ratio(death)
+            if not birth < death:
                 raise ValueError(
-                    f"bar needs birth < death, got [{self.birth}, {self.death})")
-        if type(self.eps) is not int or self.eps not in (0, 1):
+                    f"bar needs birth < death, got [{birth}, {death})")
+        if type(eps) is not int or eps not in (0, 1):
             raise ValueError("bar eps must be 0 or 1")
+        return super().__new__(cls, birth, death, eps)
 
 
 class Barcode:
@@ -242,7 +240,7 @@ class Barcode:
         return self
 
     @property
-    def bars(self) -> Tuple[Bar, ...]:
+    def bars(self) -> tuple[Bar, ...]:
         q = self.q
         return tuple(Bar(Fraction(b, q), d if d is None else Fraction(d, q), e)
                      for b, d, e in self.rows)
@@ -261,7 +259,7 @@ class Barcode:
     def __repr__(self):
         return f"Barcode({list(self.bars)!r})"
 
-    def graded_dims(self, level: RatioLike) -> Tuple[int, int]:
+    def graded_dims(self, level: RatioLike) -> tuple[int, int]:
         """(even, odd) counts of bars alive at the level, i.e. with
         birth <= level < death, compared as keys."""
         level = as_ratio(level)
@@ -292,8 +290,8 @@ def barcode_decompose(complex_: FilteredComplex) -> Barcode:
     order = sorted(range(len(keys)), key=keys.__getitem__)
     pos = {i: p for p, i in enumerate(order)}
 
-    reduced: Dict[int, Dict[int, object]] = {}     # low position -> column
-    killed: Dict[int, int] = {}                     # birth index -> death index
+    reduced: dict[int, dict[int, object]] = {}     # low position -> column
+    killed: dict[int, int] = {}                     # birth index -> death index
     columns = complex_._columns
     for i in filter(columns.__contains__, order):   # skip empty columns
         low = _reduce({pos[r]: c for r, c in columns[i].items()}, reduced)

@@ -157,6 +157,28 @@ class TestBinomialProduct:
         assert powers == []
         assert result == NovikovSeries.one(4)
 
+    @pytest.mark.parametrize("factors, products, expected", [
+        ([(1, 1, -1)], 0, S({0: 1, 1: 1, 2: 1, 3: 1}, 3)),
+        ([(1, 1, -1), (2, 1, 1)], 1, S({0: 1, 1: 1}, 3)),
+        ([(1, 1, 1), (2, 1, 1), (3, 1, 1)], 2, S({0: 1, 1: -1, 2: -1}, 3)),
+        ([(1, 2, 1), ("3/3", 2, -1)], 0, NovikovSeries.one(3)),
+    ])
+    def test_the_first_factor_starts_the_product(self, factors, products,
+                                                 expected, monkeypatch):
+        # k = +-1 makes no * inside **, so every * counted is the
+        # product's own: one fewer than the factors, none by one
+        calls = []
+        original = NovikovSeries.__mul__
+
+        def counting_mul(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(NovikovSeries, "__mul__", counting_mul)
+        result = binomial_product(factors, 3)
+        assert len(calls) == products
+        assert result == expected
+
     def test_opposite_coefficients_stay_two_factors(self):
         # (1 - t)(1 + t) = 1 - t^2: one exponent, two values of c
         with counting_powers() as powers:

@@ -229,8 +229,8 @@ class TestBarcodeDecompose:
             barcode = barcode_decompose(c)
             bars = [Bar(b.birth, b.death, b.eps) for b in barcode]
             assert barcode == Barcode(rng.sample(bars, len(bars)))
-            assert [[(type(v), v) for v in vars(b).values()] for b in barcode] \
-                == [[(type(v), v) for v in vars(b).values()] for b in bars]
+            assert [[(type(v), v) for v in b] for b in barcode] \
+                == [[(type(v), v) for v in b] for b in bars]
 
 
 class TestBars:
