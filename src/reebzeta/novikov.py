@@ -42,7 +42,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import compress, count, repeat
 from operator import add, and_, mul
 
@@ -307,12 +306,13 @@ class NovikovSeries:
 
         Factors the series as c * t^s0 * (1 - r) with r supported on
         positive exponents and solves (1 - r) * g = 1 in ascending keys:
-        g[0] = 1, g[n] = sum_{j in r, j <= n} r[j] * g[n - j], over the keys
-        that nonzero g reach by steps of r (a heap), none sized by the
-        bound.  When s0 > 0 the inverse picks up exponents down to -s0, and
-        a * a.inverse() is exactly 1 modulo the cutoff.  A negative leading
-        exponent is rejected: no truncation of the inverse could satisfy
-        the unit law modulo the cutoff.  Runs on the series' own grid.
+        g[0] = 1, g[n] = sum_{j in r, j <= n} r[j] * g[n - j], over the
+        sorted keys that sums of the keys of r reach (``_semigroup``: no
+        heap and no frontier), none sized by the bound.  When s0 > 0 the
+        inverse picks up exponents down to -s0, and a * a.inverse() is
+        exactly 1 modulo the cutoff.  A negative leading exponent is
+        rejected: no truncation of the inverse could satisfy the unit law
+        modulo the cutoff.  Runs on the series' own grid.
         """
         if not self._terms:
             raise NotAUnit("series is zero modulo its cutoff")
@@ -325,25 +325,17 @@ class NovikovSeries:
         # r = 1 - a / (c0 t^s0), supported on positive keys
         r = sorted((n - n0, _quotient(-c, c0))
                    for n, c in self._terms.items() if n != n0)
-        top = self._bound + n0      # g runs to cutoff + s0
-        g, heap, seen = {}, [0], {0}
-        while heap:
-            n = heappop(heap)
-            c = 0 if n else 1
+        g = {0: 1}
+        # g runs to cutoff + s0
+        for n in _semigroup([j for j, _ in r], self._bound + n0):
+            c = 0
             for j, rj in r:
                 if j > n:
                     break
                 if prev := g.get(n - j):
                     c += rj * prev
-            if not c:
-                continue
-            g[n] = c
-            for j, _ in r:
-                if (m := n + j) > top:
-                    break
-                if m not in seen:
-                    seen.add(m)
-                    heappush(heap, m)
+            if c:
+                g[n] = c
         inv_c0 = _quotient(1, c0)
         terms = {n - n0: c * inv_c0 for n, c in g.items()}
         _prune(terms)
@@ -570,10 +562,12 @@ def _semigroup(generators, bound: int):
     for g in sorted(set(generators)):
         if g in reach:
             continue
-        new = reach
-        while new:
-            new = {r + g for r in new if r + g <= bound} - reach
-            reach |= new
+        # each chain r + g, r + 2g, ... once, from its least start r
+        for r in sorted(reach):
+            if r + g > bound:
+                break
+            if r + g not in reach:
+                reach.update(range(r + g, bound + 1, g))
     reach.discard(0)
     return sorted(reach)
 

@@ -204,7 +204,10 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> list[EchGenerator]
 
     Only defined for 3D orbit sets: the parity pair (1, 0) has no
     3-dimensional orbit type and is rejected.  Runs on the int grid of
-    the actions in O(generators * log), for the sort.
+    the actions, one orbit at a time in ascending action: every choice of
+    multiplicities for the orbits so far is itself a generator, and each
+    orbit extends only the generators with room left for it, so the pass
+    is linear in the generators plus the orbits, before the sort.
     """
     cutoff = as_ratio(cutoff)
     for o in orbit_set:
@@ -214,25 +217,25 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> list[EchGenerator]
     if cutoff < 0:
         return []
     orbits, q, keys, bound = _on_grid(orbit_set, cutoff)
-    # Depth-first on a stack of (next orbit, pairs, int total action,
-    # grading); pairs come out sorted, hyperbolic orbits at multiplicity 1.
-    found, stack = [], [(0, (), 0, 0)]
-    while stack:
-        i, chosen, total, grading = stack.pop()
-        budget = bound - total
-        # Actions ascend, so once orbit i is over budget every later one is.
-        if i == len(orbits) or keys[i] > budget:
-            found.append((total, tuple([o.label for o, _ in chosen]),
-                          tuple([m for _, m in chosen]), chosen, grading))
-            continue
-        o, a = orbits[i], keys[i]
-        stack.append((i + 1, chosen, total, grading))
-        max_mult = 1 if o.is_hyperbolic else budget // a
+    # Rows (int total action, labels, multiplicities, pairs, grading);
+    # labels and pairs grow in grid order, so a plain sort is the order of
+    # (total action, labels, multiplicities).  Actions ascend, so a row
+    # with no room for one orbit has none for any later one.
+    found = [(0, (), (), (), 0)]
+    room = found[:]
+    for o, a in zip(orbits, keys):
+        room = [row for row in room if row[0] + a <= bound]
         # eps1 is 1 exactly for positive hyperbolic orbits
-        stack.extend((i + 1, chosen + ((o, m),), total + m * a,
-                      grading ^ o.eps1) for m in range(1, max_mult + 1))
-    found.sort(key=lambda entry: entry[:3])
-    return [EchGenerator(chosen, grading, Fraction(total, q))
+        new = [(total + m * a, labels + (o.label,), mults + (m,),
+                chosen + ((o, m),), grading ^ o.eps1)
+               for total, labels, mults, chosen, grading in room
+               for m in range(1, 2 if o.is_hyperbolic
+                              else (bound - total) // a + 1)]
+        found += new
+        room += new
+    found.sort()
+    actions = {total: Fraction(total, q) for total in {row[0] for row in found}}
+    return [EchGenerator(chosen, grading, actions[total])
             for total, _, _, chosen, grading in found]
 
 

@@ -228,6 +228,15 @@ def kronecker_reference(x, y, start: int, stop: int) -> list:
     return [slots.get(k, 0) for k in range(start, stop)]
 
 
+def semigroup_reference(generators, bound: int) -> list:
+    """``novikov._semigroup`` by brute force: n in [1, bound] is reached
+    when n - g is reached (or zero) for some generator g <= n."""
+    reached = [True] + [False] * bound
+    for n in range(1, bound + 1):
+        reached[n] = any(g <= n and reached[n - g] for g in generators)
+    return [n for n in range(1, bound + 1) if reached[n]]
+
+
 def inverse_reference(a: NovikovSeries) -> NovikovSeries:
     """``NovikovSeries.inverse`` as it was before the ascending recurrence:
     a = c0 * t^s0 * (1 - r), and 1 / (1 - r) the geometric sum of the

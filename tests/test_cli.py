@@ -1,6 +1,7 @@
 """Command line front end: golden outputs, exit codes, determinism."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -190,6 +191,29 @@ options:
   --cutoff p/q  action cutoff (positive rational)
 """,
 }
+
+# argparse 3.13 counts a subcommand's own indent in the width of the
+# command column, which then fits zeta-persistence and mobius-transform.
+if sys.version_info >= (3, 13):
+    HELP[""] = """\
+usage: reebzeta [-h] command ...
+
+Batch command line front end.
+
+positional arguments:
+  command
+    zeta-orbits       zeta function of an orbit set file
+    zeta-toric        zeta of a toric domain from axis actions
+    zeta-s1           zeta of a circle-invariant domain from a Morse data file
+    barcode           barcode of a filtered complex file
+    zeta-persistence  zeta of the persistence module of a complex file
+    mobius-transform  Moebius product transform of an integer series file
+    compare           compare two series files up to a cutoff
+    distinguish       test a zeta series file against the toric form
+
+options:
+  -h, --help          show this help message and exit
+"""
 
 
 def write(tmp_path, name, obj):

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import conv_reference, counting_powers, dict_exp, dict_mul, \
     dict_terms, exp_reference, fresh_rng, inverse_reference, \
-    kronecker_reference, random_series, random_unit, stored
+    kronecker_reference, random_series, random_unit, \
+    semigroup_reference, stored
 from reebzeta import NovikovSeries, exp, log, novikov
 from reebzeta.errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
                              NotPositivelySupported)
@@ -801,3 +802,16 @@ class TestKronecker:
                 [(int, c) for c in kronecker_reference(x, y, start, stop)]
         assert novikov._kronecker(y, x, 0, size) == \
             novikov._kronecker(x, y, 0, size)
+
+
+class TestSemigroup:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), max_size=6), st.integers(0, 120))
+    @example([], 30)                        # no generators: nothing reached
+    @example([4, 4, 6, 6], 30)              # duplicates
+    @example([6, 4, 10, 8, 14], 40)         # sums of smaller ones, unsorted
+    @example([7, 50, 121], 40)              # generators above the bound
+    @example([3, 5], 0)                     # a zero bound
+    def test_matches_brute_force_reachability(self, generators, bound):
+        assert novikov._semigroup(generators, bound) == \
+            semigroup_reference(generators, bound)
