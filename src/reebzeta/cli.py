@@ -8,7 +8,8 @@ barcodes as JSON, comparisons as EQUAL or the first differing exponent.
 Exit codes: 0 success; 1 parse or validation error (bad flags, unreadable
 or schema-violating files); 2 violated mathematical precondition (e.g.
 inverting a non-unit, level on the spectrum, BeyondValidity); 3 the program
-is wrong (exp and product forms disagree, or a reduction keeps its pivot row).
+is wrong, an ``InternalError`` (exp and product forms disagree, or a
+reduction keeps its pivot row).  Only ``main`` maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -58,51 +59,54 @@ def build_parser() -> argparse.ArgumentParser:
     out = ("--out", {"metavar": "PATH",
                      "help": "also write the result as a JSON series file"})
     file = ("file", {})
-    # One row a subcommand: name, help, handler, arguments in help order.
-    # Handlers and the lambdas of ``_series_command`` look library names up
+    # One row a subcommand: name, help, compute(args) -> result, emit(result,
+    # out_path), arguments in help order.  Computes look library names up
     # when they run, so a name rebound later (bench/tracing.py) is seen.
-    for name, help_, func, arguments in [
-        ("zeta-orbits", "zeta function of an orbit set file", _cmd_zeta_orbits,
+    for name, help_, compute, emit, arguments in [
+        ("zeta-orbits", "zeta function of an orbit set file", _zeta_orbits,
+         _emit_series,
          [file, cutoff, ("--form", {
              "choices": ("exp", "product", "ech", "both"), "default": "both",
              "help": "computation route; 'both' runs exp and product "
                      "and fails if they disagree (default)"}), out]),
         ("zeta-toric", "zeta of a toric domain from axis actions",
-         _series_command(lambda a: domains.toric_zeta(
-             domains.ToricDomain(a.a, a.b), a.cutoff)),
-         [("--a", ratio), ("--b", ratio), cutoff, out]),
+         lambda a: domains.toric_zeta(domains.ToricDomain(a.a, a.b), a.cutoff),
+         _emit_series, [("--a", ratio), ("--b", ratio), cutoff, out]),
         ("zeta-s1", "zeta of a circle-invariant domain from a Morse data file",
-         _series_command(lambda a: domains.s1_invariant_zeta(
-             _load(a.file, serialize.morse_from_obj), a.cutoff)),
-         [file, cutoff, out]),
-        ("barcode", "barcode of a filtered complex file", _cmd_barcode,
+         lambda a: domains.s1_invariant_zeta(
+             _load(a.file, serialize.morse_from_obj), a.cutoff),
+         _emit_series, [file, cutoff, out]),
+        ("barcode", "barcode of a filtered complex file",
+         lambda a: persistence.barcode_decompose(
+             _load(a.file, serialize.complex_from_obj)),
+         _emit_barcode,
          [file, ("--out", {"metavar": "PATH",
                            "help": "also write the barcode as a JSON file"})]),
         ("zeta-persistence", "zeta of the persistence module of a complex file",
-         _series_command(lambda a: persistence.zeta_persistence(
-             _load(a.file, serialize.complex_from_obj), a.cutoff)),
-         [file, cutoff, out]),
+         lambda a: persistence.zeta_persistence(
+             _load(a.file, serialize.complex_from_obj), a.cutoff),
+         _emit_series, [file, cutoff, out]),
         ("mobius-transform",
          "Moebius product transform of an integer series file",
-         _series_command(lambda a: mobius_product(
-             _load(a.file, serialize.series_from_obj), a.cutoff)),
-         [file, cutoff, out]),
-        ("compare", "compare two series files up to a cutoff", _cmd_compare,
-         [("file_a", {}), ("file_b", {}), cutoff]),
+         lambda a: mobius_product(
+             _load(a.file, serialize.series_from_obj), a.cutoff),
+         _emit_series, [file, cutoff, out]),
+        ("compare", "compare two series files up to a cutoff",
+         lambda a: [s.truncate(a.cutoff) for s in [   # load both, then cut
+             _load(path, serialize.series_from_obj)
+             for path in (a.file_a, a.file_b)]],
+         _emit_comparison, [("file_a", {}), ("file_b", {}), cutoff]),
         ("distinguish", "test a zeta series file against the toric form",
-         _cmd_distinguish, [file, cutoff]),
+         lambda a: domains.distinguish_from_toric(
+             _load(a.file, serialize.series_from_obj).truncate(a.cutoff)),
+         _emit_verdict, [file, cutoff]),
     ]:
         p = sub.add_parser(name, help=help_)
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        p.set_defaults(func=func)
+        p.set_defaults(compute=compute, emit=emit, out=None)
 
     return parser
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"reebzeta: error: {message}", file=sys.stderr)
-    return code
 
 
 def _load(path: str, decode):
@@ -118,6 +122,29 @@ def _load(path: str, decode):
         raise SchemaError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
+def _first_difference(a: NovikovSeries, b: NovikovSeries):
+    """Smallest exponent where two unequal series differ, and both coefficients."""
+    s = (a - b).min_exponent()
+    return s, a.coefficient(s), b.coefficient(s)
+
+
+def _zeta_orbits(args) -> NovikovSeries:
+    orbit_set = _load(args.file, serialize.orbit_set_from_obj)
+    if args.form == "exp":
+        return orbits.zeta_exp_form(orbit_set, args.cutoff)
+    if args.form == "product":
+        return orbits.zeta_product_form(orbit_set, args.cutoff)
+    if args.form == "ech":
+        return orbits.zeta_ech_form(orbit_set, args.cutoff)
+    exp_form = orbits.zeta_exp_form(orbit_set, args.cutoff)
+    result = orbits.zeta_product_form(orbit_set, args.cutoff)
+    if exp_form != result:
+        s, a, b = _first_difference(exp_form, result)
+        raise InternalError(
+            f"exp and product forms disagree at t^{s}: {a} vs {b}")
+    return result
+
+
 def _emit_series(series: NovikovSeries, out_path) -> None:
     obj = serialize.series_to_obj(series)
     if out_path:   # first, so that a failed write prints no result
@@ -127,84 +154,45 @@ def _emit_series(series: NovikovSeries, out_path) -> None:
                      + f"cutoff\t{obj['cutoff']}\n")
 
 
-def _series_command(compute):
-    """The handler that prints ``compute(args)`` through ``_emit_series``."""
-    def handler(args) -> int:
-        _emit_series(compute(args), args.out)
-        return 0
-    return handler
-
-
-def _first_difference(a: NovikovSeries, b: NovikovSeries):
-    """Smallest exponent where two unequal series differ, and both coefficients."""
-    s = (a - b).min_exponent()
-    return s, a.coefficient(s), b.coefficient(s)
-
-
-def _cmd_zeta_orbits(args) -> int:
-    orbit_set = _load(args.file, serialize.orbit_set_from_obj)
-    if args.form == "exp":
-        result = orbits.zeta_exp_form(orbit_set, args.cutoff)
-    elif args.form == "product":
-        result = orbits.zeta_product_form(orbit_set, args.cutoff)
-    elif args.form == "ech":
-        result = orbits.zeta_ech_form(orbit_set, args.cutoff)
-    else:
-        exp_form = orbits.zeta_exp_form(orbit_set, args.cutoff)
-        result = orbits.zeta_product_form(orbit_set, args.cutoff)
-        if exp_form != result:
-            diff = _first_difference(exp_form, result)
-            return _fail(CONSISTENCY_ERROR, f"exp and product forms disagree "
-                         f"at t^{diff[0]}: {diff[1]} vs {diff[2]}")
-    _emit_series(result, args.out)
-    return 0
-
-
-def _cmd_barcode(args) -> int:
-    complex_ = _load(args.file, serialize.complex_from_obj)
-    barcode = persistence.barcode_decompose(complex_)
+def _emit_barcode(barcode, out_path) -> None:
     text = serialize._barcode_text(serialize.barcode_to_obj(barcode))
-    if args.out:   # before stdout, as in _emit_series
-        with open(args.out, "w", encoding="utf-8") as handle:
+    if out_path:   # before stdout, as in _emit_series
+        with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     sys.stdout.write(text)
-    return 0
 
 
-def _cmd_compare(args) -> int:
-    series = [_load(path, serialize.series_from_obj)
-              for path in (args.file_a, args.file_b)]
-    series_a, series_b = [s.truncate(args.cutoff) for s in series]
+def _emit_comparison(pair, out_path) -> None:
+    series_a, series_b = pair
     if series_a == series_b:
         print("EQUAL")
     else:
         s, ca, cb = _first_difference(series_a, series_b)
         print(f"DIFFER\t{s}\t{ca}\t{cb}")
-    return 0
 
 
-def _cmd_distinguish(args) -> int:
-    series = _load(args.file, serialize.series_from_obj)
-    result = domains.distinguish_from_toric(series.truncate(args.cutoff))
+def _emit_verdict(result, out_path) -> None:
     if result.witness is None:
         print(result.verdict.value)
     else:
         print(f"{result.verdict.value}\t{result.witness}")
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.emit(args.compute(args), args.out)
+        return 0
     except (OSError, SchemaError) as exc:
-        return _fail(PARSE_ERROR, str(exc))
+        code, message = PARSE_ERROR, str(exc)
     except ReebZetaError as exc:
         # Precondition of a computation on valid inputs; file-content
         # problems were already routed to SchemaError by the loaders.
-        return _fail(MATH_ERROR, f"{type(exc).__name__}: {exc}")
+        code, message = MATH_ERROR, f"{type(exc).__name__}: {exc}"
     except InternalError as exc:
-        return _fail(CONSISTENCY_ERROR, f"{type(exc).__name__}: {exc}")
+        code, message = CONSISTENCY_ERROR, f"{type(exc).__name__}: {exc}"
+    print(f"reebzeta: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

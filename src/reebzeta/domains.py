@@ -23,8 +23,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (BadMorseCounts, NonPositiveAction, NotCoprime,
-                     OnSpectrum, echo)
+from .errors import (BadMorseCounts, DuplicateLabel, NonPositiveAction,
+                     NotCoprime, OnSpectrum, echo)
 from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
 
 
@@ -107,17 +107,21 @@ class MorseCriticalPoint(namedtuple("MorseCriticalPoint", "label action index"))
 
 
 class MorseData:
-    """Critical point data of a Morse function on the 2-sphere, given as
-    (label, action, index) triples.  The signed counts must satisfy
-    #min - #saddle + #max = 2 with at least one minimum and one maximum."""
+    """Critical point data of a Morse function on the 2-sphere: (label,
+    action, index) triples, labels distinct, with #min - #saddle + #max = 2
+    and at least one minimum and one maximum."""
 
     __slots__ = ("points",)
 
     def __init__(self, points):
         self.points: tuple[MorseCriticalPoint, ...] = tuple(
             MorseCriticalPoint(*p) for p in points)
-        counts = [0, 0, 0]
+        counts, seen = [0, 0, 0], set()
         for p in self.points:
+            if p.label in seen:
+                raise DuplicateLabel(
+                    f"critical point label {echo(p.label)} repeated")
+            seen.add(p.label)
             counts[p.index] += 1
         if counts[0] - counts[1] + counts[2] != 2 or counts[0] < 1 or counts[2] < 1:
             raise BadMorseCounts(

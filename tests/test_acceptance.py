@@ -334,18 +334,27 @@ def test_criterion_17_unit_inverses_by_the_ascending_recurrence():
 def test_criterion_18_ech_enumeration_is_linear_in_the_orbits():
     orbit_set = OrbitSet(positive_hyperbolic(f"h{i:05}", 1)
                          for i in range(20000))
+    small = OrbitSet(list(orbit_set)[:2000])
     # Each orbit fills the cutoff, so only the empty generator has room
     # for the next one.  A pass that rescans every generator so far for
     # room is quadratic: 7.0 s a call against 0.13 s, on a 2-vCPU host.
-    samples = []
+    # Ten times the orbits must take well under a hundred times as long,
+    # which holds or fails alike on a fast host and a slow one.
+    best = {}
     with criterion(18, "ECH generators of 20,000 positive hyperbolic orbits "
-                       "of action 1 at cutoff 1, best of 3"):
-        for _ in range(3):
-            start = time.perf_counter()
-            gens = ech_generators(orbit_set, 1)
-            samples.append(time.perf_counter() - start)
+                       "of action 1 at cutoff 1, best of 3, against 2,000"):
+        for orbits_ in (small, orbit_set):   # gens ends as the large one's
+            samples = []
+            for _ in range(3):
+                start = time.perf_counter()
+                gens = ech_generators(orbits_, 1)
+                samples.append(time.perf_counter() - start)
+            best[len(orbits_)] = min(samples)
         assert [g.pairs for g in gens] == \
             [()] + [((o, 1),) for o in orbit_set]
         assert zeta_ech_form(orbit_set, 1) == zeta_product_form(orbit_set, 1)
-    assert min(samples) < 5, \
-        f"criterion 18 took {min(samples):.2f}s at best, budget 5s"
+    assert best[20000] < 5, \
+        f"criterion 18 took {best[20000]:.2f}s at best, budget 5s"
+    assert best[20000] / best[2000] < 30, \
+        f"criterion 18: 20,000 orbits took {best[20000] / best[2000]:.1f} " \
+        "times as long as 2,000, budget 30"

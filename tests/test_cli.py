@@ -1,8 +1,10 @@
 """Command line front end: golden outputs, exit codes, determinism."""
 
+import ast
 import json
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,9 @@ LONG_LABEL_CASES = [
                      generator("w", 1, "1")],
       "differential": [entry(LONG, "y"), entry("y", "w", "-2")]},
      "NotSquareZero"),
+    (["zeta-s1", "--cutoff", "2"],
+     [{"label": LONG, "action": "1", "index": 0},
+      {"label": LONG, "action": "2", "index": 2}], "DuplicateLabel"),
 ]
 
 
@@ -690,8 +695,32 @@ class TestExitCodes:
         path = write(tmp_path, "orbits.json", ORBITS_EN)
         assert run(capsys, "zeta-orbits", path, "--cutoff", "2",
                    "--form", "both") == \
-            (3, "", "reebzeta: error: exp and product forms disagree at "
-                    "t^1: 0 vs 2\n")
+            (3, "", "reebzeta: error: InternalError: exp and product forms "
+                    "disagree at t^1: 0 vs 2\n")
+
+    def test_exit_codes_are_named_only_in_main_and_the_parser(self):
+        # An exception becomes an exit code in main alone (a flag error in
+        # _Parser.error), so no subcommand can grow a second exit path.
+        codes = {"PARSE_ERROR", "MATH_ERROR", "CONSISTENCY_ERROR"}
+
+        class Namers(ast.NodeVisitor):
+            def __init__(self):
+                self.scope, self.found = [], set()
+
+            def visit_FunctionDef(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            visit_ClassDef = visit_FunctionDef
+
+            def visit_Name(self, node):
+                if node.id in codes and isinstance(node.ctx, ast.Load):
+                    self.found.add(".".join(self.scope) or "module level")
+
+        namers = Namers()
+        namers.visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+        assert namers.found == {"main", "_Parser.error"}
 
 
 class TestDeterminism:

@@ -124,7 +124,8 @@ def test_each_fault_is_caught(monkeypatch, capsys, tmp_path, fault):
     if check == COMPARISON:
         assert code == 3, f"{name}: exit {code}, missed by {check}"
         assert err.startswith(
-            "reebzeta: error: exp and product forms disagree at t^")
+            "reebzeta: error: InternalError: exp and product forms "
+            "disagree at t^")
     elif check == GUARD:
         assert code == 3, f"{name}: exit {code}, missed by {check}"
         assert err.startswith("reebzeta: error: InternalError: column "

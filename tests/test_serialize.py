@@ -525,6 +525,9 @@ LABEL_ERRORS = [
     (lambda: MorseCriticalPoint(LONG, 1, 3), ValueError),
     (lambda: FilteredComplex([(LONG, 2, 1)]), ValueError),
     (lambda: FilteredComplex([("x", 0, 1)], [("x", LONG, 1)]), KeyError),
+    # named, so that the orbit set's repeated-label case keeps its id
+    pytest.param(lambda: MorseData([(LONG, 1, 0), (LONG, 2, 2)]),
+                 DuplicateLabel, id="<lambda>-MorseDuplicateLabel"),
 ]
 
 
