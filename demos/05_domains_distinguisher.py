@@ -12,10 +12,11 @@ any star-shaped toric domain, however close to a round ball it is.
 
 from fractions import Fraction as F
 
-from reebzeta import (MomentProfilePoint, MorseData, OrbitSet, ToricDomain,
+from reebzeta import (MorseData, OrbitSet, ToricDomain,
                       distinguish_from_toric, elliptic, mobius_product,
-                      s1_invariant_zeta, toric_euler, toric_family_action,
-                      toric_zeta, zeta_good_orbits, zeta_product_form)
+                      positive_hyperbolic, s1_invariant_zeta, toric_euler,
+                      toric_zeta, zeta_ech_form, zeta_exp_form,
+                      zeta_good_orbits, zeta_product_form, zeta_via_mobius)
 
 print("== toric domains ==")
 ball_like = ToricDomain(1, 1)
@@ -38,10 +39,14 @@ assert mobius_product(zeta_good_orbits(two, 6), 6) == toric_zeta(ellipsoid, 6)
 print("  transform(jump series) == toric_zeta(1, 3/2)")
 
 print()
-print("action of an orbit family over an interior profile point:")
-point = MomentProfilePoint(w=(F(1, 3), F(1, 2)), v=(3, 2))
-print(f"  w = {point.w}, outward normal v = {point.v} "
-      f"-> action {toric_family_action(point)}")
+# The torus of orbits over the boundary point w = (1/3, 1/2) with normal
+# v = (3, 2) has action 3*(1/3) + 2*(1/2) = 2.  A Morse-Bott perturbation
+# splits it into an elliptic and a positive hyperbolic orbit at action 2.
+family = OrbitSet([*two, elliptic("f", 2), positive_hyperbolic("f_", 2)])
+for route in (zeta_exp_form, zeta_product_form, zeta_ech_form,
+              zeta_via_mobius):
+    assert route(family, 6) == toric_zeta(ellipsoid, 6)
+print("an orbit family is a birth-death pair: it cancels in all four zetas")
 
 print()
 print("== a circle-invariant domain that is provably not toric inside ==")

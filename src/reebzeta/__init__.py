@@ -11,11 +11,9 @@ from .persistence import (Bar, Barcode, FilteredComplex, barcode_decompose,
                           euler_jump, homology_dims, zeta_barcode,
                           zeta_persistence)
 from .mobius import mobius, mobius_product, zeta_via_mobius
-from .domains import (DistinguishResult, MomentProfilePoint,
-                      MorseCriticalPoint, MorseData, ToricDomain,
-                      ToricVerdict, distinguish_from_toric,
-                      s1_invariant_zeta, toric_euler, toric_family_action,
-                      toric_zeta)
+from .domains import (DistinguishResult, MorseCriticalPoint, MorseData,
+                      ToricDomain, ToricVerdict, distinguish_from_toric,
+                      s1_invariant_zeta, toric_euler, toric_zeta)
 from . import errors, serialize
 
 __version__ = "0.1.0"
@@ -30,8 +28,8 @@ __all__ = [
     "FilteredComplex", "Bar", "Barcode", "homology_dims",
     "barcode_decompose", "euler_jump", "zeta_barcode", "zeta_persistence",
     "mobius", "mobius_product", "zeta_via_mobius",
-    "ToricDomain", "MomentProfilePoint", "MorseCriticalPoint", "MorseData",
+    "ToricDomain", "MorseCriticalPoint", "MorseData",
     "ToricVerdict", "DistinguishResult", "toric_zeta", "toric_euler",
-    "toric_family_action", "s1_invariant_zeta", "distinguish_from_toric",
+    "s1_invariant_zeta", "distinguish_from_toric",
     "errors", "serialize",
 ]

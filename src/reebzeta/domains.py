@@ -5,7 +5,9 @@ Two families of star-shaped domains in R^4 admit closed formulas:
 
 * toric domains with axis actions a, b: zeta = 1 / ((1-t^a)(1-t^b)), and
   the orbit-count function below an off-spectrum level T is
-  floor(T/a) + floor(T/b);
+  floor(T/a) + floor(T/b).  The orbit families over rational-slope points
+  of the boundary cancel as birth-death pairs (an elliptic and a positive
+  hyperbolic orbit at one action), so the closed form needs only the axes;
 * circle-invariant domains built from a Morse function on the 2-sphere,
   one simple orbit per critical point p with action supplied directly
   (standing for e^f(p)): zeta = prod_p (1 - t^action)^((-1)^(index-1)).
@@ -23,8 +25,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (BadMorseCounts, DuplicateLabel, NonPositiveAction,
-                     NotCoprime, OnSpectrum, echo)
+from .errors import (BadMorseCounts, NonPositiveAction, OnSpectrum, echo,
+                     refuse_repeats)
 from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
 
 
@@ -60,34 +62,6 @@ def toric_euler(domain: ToricDomain, at: RatioLike) -> int:
     return math.floor(qa) + math.floor(qb)
 
 
-class MomentProfilePoint(namedtuple("MomentProfilePoint", "w v")):
-    """A boundary-profile point with rational slope: position w on the
-    moment curve (a pair of Fractions, both positive) and the outward
-    normal v (a pair of coprime positive ints)."""
-
-    __slots__ = ()
-
-    def __new__(cls, w, v):
-        w = (as_ratio(w[0]), as_ratio(w[1]))
-        if w[0] <= 0 or w[1] <= 0:
-            raise ValueError(
-                f"profile point needs positive coordinates, got {w}")
-        given, v = v, tuple(v)
-        if len(v) != 2 or any(type(x) is not int for x in v):
-            raise TypeError(f"normal must be a pair of ints, got {given!r}")
-        if v[0] < 1 or v[1] < 1:
-            raise NotCoprime(f"normal components must be positive, got {v}")
-        if math.gcd(v[0], v[1]) != 1:
-            raise NotCoprime(f"normal {v} is not coprime")
-        return super().__new__(cls, w, v)
-
-
-def toric_family_action(point: MomentProfilePoint) -> Fraction:
-    """Symplectic action v1*w1 + v2*w2 of the orbit family over a
-    rational-slope profile point."""
-    return point.v[0] * point.w[0] + point.v[1] * point.w[1]
-
-
 class MorseCriticalPoint(namedtuple("MorseCriticalPoint", "label action index")):
     """A critical point of a Morse function on the 2-sphere: its
     ``label``, the induced orbit ``action`` (a Fraction > 0) and its Morse
@@ -116,12 +90,9 @@ class MorseData:
     def __init__(self, points):
         self.points: tuple[MorseCriticalPoint, ...] = tuple(
             MorseCriticalPoint(*p) for p in points)
-        counts, seen = [0, 0, 0], set()
+        refuse_repeats([p.label for p in self.points], "critical point")
+        counts = [0, 0, 0]
         for p in self.points:
-            if p.label in seen:
-                raise DuplicateLabel(
-                    f"critical point label {echo(p.label)} repeated")
-            seen.add(p.label)
             counts[p.index] += 1
         if counts[0] - counts[1] + counts[2] != 2 or counts[0] < 1 or counts[2] < 1:
             raise BadMorseCounts(

@@ -25,6 +25,16 @@ def echo(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
+def refuse_repeats(labels, what: str) -> None:
+    """Raise DuplicateLabel, "{what} label ... repeated", on the first
+    label met twice; the one wording of every repeated-label error."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise DuplicateLabel(f"{what} label {echo(label)} repeated")
+        seen.add(label)
+
+
 # --- Novikov series ---
 
 class NotAUnit(ReebZetaError, ArithmeticError):
@@ -32,7 +42,8 @@ class NotAUnit(ReebZetaError, ArithmeticError):
 
 
 class NotPositivelySupported(ReebZetaError, ValueError):
-    """Exponential of a series with an exponent <= 0."""
+    """A series with an exponent <= 0 given to ``novikov.exp`` or to
+    ``mobius.mobius_product``, which need strictly positive exponents."""
 
 
 class BadLeadingTerm(ReebZetaError, ValueError):
@@ -89,11 +100,6 @@ class NonIntegerCoefficients(ReebZetaError, ValueError):
     """The transform input must have integer coefficients."""
 
 
-class NonPositiveSupport(ReebZetaError, ValueError):
-    """The transform input must be supported on strictly positive
-    exponents."""
-
-
 # --- Closed-form domains ---
 
 class OnSpectrum(ReebZetaError, ValueError):
@@ -104,7 +110,3 @@ class OnSpectrum(ReebZetaError, ValueError):
 class BadMorseCounts(ReebZetaError, ValueError):
     """Critical point indices incompatible with a Morse function on the
     2-sphere."""
-
-
-class NotCoprime(ReebZetaError, ValueError):
-    """Normal vector components are not relatively prime."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import orbits as _orbits
-from .errors import NonIntegerCoefficients, NonPositiveSupport
+from .errors import NonIntegerCoefficients, NotPositivelySupported
 from .novikov import NovikovSeries, RatioLike, _binomial_product, as_ratio
 
 @cache
@@ -74,7 +74,7 @@ def mobius_product(a: NovikovSeries, cutoff: RatioLike) -> NovikovSeries:
         raise NonIntegerCoefficients(
             "transform input must have integer coefficients")
     if not a.is_positively_supported:
-        raise NonPositiveSupport(
+        raise NotPositivelySupported(
             "transform input must be supported on positive exponents")
     a = a.truncate(cutoff)
     return _binomial_product(

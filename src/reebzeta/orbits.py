@@ -28,8 +28,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import novikov
-from .errors import (DuplicateLabel, NonPositiveAction, NotThreeDimensional,
-                     echo)
+from .errors import (NonPositiveAction, NotThreeDimensional, echo,
+                     refuse_repeats)
 from .novikov import NovikovSeries, RatioLike, as_ratio
 
 
@@ -104,11 +104,7 @@ class OrbitSet:
 
     def __init__(self, orbits: Iterable[SimpleOrbit] = ()):
         orbits = tuple(orbits)
-        seen = set()
-        for o in orbits:
-            if o.label in seen:
-                raise DuplicateLabel(f"orbit label {echo(o.label)} repeated")
-            seen.add(o.label)
+        refuse_repeats([o.label for o in orbits], "orbit")
         self.orbits = orbits
 
     def __iter__(self) -> Iterator[SimpleOrbit]:

@@ -42,8 +42,8 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import (DuplicateLabel, FiltrationViolation, GradingViolation,
-                     InternalError, NotSquareZero, UnknownLabel, echo)
+from .errors import (FiltrationViolation, GradingViolation, InternalError,
+                     NotSquareZero, UnknownLabel, echo, refuse_repeats)
 from .novikov import (NovikovSeries, RatioLike, _norm_coeff, _quotient,
                       as_ratio, grid)
 
@@ -83,9 +83,7 @@ class FilteredComplex:
     def _build(self, labels, eps, q, keys, boundary) -> None:
         index = dict(zip(labels, range(len(labels))))
         if len(index) < len(labels):
-            seen = set()   # the first label met twice
-            label = next(x for x in labels if x in seen or seen.add(x))
-            raise DuplicateLabel(f"generator label {echo(label)} repeated")
+            refuse_repeats(labels, "generator")
         self.labels, self.eps, self.q, self.keys = labels, eps, q, keys
         # column j -> {row i: coefficient of generator i in boundary of j}
         self._columns: dict[int, dict[int, object]] = {}

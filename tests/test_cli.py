@@ -648,6 +648,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "mobius-transform", path, "--cutoff", "3")
         assert code == 2 and "NonIntegerCoefficients" in err
 
+    def test_transform_input_at_exponent_zero_is_math_error(self, tmp_path,
+                                                           capsys):
+        # the same error, and class name, as exp of such a series
+        path = write(tmp_path, "zero.json", {
+            "terms": [{"exponent": "0", "coefficient": "1"}], "cutoff": "3"})
+        assert run(capsys, "mobius-transform", path, "--cutoff", "2") == (
+            2, "", "reebzeta: error: NotPositivelySupported: transform input "
+                   "must be supported on positive exponents\n")
+
     def test_coefficient_past_the_digit_limit_is_math_error(self, tmp_path,
                                                            capsys):
         # The input holds 2,501 digits, under Python's 4,300-digit limit for

@@ -5,14 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import fresh_rng, random_series
-from reebzeta import (MomentProfilePoint, MorseData, NovikovSeries,
-                      OrbitSet, ToricDomain, ToricVerdict,
-                      distinguish_from_toric, elliptic, mobius_product,
-                      s1_invariant_zeta, toric_euler, toric_family_action,
-                      toric_zeta, zeta_good_orbits, zeta_product_form)
-from reebzeta.errors import (BadMorseCounts, NonPositiveAction, NotCoprime,
-                             OnSpectrum)
+from helpers import fresh_rng, random_series, stored
+from reebzeta import (MorseData, NovikovSeries, OrbitSet, ToricDomain,
+                      ToricVerdict, distinguish_from_toric, elliptic,
+                      mobius_product, positive_hyperbolic, s1_invariant_zeta,
+                      toric_euler, toric_zeta, zeta_ech_form, zeta_exp_form,
+                      zeta_good_orbits, zeta_product_form, zeta_via_mobius)
+from reebzeta.errors import BadMorseCounts, NonPositiveAction, OnSpectrum
 
 
 def S(terms, cutoff):
@@ -87,31 +86,23 @@ class TestToricEuler:
                 math.floor(level / a) + math.floor(level / b)
 
 
-class TestToricFamilyAction:
-    def test_diagonal_point(self):
-        point = MomentProfilePoint((F(1, 2), F(1, 2)), (1, 1))
-        assert toric_family_action(point) == 1
-
-    def test_weighted_point(self):
-        point = MomentProfilePoint((F(1, 3), F(1, 2)), (3, 2))
-        assert toric_family_action(point) == 2
-
-    def test_rejects_boundary_points(self):
-        with pytest.raises(ValueError):
-            MomentProfilePoint((1, 0), (1, 1))
-
-    def test_rejects_normals_that_are_not_int_pairs(self):
-        # int() would truncate 1.9 and 3/2 and parse "3" without a word
-        for v in ((1.9, 2), (1, 2.0), (F(3, 2), 1), (F(1), 1), ("3", 1),
-                  (True, 1), (1, 1, 1)):
-            with pytest.raises(TypeError, match="normal must be a pair of ints"):
-                MomentProfilePoint((F(1, 2), F(1, 2)), v)
-
-    def test_rejects_noncoprime_normals(self):
-        with pytest.raises(NotCoprime):
-            MomentProfilePoint((F(1, 2), F(1, 2)), (2, 4))
-        with pytest.raises(NotCoprime):
-            MomentProfilePoint((F(1, 2), F(1, 2)), (0, 1))
+class TestToricOrbitFamilies:
+    def test_families_cancel_in_every_route(self):
+        # The torus of orbits over a rational-slope boundary point perturbs
+        # into an elliptic and a positive hyperbolic orbit at its action,
+        # so every route of the axes plus the families gives toric_zeta.
+        rng = fresh_rng(503)
+        for _ in range(12):
+            a, b = random_axes(rng)
+            orbits = [elliptic("a", a), elliptic("b", b)]
+            for i in range(rng.randint(1, 3)):
+                action = F(rng.randint(2, 12), rng.choice((1, 2, 3)))
+                orbits += [elliptic(f"f{i}", action),
+                           positive_hyperbolic(f"h{i}", action)]
+            toric = stored(toric_zeta(ToricDomain(a, b), 5))
+            for route in (zeta_exp_form, zeta_product_form, zeta_ech_form,
+                          zeta_via_mobius):
+                assert stored(route(OrbitSet(orbits), 5)) == toric
 
 
 class TestS1InvariantZeta:

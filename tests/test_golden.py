@@ -46,6 +46,12 @@ SPELLED_COMPLEX = "complex_spelled.json"
 #: elliptic factors merge into one square, plus one lone orbit.
 #: Committed by hand.
 COINCIDENT_ORBITS = "orbits_coincident.json"
+#: Input of the zeta-orbits-bifurcated cases: demos/data/orbits_mixed.json
+#: after two period doublings, elliptic e at 3/2 into negative hyperbolic
+#: e at 3/2 and elliptic e2 at 3, and negative hyperbolic n at 1 into
+#: elliptic n at 1 and positive hyperbolic n2 at 2.  Its zeta is the same,
+#: so each case prints its twin's bytes (TWINS).  Committed by hand.
+BIFURCATED_ORBITS = "orbits_bifurcated.json"
 
 # (case name, argv); "{data}", "{golden}" and "{tmp}" are directories.
 # A case with --out writes "{tmp}/<case name>.json".
@@ -64,6 +70,11 @@ CASES = (
                           "--cutoff", "2", "--form", "both"]),
     ("zeta-orbits-coincident", ["zeta-orbits", "{golden}/" + COINCIDENT_ORBITS,
                                 "--cutoff", "8", "--form", "both"]),
+    ("zeta-orbits-bifurcated", ["zeta-orbits", "{golden}/" + BIFURCATED_ORBITS,
+                                "--cutoff", "12", "--form", "both"]),
+    ("zeta-orbits-bifurcated-ech", ["zeta-orbits",
+                                    "{golden}/" + BIFURCATED_ORBITS,
+                                    "--cutoff", "12", "--form", "ech"]),
     ("mobius-transform", ["mobius-transform", "{golden}/" + GOOD_ORBITS,
                           "--cutoff", "12",
                           "--out", "{tmp}/mobius-transform.json"]),
@@ -98,6 +109,12 @@ CASES = (
     ("distinguish-toric", ["distinguish", "{tmp}/zeta-toric.json",
                            "--cutoff", "6"]),
 )
+
+#: (case, twin): a bifurcated flow and the flow it came from print the
+#: same zeta, so their stored stdout files must be byte-equal; a --regen
+#: that rewrote one of them to hide a break fails here.
+TWINS = (("zeta-orbits-bifurcated", "zeta-orbits-both"),
+         ("zeta-orbits-bifurcated-ech", "zeta-orbits-ech"))
 
 
 # (module, name) of the library functions each subcommand reaches, besides
@@ -178,7 +195,8 @@ def test_every_subcommand_is_covered():
 
 def test_golden_directory_has_no_stale_files(produced):
     stored = {p.name for p in GOLDEN.iterdir()} - {
-        GOOD_ORBITS, FINE_ORBITS, SPELLED_COMPLEX, COINCIDENT_ORBITS}
+        GOOD_ORBITS, FINE_ORBITS, SPELLED_COMPLEX, COINCIDENT_ORBITS,
+        BIFURCATED_ORBITS}
     assert stored == set(produced)
 
 
@@ -215,6 +233,12 @@ def test_cases_look_library_functions_up_when_they_run(monkeypatch):
 def test_stdout_matches_golden(produced, name):
     expected = (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     assert produced[f"{name}.stdout"] == expected
+
+
+@pytest.mark.parametrize("name, twin", TWINS)
+def test_bifurcated_flow_prints_its_twin(name, twin):
+    assert (GOLDEN / f"{name}.stdout").read_bytes() == \
+        (GOLDEN / f"{twin}.stdout").read_bytes()
 
 
 @pytest.mark.parametrize("name", [name for name, argv in CASES

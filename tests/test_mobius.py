@@ -11,7 +11,7 @@ from reebzeta import (NovikovSeries, OrbitSet, SimpleOrbit, elliptic,
                       mobius, mobius_product, negative_hyperbolic,
                       positive_hyperbolic, zeta_good_orbits,
                       zeta_product_form, zeta_via_mobius)
-from reebzeta.errors import NonIntegerCoefficients, NonPositiveSupport
+from reebzeta.errors import NonIntegerCoefficients, NotPositivelySupported
 
 
 def S(terms, cutoff):
@@ -86,7 +86,7 @@ class TestMobiusProduct:
             mobius_product(S({1: F(1, 2)}, 3), 3)
 
     def test_rejects_nonpositive_support(self):
-        with pytest.raises(NonPositiveSupport):
+        with pytest.raises(NotPositivelySupported):
             mobius_product(S({0: 1, 1: 1}, 3), 3)
 
     def test_result_cutoff_is_minimum(self):

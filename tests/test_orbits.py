@@ -14,7 +14,7 @@ from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
                       ech_generators, elliptic, good_orbit_count, is_good,
                       iterate_parity, negative_hyperbolic, orbits,
                       positive_hyperbolic, zeta_ech_form, zeta_exp_form,
-                      zeta_good_orbits, zeta_product_form)
+                      zeta_good_orbits, zeta_product_form, zeta_via_mobius)
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional)
 
@@ -353,11 +353,81 @@ def orbit_sets_3d(draw):
 
 class TestFormAgreementProperties:
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(orbit_sets_3d(), st.sampled_from((F(4), F(7, 2), F(10, 3))))
+    # cutoff 0 too, where the one generator is the empty one
+    @given(orbit_sets_3d(), st.sampled_from((F(0), F(4), F(7, 2), F(10, 3))))
     def test_exp_product_and_ech_agree(self, orbit_set, cutoff):
         product = zeta_product_form(orbit_set, cutoff)
         assert zeta_exp_form(orbit_set, cutoff) == product
         assert zeta_ech_form(orbit_set, cutoff) == product
+
+
+ROUTES = (zeta_exp_form, zeta_product_form, zeta_ech_form, zeta_via_mobius)
+
+
+def bifurcate(orbit_set, move, index, action, fresh):
+    """The orbit set after one generic bifurcation, new orbits labelled
+    ``fresh`` + "a" and "b": ``birth`` adds an elliptic and a positive
+    hyperbolic orbit at ``action``; ``double`` doubles the period of the
+    elliptic or negative hyperbolic orbit at ``index`` of those orbits:
+    elliptic(A) becomes negative hyperbolic(A) plus elliptic(2A), and
+    negative hyperbolic(A) becomes elliptic(A) plus positive
+    hyperbolic(2A).  A set with no orbit to double gets a birth."""
+    kept = list(orbit_set)
+    doubling = [o for o in kept if o.eps1 == 0]
+    if move == "birth" or not doubling:
+        return OrbitSet([*kept, elliptic(fresh + "a", action),
+                         positive_hyperbolic(fresh + "b", action)])
+    old = doubling[index % len(doubling)]
+    kept.remove(old)
+    if old.is_hyperbolic:
+        born = [elliptic(fresh + "a", old.action),
+                positive_hyperbolic(fresh + "b", 2 * old.action)]
+    else:
+        born = [negative_hyperbolic(fresh + "a", old.action),
+                elliptic(fresh + "b", 2 * old.action)]
+    return OrbitSet([*kept, *born])
+
+
+@st.composite
+def bifurcated_orbit_sets(draw):
+    """An orbit set from orbit_sets_3d and the same set after one to
+    three bifurcations, each with fresh labels."""
+    before = after = draw(orbit_sets_3d())
+    for i in range(draw(st.integers(1, 3))):
+        den = draw(st.integers(1, 3))
+        after = bifurcate(after, draw(st.sampled_from(("birth", "double"))),
+                          draw(st.integers(0, 7)),
+                          F(draw(st.integers(den, 3 * den)), den), f"m{i}")
+    return before, after
+
+
+class TestBifurcationInvariance:
+    """The zeta of a flow does not move under the generic bifurcations of
+    its orbits: each move changes the data every route reads, but not the
+    product of the factors."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(bifurcated_orbit_sets(), st.sampled_from((F(4), F(7, 2))))
+    def test_every_route_is_unchanged(self, pair, cutoff):
+        before, after = pair
+        for route in ROUTES:
+            assert stored(route(after, cutoff)) == \
+                stored(route(before, cutoff))
+
+    def test_a_swapped_type_table_breaks_only_invariance(self, monkeypatch):
+        # Every route reads the parities, so the routes still agree with
+        # each other; only the period-doubling identity sees the fault.
+        table = orbits._TYPE_PARITIES
+        ell, pos = OrbitType3D.ELLIPTIC, OrbitType3D.POSITIVE_HYPERBOLIC
+        for kind, parities in {ell: table[pos], pos: table[ell]}.items():
+            monkeypatch.setitem(table, kind, parities)
+        before = OrbitSet([elliptic("e", 1)])
+        after = OrbitSet([negative_hyperbolic("e", 1), elliptic("e2", 2)])
+        for orbit_set in (before, after):
+            zetas = [stored(route(orbit_set, 4)) for route in ROUTES]
+            assert zetas == zetas[:1] * len(ROUTES)
+        assert stored(zeta_product_form(after, 4)) != \
+            stored(zeta_product_form(before, 4))
 
 
 @st.composite

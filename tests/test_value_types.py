@@ -1,8 +1,8 @@
 """The small values of the library are immutable tuples of their fields.
 
-``SimpleOrbit``, ``EchGenerator``, ``Bar``, ``ToricDomain``,
-``MomentProfilePoint``, ``MorseCriticalPoint`` and ``DistinguishResult``
-are namedtuple classes, on purpose: a value equals and hashes as the plain
+The six value types, ``SimpleOrbit``, ``EchGenerator``, ``Bar``,
+``ToricDomain``, ``MorseCriticalPoint`` and ``DistinguishResult``, are
+namedtuple classes, on purpose: a value equals and hashes as the plain
 tuple of its coerced fields (so ``Bar(1, 2, 0) == (1, 2, 0)``), its repr
 names every field, assignment raises ``AttributeError``, construction by
 keyword works, and every check runs in ``__new__`` however the fields are
@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from reebzeta import (Bar, DistinguishResult, EchGenerator,
-                      MomentProfilePoint, MorseCriticalPoint, SimpleOrbit,
-                      ToricDomain, ToricVerdict)
-from reebzeta.errors import NonPositiveAction, NotCoprime
+                      MorseCriticalPoint, SimpleOrbit, ToricDomain,
+                      ToricVerdict)
+from reebzeta.errors import NonPositiveAction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -44,9 +44,6 @@ VALUES = [
      "Bar(birth=Fraction(1, 1), death=None, eps=0)"),
     (ToricDomain, dict(a=1, b="3/2"), (F(1), F(3, 2)),
      "ToricDomain(a=Fraction(1, 1), b=Fraction(3, 2))"),
-    (MomentProfilePoint, dict(w=("1/2", 1), v=[2, 3]),
-     ((F(1, 2), F(1)), (2, 3)),
-     "MomentProfilePoint(w=(Fraction(1, 2), Fraction(1, 1)), v=(2, 3))"),
     (MorseCriticalPoint, dict(label="m", action=2, index=0), ("m", F(2), 0),
      "MorseCriticalPoint(label='m', action=Fraction(2, 1), index=0)"),
     (DistinguishResult, dict(verdict=ToricVerdict.INCONCLUSIVE, witness=None),
@@ -85,17 +82,6 @@ INVALID = [
      NonPositiveAction, "toric axis actions must be positive, got (0, 1)"),
     (ToricDomain, dict(a=1, b="-3/2"),
      NonPositiveAction, "toric axis actions must be positive, got (1, -3/2)"),
-    (MomentProfilePoint, dict(w=(0, 1), v=(1, 2)),
-     ValueError, "profile point needs positive coordinates, got "
-                 "(Fraction(0, 1), Fraction(1, 1))"),
-    (MomentProfilePoint, dict(w=(1, 1), v=[1, 2, 3]),
-     TypeError, "normal must be a pair of ints, got [1, 2, 3]"),
-    (MomentProfilePoint, dict(w=(1, 1), v=(1.0, 2)),
-     TypeError, "normal must be a pair of ints, got (1.0, 2)"),
-    (MomentProfilePoint, dict(w=(1, 1), v=(0, 1)),
-     NotCoprime, "normal components must be positive, got (0, 1)"),
-    (MomentProfilePoint, dict(w=(1, 1), v=(2, 4)),
-     NotCoprime, "normal (2, 4) is not coprime"),
     (MorseCriticalPoint, dict(label="m", action=0, index=0),
      NonPositiveAction, "critical point 'm': action must be positive"),
     (MorseCriticalPoint, dict(label="m", action=1, index=3),
