@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (PARITY_PAIRS, fresh_rng, mobius_product_reference,
                      random_orbit_set, random_series, stored)
 from reebzeta import (NovikovSeries, OrbitSet, SimpleOrbit, elliptic,
-                      mobius, mobius_product, negative_hyperbolic,
+                      exp, mobius, mobius_product, negative_hyperbolic,
                       positive_hyperbolic, zeta_good_orbits,
                       zeta_product_form, zeta_via_mobius)
 from reebzeta.errors import NonIntegerCoefficients, NotPositivelySupported
@@ -88,6 +88,19 @@ class TestMobiusProduct:
     def test_rejects_nonpositive_support(self):
         with pytest.raises(NotPositivelySupported):
             mobius_product(S({0: 1, 1: 1}, 3), 3)
+
+    def test_refuses_what_exp_refuses(self):
+        # one error class for the one precondition, each caller keeping
+        # its own message; a term below zero is refused like one at zero
+        for terms in ({0: 1}, {-1: 1, 1: 1}, {F(-1, 2): 2}):
+            with pytest.raises(NotPositivelySupported) as info:
+                mobius_product(S(terms, 3), 3)
+            assert str(info.value) == \
+                "transform input must be supported on positive exponents"
+            with pytest.raises(NotPositivelySupported) as info:
+                exp(S(terms, 3))
+            assert str(info.value) == \
+                "exp needs every exponent strictly positive"
 
     def test_result_cutoff_is_minimum(self):
         out = mobius_product(S({1: 1}, 2), 5)

@@ -539,6 +539,27 @@ def test_constructor_errors_cut_long_labels(build, error):
     assert len(str(info.value)) < 200
 
 
+# Every constructor words a repeated label one way and names the first
+# label met twice in input order: 'b' in a, b, b, a, not 'a', the first
+# label that has a twin.
+REPEATS = [
+    (lambda: OrbitSet([elliptic(x, i + 1) for i, x in enumerate("abba")]),
+     "orbit label 'b' repeated"),
+    (lambda: MorseData([("a", 1, 0), ("b", 2, 1), ("b", 3, 1), ("a", 4, 2)]),
+     "critical point label 'b' repeated"),
+    (lambda: FilteredComplex([(x, 0, i) for i, x in enumerate("abba")]),
+     "generator label 'b' repeated"),
+]
+
+
+@pytest.mark.parametrize("build, message", REPEATS,
+                         ids=[row[1] for row in REPEATS])
+def test_repeated_label_names_the_first_repeat(build, message):
+    with pytest.raises(DuplicateLabel) as info:
+        build()
+    assert str(info.value) == message
+
+
 # -- series files on the int grid ------------------------------------------
 #
 # series_to_obj and the CLI report format straight from the int keys, and
