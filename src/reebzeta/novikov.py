@@ -20,8 +20,10 @@ keys only; Fraction exponents exist at the API edge (construction,
 ``items``, ``coefficient``, ``min_exponent`` and ``repr``).
 Dense work leaves the dicts for one packed kernel on int lists,
 ``_kronecker``: one big-int multiply (Kronecker substitution) and a
-window of its slots.  Products of dense int series read every slot up to
-the bound; exp, on lists when its keys are dense, reads only the middle
+window of its slots: each list packs as one buffer of two's complement
+slots whose top bits give the signs, and the window reads back signed
+after an XOR with B / 2.  Products of dense int series read every slot
+up to the bound; exp, on lists when its keys are dense, reads the middle
 slots of each divide and conquer step, so it shares the kernel with the
 product route it checks (a fault there still splits them:
 tests/test_faults.py).  Nothing allocates by the bound alone, which
@@ -49,7 +51,9 @@ from .errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
                      NotPositivelySupported)
 
 RatioLike = int | str | Fraction
-_LEAF = 128   # exp's divide and conquer stops at ranges of this many keys
+# exp's divide and conquer stops at ranges of this many keys: a pass over
+# bench/gen.py's fine-grid exp inputs took 30.5 ms (33 at 16, 36.5 at 128)
+_LEAF = 32
 
 
 def as_ratio(value: RatioLike) -> Fraction:
@@ -417,8 +421,9 @@ def _conv_packed(a, b, bound: int):
         return {}
     la = min(a[-1][0] - a0, top) + 1      # clipped key spans
     lb = min(b[-1][0] - b0, top) + 1
-    # the terms inside them; (n,) sorts before every (n, c)
-    if bisect_left(a, (a0 + la,)) * bisect_left(b, (b0 + lb,)) <= 32 * (la + lb):
+    # the terms inside them; (n,) sorts before every (n, c).  Packing beat
+    # the pair loop above 8 pairs a slot on spans 200-3000, values to 10^6
+    if bisect_left(a, (a0 + la,)) * bisect_left(b, (b0 + lb,)) <= 8 * (la + lb):
         return None
     slots = _kronecker(list(map(dict(a).get, range(a0, a0 + la), repeat(0))),
                        list(map(dict(b).get, range(b0, b0 + lb), repeat(0))),
@@ -433,35 +438,42 @@ def _kronecker(x, y, start: int, stop: int):
     multiply (Kronecker substitution); None when a value is not an int.
 
     Each list v is sum_k v[k] * B^k, B = 2^(8 * width) with B / 2 above
-    every value and product slot: its two's complement slots (v + B where
-    v < 0) less B times its sign slots, each one join of ``to_bytes``.
-    B / 2 added to each product slot below stop makes those digits
-    nonnegative, so the shift and the mask drop the others exactly."""
+    every value and product slot.  Its two's complement slots are one
+    buffer (``array`` up to 8 bytes a slot, else masked ``to_bytes``), an
+    int u that is v plus B times each slot's top bit (the sign step below).
+    B / 2 added to each product slot below stop makes those digits c + B / 2
+    nonnegative, so the shift and the mask drop the others exactly, and an
+    XOR with B / 2 makes each the two's complement of c, read back signed."""
     if not {*map(type, x), *map(type, y)} <= {int}:
         return None
     mx, my = max(map(abs, x), default=0), max(map(abs, y), default=0)
     bits = max(mx * my * min(len(x), len(y)), mx, my).bit_length() + 1
     width = 1 << ((bits - 1) // 8).bit_length()
-    mask, product = (1 << 8 * width) - 1, 1
+    shift, size, swap = 8 * width, stop - start, sys.byteorder == "big"
+    code = "bhiq"[width.bit_length() - 1] if width <= 8 else None
+    lows = int.from_bytes((b"\1" + bytes(width - 1))
+                          * max(len(x), len(y), stop), "little")
+    product = 1
     for v in (x, y):
-        slots, signs = (b"".join(map(int.to_bytes, part, repeat(width),
-                                     repeat("little")))
-                        for part in (map(and_, v, repeat(mask)),
-                                     map((0).__gt__, v)))
-        product *= int.from_bytes(slots, "little") - \
-            (int.from_bytes(signs, "little") << 8 * width)
-    half, size = 1 << (8 * width - 1), stop - start
-    offset = int.from_bytes(half.to_bytes(width, "little") * stop, "little")
-    window = (product + offset) >> (8 * width * start)
-    raw = (window & ((1 << (8 * width * size)) - 1)).to_bytes(width * size,
-                                                               "little")
-    if width > 8:
-        return [int.from_bytes(raw[i:i + width], "little") - half
+        if code:
+            raw = array(code, v)
+            if swap:
+                raw.byteswap()
+        else:
+            raw = b"".join(map(int.to_bytes, map(and_, v, repeat(
+                (1 << shift) - 1)), repeat(width), repeat("little")))
+        u = int.from_bytes(raw, "little")
+        product *= u - (((u >> (shift - 1)) & lows) << shift)
+    halves = lows << (shift - 1)
+    raw = ((((product + halves) >> (shift * start)) ^ halves)
+           & ((1 << (shift * size)) - 1)).to_bytes(width * size, "little")
+    if not code:
+        return [int.from_bytes(raw[i:i + width], "little", signed=True)
                 for i in range(0, len(raw), width)]
-    slots = array("BHIQ"[width.bit_length() - 1], raw)
-    if sys.byteorder == "big":
+    slots = array(code, raw)
+    if swap:
         slots.byteswap()
-    return list(map(half.__rsub__, slots))
+    return slots.tolist()
 
 
 def _prune(acc: dict) -> None:

@@ -32,14 +32,15 @@ GUARD = "the reduction guard"
 # golden case, check that catches, exp and product routes of the case's
 # orbit set whose result changes)
 FAULTS = [
-    # the mask keeps no digit of the top slot, which then reads as -B/2
+    # the mask keeps no digit of the top slot, which then reads as 0
     ("packed product drops its top slot", novikov, "_kronecker",
-     "(window & ((1 << (8 * width * size)) - 1))",
-     "(window & ((1 << (8 * width * (size - 1))) - 1))",
+     "& ((1 << (shift * size)) - 1)",
+     "& ((1 << (shift * (size - 1))) - 1)",
      "zeta-orbits-fine", COMPARISON, {"exp", "product"}),
+    # the fine grid's products all pack; this case's still reach the loop
     ("pair loop off by one at the bound", novikov, "_conv",
      "if n > bound:", "if n >= bound:",
-     "zeta-orbits-fine", COMPARISON, {"product"}),
+     "zeta-orbits-coincident", COMPARISON, {"product"}),
     ("exp leaf drops its last term", novikov, "_exp_online",
      "reversed(g[lo:n])", "reversed(g[lo + 1:n])",
      "zeta-orbits-fine", COMPARISON, {"exp"}),

@@ -551,8 +551,11 @@ CONV_CASES = [
      [(n, (-1) ** n) for n in range(100)], 300, True),
     ("single term", [(3, 5)], (0, 2000, 1, small), 1500, False),
     ("below the size gate", (0, 30, 1, small), (0, 32, 1, small), 100, False),
-    ("at the density gate", [(n, 2) for n in range(64)],
-     [(n, -3) for n in range(64)], 200, False),
+    # 76 * 16 = 8 * (76 + 76) pairs: at the gate, and one key past it
+    ("at the density gate", [(n, 2) for n in range(76)],
+     [(n, -3) for n in range(0, 76, 5)], 200, False),
+    ("past the density gate", [(n, 2) for n in range(77)],
+     [(n, -3) for n in range(0, 76, 5)], 200, True),
     ("long side clipped short", (0, 2000, 1, small), (990, 1000, 1, small),
      1000, False),
     ("fractions", (0, 99, 1, fraction), (0, 99, 1, small), 500, False),
@@ -646,15 +649,15 @@ HUGE_FACTORS = [(1, 1, -1), (1, -HUGE, 1), (2, -HUGE, 1), (3, 3 * HUGE, 2)]
 # 0 to the largest reachable, one more than that key
 EXP_CASES = [
     ("fine elliptic orbit",
-     S({F(d, 120): F(1, d) for d in range(1, 241)}, 2), "online", 3),
+     S({F(d, 120): F(1, d) for d in range(1, 241)}, 2), "online", 15),
     ("int coefficients",
      S({F(k, 7): (-1) ** k * k for k in range(1, 20)}, 3), "online", 1),
     ("mixed coefficients",
      S({F(k, 5): F(k, 3) if k % 2 else -k for k in range(2, 30, 3)}, 6),
      "online", 1),
-    ("reach at a quarter", S({4: 1}, 40), "online", 1),
+    ("reach at a quarter", S({4: 1}, 40), "online", 3),
     ("sparse weights", log_binomials([(3, 1, -1), (5, -1, 1)], 100, 3),
-     "online", 7),
+     "online", 31),
     ("reach below a quarter", S({5: 1}, 50), "dicts", 0),
     ("keys below a quarter", S({F(1, 10): 1, 10: F(1, 2)}, 12), "dicts", 0),
     ("sparse grid", S({F(999, 1000): 1, F(1001, 1003): F(-1, 2)}, 4),
@@ -666,19 +669,19 @@ EXP_CASES = [
     ("range leaf + 1", log_binomials(MIXED, LEAF, 1), "online", 3),
     ("range 2 * leaf + 1", log_binomials(MIXED, LEAF, 2), "online", 5),
     ("weights above 2^64 of both signs", log_binomials(HUGE_FACTORS, 50, 3),
-     "online", 3),
+     "online", 15),
     # (1 - c t)(1 + c t) = 1 - c^2 t^2: the odd terms of the input and all
     # but two of the result cancel
     ("coefficients cancel to zero",
-     log_binomials([(1, HUGE, 1), (1, -HUGE, 1)], 150, 2), "online", 7),
+     log_binomials([(1, HUGE, 1), (1, -HUGE, 1)], 150, 2), "online", 31),
     # Fraction values: quotients that are not ints, from the first key on
-    ("fraction weights", S({1: F(1, 2)}, 300), "online", 7),
-    ("exp(t)", S({1: 1}, 300), "online", 7),
+    ("fraction weights", S({1: F(1, 2)}, 300), "online", 31),
+    ("exp(t)", S({1: 1}, 300), "online", 31),
     ("exp(t^2 / 2): an int weight from a Fraction",
-     S({2: F(1, 2)}, 300), "online", 7),
+     S({2: F(1, 2)}, 300), "online", 31),
     # the first inexact quotient in the right half of the top range
     ("inexact quotient after the first half",
-     log_binomials(MIXED, 100, 3) + S({2: F(1, 200)}, 3), "online", 7),
+     log_binomials(MIXED, 100, 3) + S({2: F(1, 200)}, 3), "online", 31),
 ]
 
 
@@ -769,7 +772,15 @@ def slot_bytes(x, y):
     return width
 
 
-# (name, (length, largest value) of each side, slot width in bytes)
+def edge(width: int, past: int) -> list:
+    """Values of both signs at B / 2 - 1 + past, B = 2^(8 * width), and
+    smaller ones: times [1], the largest slots of the product."""
+    top = (1 << (8 * width - 1)) - 1 + past
+    return [top, 5, -top, -2, 0, 1]
+
+
+# (name, each side as (length, largest value) or a literal list, slot
+# width in bytes)
 KRONECKER_CASES = [
     ("1-byte slots", (10, 3), (12, 3), 1),
     ("2-byte slots", (100, 9), (120, 9), 2),
@@ -779,16 +790,40 @@ KRONECKER_CASES = [
     ("all-zero side, small values", (40, 0), (30, 9), 1),
     ("all-zero side, a value above 127", (40, 0), (30, 200), 2),
     ("all-zero side, wide values", (40, 0), (30, 2 ** 40), 8),
+    # each width's edge: slots of both signs at B / 2 - 1 keep the width,
+    # at B / 2 they take the next (one width short, ``array`` overflows)
+    *[(f"{width}-byte edge{' + 1' * past}", edge(width, past), [1],
+       2 * width if past else width)
+      for width in (1, 2, 4, 8, 16) for past in (0, 1)],
+    # the same edge reached by a sum of 127 or 128 products of +-1
+    ("1-byte edge by a sum", [1] * 127, [-1] * 127, 1),
+    ("1-byte edge + 1 by a sum", [-1] * 128, [1] * 128, 2),
 ]
+
+
+@st.composite
+def kronecker_inputs(draw):
+    """(x, y, start, stop): two lists of 0 to 300 ints, each side within
+    +-top for its own top, 0 (all zeros) or 2^0 to 2^140, and a window from
+    inside to past the product."""
+    rng = draw(st.randoms(use_true_random=False))
+    tops = st.sampled_from([0] + [1 << bits for bits in range(141)])
+    x, y = ([rng.randint(-top, top) for _ in range(length)]
+            for length, top in [(draw(st.integers(0, 300)), draw(tops))
+                                for _ in range(2)])
+    stop = draw(st.integers(0, len(x) + len(y) + 2))
+    return x, y, draw(st.integers(0, stop)), stop
 
 
 class TestKronecker:
     @pytest.mark.parametrize("case", KRONECKER_CASES,
                              ids=[c[0] for c in KRONECKER_CASES])
     def test_windows_match_the_pair_loop(self, case):
-        name, (lx, mx), (ly, my), width = case
+        name, spec_x, spec_y, width = case
         rng = fresh_rng(len(name))
-        x, y = draw_values(rng, lx, mx), draw_values(rng, ly, my)
+        x, y = (spec if isinstance(spec, list) else draw_values(rng, *spec)
+                for spec in (spec_x, spec_y))
+        lx, ly = len(x), len(y)
         assert slot_bytes(x, y) == width
         size = lx + ly - 1                  # slots of the product
         # all of it, past its end, a middle part, the window exp's nodes
@@ -802,6 +837,15 @@ class TestKronecker:
                 [(int, c) for c in kronecker_reference(x, y, start, stop)]
         assert novikov._kronecker(y, x, 0, size) == \
             novikov._kronecker(x, y, 0, size)
+
+    @PROPERTY
+    @given(kronecker_inputs())
+    @example(([], [3, -1], 0, 2))                       # an empty side
+    @example(([0] * 40, [2 ** 140, -1], 5, 30))         # an all-zero side
+    def test_matches_the_pair_loop_on_any_lists(self, case):
+        x, y, start, stop = case
+        assert novikov._kronecker(x, y, start, stop) == \
+            kronecker_reference(x, y, start, stop)
 
 
 class TestSemigroup:
