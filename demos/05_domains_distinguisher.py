@@ -8,15 +8,18 @@ contributes (1 - t^action) with a bare minus sign.  When the saddle action
 is not a sum of other orbit actions, that minus sign survives into the
 zeta function, so the domain cannot be symplectomorphic to the interior of
 any star-shaped toric domain, however close to a round ball it is.
+Both domains are orbit sets (``toric_orbit_set``, ``s1_orbit_set``), so
+every zeta route of the library runs on them.
 """
 
 from fractions import Fraction as F
 
 from reebzeta import (MorseData, OrbitSet, ToricDomain,
                       distinguish_from_toric, elliptic, mobius_product,
-                      positive_hyperbolic, s1_invariant_zeta, toric_euler,
-                      toric_zeta, zeta_ech_form, zeta_exp_form,
-                      zeta_good_orbits, zeta_product_form, zeta_via_mobius)
+                      positive_hyperbolic, s1_invariant_zeta, s1_orbit_set,
+                      toric_euler, toric_orbit_set, toric_zeta,
+                      zeta_ech_form, zeta_exp_form, zeta_good_orbits,
+                      zeta_product_form, zeta_via_mobius)
 
 print("== toric domains ==")
 ball_like = ToricDomain(1, 1)
@@ -31,9 +34,11 @@ for level in (F(1, 2), F(7, 4), F(7, 2), F(23, 4)):
 
 print()
 print("the toric zeta is the zeta of two elliptic orbits:")
-two = OrbitSet([elliptic("a", 1), elliptic("b", F(3, 2))])
-assert toric_zeta(ellipsoid, 6) == zeta_product_form(two, 6)
-print("  toric_zeta(1, 3/2) == zeta_product_form({elliptic 1, elliptic 3/2})")
+two = toric_orbit_set(ellipsoid)
+assert two == OrbitSet([elliptic("a", 1), elliptic("b", F(3, 2))])
+for route in (zeta_exp_form, zeta_ech_form):
+    assert route(two, 6) == toric_zeta(ellipsoid, 6)
+print("  toric_zeta(1, 3/2) == exp and ECH zetas of {elliptic 1, elliptic 3/2}")
 print("and of its good-orbit counts through the Moebius transform:")
 assert mobius_product(zeta_good_orbits(two, 6), 6) == toric_zeta(ellipsoid, 6)
 print("  transform(jump series) == toric_zeta(1, 3/2)")
@@ -58,6 +63,10 @@ print("zeta mod t^>2:", zeta)
 verdict = distinguish_from_toric(zeta)
 print("verdict:", verdict)
 assert verdict.witness == F(3, 2)
+# the saddle is a positive hyperbolic orbit: every route gives the witness
+for route in (zeta_exp_form, zeta_ech_form, zeta_via_mobius):
+    assert route(s1_orbit_set(morse), 2) == zeta
+print("the same zeta from the exp, ECH and Moebius routes of its orbit set")
 
 print()
 print("toric domains themselves never trigger the obstruction:")

@@ -13,7 +13,8 @@ from .persistence import (Bar, Barcode, FilteredComplex, barcode_decompose,
 from .mobius import mobius, mobius_product, zeta_via_mobius
 from .domains import (DistinguishResult, MorseCriticalPoint, MorseData,
                       ToricDomain, ToricVerdict, distinguish_from_toric,
-                      s1_invariant_zeta, toric_euler, toric_zeta)
+                      s1_invariant_zeta, s1_orbit_set, toric_euler,
+                      toric_orbit_set, toric_zeta)
 from . import errors, serialize
 
 __version__ = "0.1.0"
@@ -28,8 +29,8 @@ __all__ = [
     "FilteredComplex", "Bar", "Barcode", "homology_dims",
     "barcode_decompose", "euler_jump", "zeta_barcode", "zeta_persistence",
     "mobius", "mobius_product", "zeta_via_mobius",
-    "ToricDomain", "MorseCriticalPoint", "MorseData",
-    "ToricVerdict", "DistinguishResult", "toric_zeta", "toric_euler",
-    "s1_invariant_zeta", "distinguish_from_toric",
+    "ToricDomain", "MorseCriticalPoint", "MorseData", "ToricVerdict",
+    "DistinguishResult", "toric_orbit_set", "toric_zeta", "toric_euler",
+    "s1_orbit_set", "s1_invariant_zeta", "distinguish_from_toric",
     "errors", "serialize",
 ]

@@ -1,16 +1,16 @@
-"""Closed-form zeta functions for model domains, and the toric
-obstruction test.
+"""Model domains as orbit sets, and the toric obstruction test.
 
-Two families of star-shaped domains in R^4 admit closed formulas:
+Two families of star-shaped domains in R^4 perturb to finite orbit sets,
+and their zetas are ``zeta_product_form`` of those sets:
 
-* toric domains with axis actions a, b: zeta = 1 / ((1-t^a)(1-t^b)), and
-  the orbit-count function below an off-spectrum level T is
-  floor(T/a) + floor(T/b).  The orbit families over rational-slope points
-  of the boundary cancel as birth-death pairs (an elliptic and a positive
-  hyperbolic orbit at one action), so the closed form needs only the axes;
-* circle-invariant domains built from a Morse function on the 2-sphere,
-  one simple orbit per critical point p with action supplied directly
-  (standing for e^f(p)): zeta = prod_p (1 - t^action)^((-1)^(index-1)).
+* toric domains with axis actions a, b: the two elliptic axis orbits,
+  zeta = 1 / ((1-t^a)(1-t^b)), and the orbit count below an off-spectrum
+  level T is floor(T/a) + floor(T/b).  The orbit families over
+  rational-slope boundary points cancel as birth-death pairs;
+* circle-invariant domains from a Morse function on the 2-sphere: one
+  orbit per critical point p, action supplied directly (standing for
+  e^f(p)), positive hyperbolic at a saddle and elliptic otherwise:
+  zeta = prod_p (1 - t^action)^((-1)^(index-1)).
 
 Since every toric zeta has nonnegative coefficients, a single negative
 coefficient certifies that a domain is not symplectomorphic to the
@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .errors import (BadMorseCounts, NonPositiveAction, OnSpectrum, echo,
                      refuse_repeats)
-from .novikov import NovikovSeries, RatioLike, as_ratio, binomial_product
+from .novikov import NovikovSeries, RatioLike, as_ratio
+from .orbits import OrbitSet, SimpleOrbit, zeta_product_form
 
 
 class ToricDomain(namedtuple("ToricDomain", "a b")):
@@ -43,9 +44,14 @@ class ToricDomain(namedtuple("ToricDomain", "a b")):
         return super().__new__(cls, a, b)
 
 
+def toric_orbit_set(domain: ToricDomain) -> OrbitSet:
+    """The axis circles: elliptic orbits "a" and "b" at the axis actions."""
+    return OrbitSet([SimpleOrbit(*axis, 0, 0) for axis in zip("ab", domain)])
+
+
 def toric_zeta(domain: ToricDomain, cutoff: RatioLike) -> NovikovSeries:
     """1 / ((1 - t^a)(1 - t^b)) modulo the cutoff."""
-    return binomial_product([(domain.a, 1, -1), (domain.b, 1, -1)], cutoff)
+    return zeta_product_form(toric_orbit_set(domain), cutoff)
 
 
 def toric_euler(domain: ToricDomain, at: RatioLike) -> int:
@@ -105,13 +111,15 @@ class MorseData:
         return len(self.points)
 
 
+def s1_orbit_set(morse: MorseData) -> OrbitSet:
+    """One orbit per critical point: hyperbolic at a saddle, else elliptic."""
+    return OrbitSet([SimpleOrbit(p.label, p.action, p.index % 2, p.index % 2)
+                     for p in morse])
+
+
 def s1_invariant_zeta(morse: MorseData, cutoff: RatioLike) -> NovikovSeries:
-    """Zeta of the circle-invariant domain with the given critical point
-    data: the product over critical points of (1 - t^action), inverted
-    for indices 0 and 2 and kept as-is for saddles (index 1)."""
-    return binomial_product(
-        [(p.action, 1, 1 if p.index == 1 else -1)
-         for p in morse], cutoff)
+    """prod_p (1 - t^action_p)^((-1)^(index_p - 1)) modulo the cutoff."""
+    return zeta_product_form(s1_orbit_set(morse), cutoff)
 
 
 class ToricVerdict(enum.Enum):

@@ -16,7 +16,7 @@ factors with n*A beyond the cutoff being 1.  Per single action with count
 which is exactly what makes the transform invert the orbit-iterate
 bookkeeping of the zeta function.
 
-Many factors share a level m = n*A, and ``novikov.binomial_product``
+Many factors share a level m = n*A, and ``novikov._binomial_product``
 merges factors of one exponent, so one factor per level is applied:
 
     prod_m (1 - t^m)^E(m),    E(m) = -sum_{n*A = m} mu(n) * a(A).

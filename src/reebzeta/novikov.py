@@ -6,8 +6,8 @@ and rational exponents s ("actions"), considered modulo the ideal of terms
 with exponent greater than a fixed rational cutoff.  Addition is pointwise,
 multiplication is convolution of exponents, units are inverted key by key
 in ascending order, and exp/log connect additive and multiplicative pictures.
-``binomial_product`` merges and multiplies the factors (1 - c * t^a)^k
-that every product-formula zeta in the library is made of.
+``_binomial_product`` merges and multiplies the factors (1 - c * t^a)^k,
+on int keys, that every product-formula zeta in the library is made of.
 Everything is exact: equality of two series is equality of their terms,
 never an approximation.
 
@@ -346,22 +346,10 @@ class NovikovSeries:
         return NovikovSeries._raw(self._q, terms, self._cutoff)
 
 
-def binomial_product(factors: Iterable[tuple], cutoff: RatioLike) -> NovikovSeries:
-    """prod (1 - c * t^a)^k over the (a, c, k) triples, in any order,
-    modulo the cutoff: the exponents go on one grid and
-    ``_binomial_product`` merges and applies the factors.  The orbit,
-    toric and circle-invariant zetas come here; the Moebius transform,
-    already on int keys, calls the core directly."""
-    factors = list(factors)
-    q, keys = grid(as_ratio(a) for a, _, _ in factors)
-    return _binomial_product(q, [(n, c, k) for n, (_, c, k)
-                                 in zip(keys, factors)], as_ratio(cutoff))
-
-
 def _binomial_product(q: int, factors, cutoff: Fraction) -> NovikovSeries:
-    """``binomial_product`` of (n, c, k) triples on int keys of the 1/q
-    grid: drops keys above the cutoff, merges equal (n, c) by summing k,
-    skips a merged k of 0 and applies the rest in ascending (n, c)."""
+    """prod (1 - c * t^(n/q))^k over (n, c, k) triples in any order, on the
+    1/q grid: drops keys above the cutoff, merges equal (n, c) by summing
+    k, skips a merged k of 0 and applies the rest in ascending (n, c)."""
     bound = cutoff.numerator * q // cutoff.denominator
     merged = {}
     for n, c, k in factors:

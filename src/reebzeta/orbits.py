@@ -178,9 +178,11 @@ def zeta_product_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     cutoff contribute 1.  The result always has integer coefficients and
     constant term 1.
     """
-    return novikov.binomial_product(
-        [(o.action, -1 if (o.eps1 + o.eps2) % 2 else 1, 1 if o.eps2 else -1)
-         for o in orbit_set], cutoff)
+    orbits = list(orbit_set)
+    q, keys = novikov.grid([o.action for o in orbits])
+    return novikov._binomial_product(
+        q, [(n, -1 if (o.eps1 + o.eps2) % 2 else 1, 1 if o.eps2 else -1)
+            for n, o in zip(keys, orbits)], as_ratio(cutoff))
 
 
 class EchGenerator(namedtuple("EchGenerator", "pairs grading total_action")):

@@ -21,7 +21,6 @@ from reebzeta import (FilteredComplex, MorseData, NovikovSeries, OrbitSet,
                       toric_zeta, zeta_barcode, zeta_ech_form, zeta_exp_form,
                       zeta_good_orbits, zeta_persistence, zeta_product_form,
                       zeta_via_mobius)
-from reebzeta.novikov import binomial_product
 
 ORBITS = OrbitSet([elliptic("e", F(1, 2)), positive_hyperbolic("h", F(2, 3)),
                    negative_hyperbolic("n", 1)])
@@ -42,8 +41,6 @@ CALLS = [
     ("NovikovSeries.one", NovikovSeries.one, 2),
     ("NovikovSeries.truncate", SERIES.truncate, 3),
     ("NovikovSeries.coefficient", SERIES.coefficient, 0),
-    ("binomial_product", lambda c: binomial_product(
-        [(F(1, 2), 1, -1), (1, -1, 2), (5, 1, 1)], c), 3),
     ("zeta_exp_form", lambda c: zeta_exp_form(ORBITS, c), 3),
     ("zeta_product_form", lambda c: zeta_product_form(ORBITS, c), 3),
     ("zeta_ech_form", lambda c: zeta_ech_form(ORBITS, c), 3),

@@ -4,14 +4,20 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import fresh_rng, random_series, stored
 from reebzeta import (MorseData, NovikovSeries, OrbitSet, ToricDomain,
                       ToricVerdict, distinguish_from_toric, elliptic,
                       mobius_product, positive_hyperbolic, s1_invariant_zeta,
-                      toric_euler, toric_zeta, zeta_ech_form, zeta_exp_form,
-                      zeta_good_orbits, zeta_product_form, zeta_via_mobius)
+                      s1_orbit_set, toric_euler, toric_orbit_set, toric_zeta,
+                      zeta_ech_form, zeta_exp_form, zeta_good_orbits,
+                      zeta_product_form, zeta_via_mobius)
 from reebzeta.errors import BadMorseCounts, NonPositiveAction, OnSpectrum
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+# the orbit routes other than the product form, which the domain zetas use
+OTHER_ROUTES = (zeta_exp_form, zeta_ech_form, zeta_via_mobius)
 
 
 def S(terms, cutoff):
@@ -25,6 +31,25 @@ def random_axis(rng):
 
 def random_axes(rng):
     return random_axis(rng), random_axis(rng)
+
+
+@st.composite
+def actions(draw):
+    """An action in [1, 4] with denominator 1-5: at least 1, so the ECH
+    generators below cutoff 8 stay a few thousand."""
+    den = draw(st.integers(1, 5))
+    return F(draw(st.integers(den, 4 * den)), den)
+
+
+@st.composite
+def morse_data(draw):
+    """Morse data with 0-3 saddles, hence 2-8 critical points: the count
+    is even, as #min - #saddle + #max = 2."""
+    saddles = draw(st.integers(0, 3))
+    extrema = draw(st.lists(st.sampled_from((0, 2)), min_size=saddles,
+                            max_size=saddles))
+    return MorseData([(f"p{i}", draw(actions()), index) for i, index
+                      in enumerate([0, 2, *extrema] + [1] * saddles)])
 
 
 class TestToricZeta:
@@ -103,6 +128,48 @@ class TestToricOrbitFamilies:
             for route in (zeta_exp_form, zeta_product_form, zeta_ech_form,
                           zeta_via_mobius):
                 assert stored(route(OrbitSet(orbits), 5)) == toric
+
+
+class TestOrbitSets:
+    def test_toric_orbit_set_is_the_elliptic_axes(self):
+        assert toric_orbit_set(ToricDomain(1, "3/2")) == \
+            OrbitSet([elliptic("a", 1), elliptic("b", F(3, 2))])
+
+    def test_s1_orbit_set_has_one_orbit_per_critical_point(self):
+        morse = MorseData([("min", 1, 0), ("sad", F(3, 2), 1),
+                           ("max", 3, 2), ("min2", 4, 0)])
+        assert s1_orbit_set(morse) == OrbitSet([
+            elliptic("min", 1), positive_hyperbolic("sad", F(3, 2)),
+            elliptic("max", 3), elliptic("min2", 4)])
+
+    @PROPERTY
+    @given(actions(), actions(), st.integers(2, 8))
+    def test_toric_zeta_in_every_route(self, a, b, cutoff):
+        domain = ToricDomain(a, b)
+        toric = stored(toric_zeta(domain, cutoff))
+        for route in OTHER_ROUTES:
+            assert stored(route(toric_orbit_set(domain), cutoff)) == toric
+
+    @PROPERTY
+    @given(morse_data(), st.integers(2, 8))
+    def test_s1_invariant_zeta_in_every_route(self, morse, cutoff):
+        s1 = stored(s1_invariant_zeta(morse, cutoff))
+        for route in OTHER_ROUTES:
+            assert stored(route(s1_orbit_set(morse), cutoff)) == s1
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(morse_data(), actions(), st.integers(2, 8))
+    def test_minimum_and_saddle_born_together_change_nothing(
+            self, morse, action, cutoff):
+        # A birth-death pair of a minimum and a saddle at one action keeps
+        # #min - #saddle + #max = 2, and an elliptic and a positive
+        # hyperbolic orbit at one action cancel in every route.
+        born = MorseData([*morse, ("born min", action, 0),
+                          ("born saddle", action, 1)])
+        s1 = stored(s1_invariant_zeta(morse, cutoff))
+        assert stored(s1_invariant_zeta(born, cutoff)) == s1
+        for route in (zeta_product_form, *OTHER_ROUTES):
+            assert stored(route(s1_orbit_set(born), cutoff)) == s1
 
 
 class TestS1InvariantZeta:

@@ -11,10 +11,11 @@ runs the same cases unfaulted.
 
 The check that catches a fault in the exp or product route, or in a
 kernel they share, is their comparison under ``--form both``: exit 3.
-The ECH and barcode routes have no partner at run time, so their faults
-are caught by the golden stdout.  A wrong pivot quotient in
-``persistence._reduce`` leaves the pivot row in the column; the guard
-after each subtraction raises InternalError, and the CLI exits 3.
+The ECH, barcode and circle-invariant routes have no partner at run
+time, so their faults are caught by the golden stdout.  A wrong pivot
+quotient in ``persistence._reduce`` leaves the pivot row in the column;
+the guard after each subtraction raises InternalError, and the CLI
+exits 3.
 """
 
 import inspect
@@ -22,7 +23,7 @@ import textwrap
 
 import pytest
 
-from reebzeta import cli, novikov, orbits, persistence, serialize
+from reebzeta import cli, domains, novikov, orbits, persistence, serialize
 from test_golden import CASES, DATA, GOLDEN
 
 COMPARISON, GOLDEN_DIFF = "the --form both comparison", "the golden stdout"
@@ -64,6 +65,11 @@ FAULTS = [
     ("product factor power flipped", orbits, "zeta_product_form",
      "1 if o.eps2 else -1", "-1 if o.eps2 else 1",
      "zeta-orbits-fine", COMPARISON, {"product"}),
+    # every orbit of the case's Morse data elliptic: its saddle factor
+    # (1 - t^(3/2)) is inverted, so the zeta-s1 bytes change
+    ("saddles made elliptic", domains, "s1_orbit_set",
+     "p.index % 2, p.index % 2", "0, 0",
+     "zeta-s1", GOLDEN_DIFF, set()),
     ("ECH grading from the even-cover parity", orbits, "ech_generators",
      "grading ^ o.eps1", "grading ^ o.eps2",
      "zeta-orbits-ech", GOLDEN_DIFF, set()),

@@ -14,7 +14,6 @@ from helpers import conv_reference, counting_powers, dict_exp, dict_mul, \
 from reebzeta import NovikovSeries, exp, log, novikov
 from reebzeta.errors import (BadLeadingTerm, BeyondValidity, NotAUnit,
                              NotPositivelySupported)
-from reebzeta.novikov import binomial_product
 
 
 def S(terms, cutoff):
@@ -133,28 +132,34 @@ def binomial_terms(a, c, k, cutoff) -> dict:
     return terms
 
 
+def binomials(q, factors, cutoff):
+    """``novikov._binomial_product`` of (n, c, k) triples on the 1/q grid,
+    the cutoff given as anything ``as_ratio`` reads."""
+    return novikov._binomial_product(q, factors, novikov.as_ratio(cutoff))
+
+
 class TestBinomialProduct:
     def test_empty_product_is_one(self):
-        assert binomial_product([], 3) == NovikovSeries.one(3)
+        assert binomials(1, [], 3) == NovikovSeries.one(3)
+        assert binomials(6, [], F(5, 2)) == NovikovSeries.one(F(5, 2))
 
     def test_factors_above_the_cutoff_are_skipped(self):
+        # keys 10, 7 and 6 on the 1/2 grid: exponents 5, 7/2 and 3
         with counting_powers() as powers:
-            result = binomial_product(
-                [(5, 1, -1), (F(7, 2), 3, 2), (3, 1, 4)], 3)
+            result = binomials(2, [(10, 1, -1), (7, 3, 2), (6, 1, 4)], 3)
         assert powers == [4]
         assert result == S({0: 1, 3: -4}, 3)
 
     def test_coincident_factors_merge(self):
-        # 1/2 and "2/4" are one exponent with one c: the powers -1 and 3
-        # merge into a single square
+        # one key with one c: the powers -1 and 3 merge into a single square
         with counting_powers() as powers:
-            result = binomial_product([(F(1, 2), 1, -1), ("2/4", 1, 3)], 2)
+            result = binomials(2, [(1, 1, -1), (1, 1, 3)], 2)
         assert powers == [2]
         assert result == S({0: 1, F(1, 2): -2, 1: 1}, 2)
 
     def test_cancelling_factors_cost_nothing(self):
         with counting_powers() as powers:
-            result = binomial_product([(1, 2, 3), ("3/3", 2, -3)], 4)
+            result = binomials(3, [(3, 2, 3), (3, 2, -3)], 4)
         assert powers == []
         assert result == NovikovSeries.one(4)
 
@@ -162,7 +167,7 @@ class TestBinomialProduct:
         ([(1, 1, -1)], 0, S({0: 1, 1: 1, 2: 1, 3: 1}, 3)),
         ([(1, 1, -1), (2, 1, 1)], 1, S({0: 1, 1: 1}, 3)),
         ([(1, 1, 1), (2, 1, 1), (3, 1, 1)], 2, S({0: 1, 1: -1, 2: -1}, 3)),
-        ([(1, 2, 1), ("3/3", 2, -1)], 0, NovikovSeries.one(3)),
+        ([(1, 2, 1), (1, 2, -1)], 0, NovikovSeries.one(3)),
     ])
     def test_the_first_factor_starts_the_product(self, factors, products,
                                                  expected, monkeypatch):
@@ -176,32 +181,34 @@ class TestBinomialProduct:
             return original(self, other)
 
         monkeypatch.setattr(NovikovSeries, "__mul__", counting_mul)
-        result = binomial_product(factors, 3)
+        result = binomials(1, factors, 3)
         assert len(calls) == products
         assert result == expected
 
     def test_opposite_coefficients_stay_two_factors(self):
-        # (1 - t)(1 + t) = 1 - t^2: one exponent, two values of c
+        # (1 - t)(1 + t) = 1 - t^2: one key, two values of c
         with counting_powers() as powers:
-            result = binomial_product([(1, 1, 1), (1, -1, 1)], 3)
+            result = binomials(1, [(1, 1, 1), (1, -1, 1)], 3)
         assert powers == [1, 1]
         assert result == S({0: 1, 2: -1}, 3)
 
     def test_exponent_zero_is_a_constant_factor(self):
         # (1 - 3 * t^0)^2 = 4
-        assert binomial_product([(F(0), 3, 2)], 2) == S({0: 4}, 2)
-        assert binomial_product([(0, 3, 1), (1, 1, -1)], 2) == \
+        assert binomials(1, [(0, 3, 2)], 2) == S({0: 4}, 2)
+        assert binomials(1, [(0, 3, 1), (1, 1, -1)], 2) == \
             S({0: -2, 1: -2, 2: -2}, 2)
 
     def test_factor_order_does_not_matter(self):
         rng = fresh_rng(108)
         for _ in range(40):
-            factors = [(F(rng.randint(1, 12), rng.choice((1, 2, 3, 4))),
+            # exponents n/den with n in 1-12, as keys on the 1/12 grid
+            factors = [(rng.randint(1, 12) * (12 // den),
                         rng.choice((1, -1, 2, F(1, 2))), rng.randint(-3, 3))
-                       for _ in range(rng.randint(0, 8))]
+                       for den in rng.choices((1, 2, 3, 4),
+                                              k=rng.randint(0, 8))]
             shuffled = rng.sample(factors, len(factors))
-            assert binomial_product(shuffled, 4) == \
-                binomial_product(factors, 4)
+            assert stored(binomials(12, shuffled, 4)) == \
+                stored(binomials(12, factors, 4))
 
 
 class TestInverse:
@@ -452,12 +459,14 @@ class TestProperties:
                               st.sampled_from((1, -1, 2, F(1, 2))),
                               st.integers(-3, 3)), max_size=4))
     def test_binomial_product_matches_binomial_series(self, cutoff, draws):
-        factors = [(F(num, den), c, k) for den, num, c, k in draws]
+        # keys on the 1/q grid of the drawn denominators
+        q = math.lcm(*(den for den, _, _, _ in draws))
         expected = {F(0): F(1)}
-        for a, c, k in factors:
-            expected = dict_mul(expected, binomial_terms(a, c, k, cutoff),
-                                cutoff)
-        assert dict_terms(binomial_product(factors, cutoff)) == expected
+        for den, num, c, k in draws:
+            expected = dict_mul(expected, binomial_terms(F(num, den), c, k,
+                                                         cutoff), cutoff)
+        factors = [(num * (q // den), c, k) for den, num, c, k in draws]
+        assert dict_terms(binomials(q, factors, cutoff)) == expected
 
 
 # -- exp against its reference ---------------------------------------------
@@ -706,8 +715,8 @@ class TestExpKernel:
     def test_exp_gives_back_the_binomial_product(self):
         for factors, q, cutoff in ((MIXED, LEAF, 2), (ONE_ORBIT, 300, 1),
                                    (HUGE_FACTORS, 50, 3)):
-            assert exp(log_binomials(factors, q, cutoff)) == binomial_product(
-                [(F(a, q), c, k) for a, c, k in factors], cutoff)
+            assert exp(log_binomials(factors, q, cutoff)) == \
+                binomials(q, factors, cutoff)
 
     def test_random_dense_inputs(self):
         rng = fresh_rng(1729)

@@ -183,6 +183,12 @@ class TestZetaProductForm:
         assert powers == []
         assert result == NovikovSeries.one(8)
 
+    def test_reads_its_orbits_once(self):
+        # an iterator of orbits gives what the set of them gives
+        orbits = [elliptic("e", 1), positive_hyperbolic("h", F(3, 2))]
+        assert zeta_product_form(iter(orbits), 3) == \
+            zeta_product_form(OrbitSet(orbits), 3) != NovikovSeries.one(3)
+
     def test_orbit_order_does_not_matter(self):
         rng = fresh_rng(212)
         for _ in range(20):
