@@ -171,11 +171,8 @@ def _emit_comparison(pair, out_path) -> None:
         print(f"DIFFER\t{s}\t{ca}\t{cb}")
 
 
-def _emit_verdict(result, out_path) -> None:
-    if result.witness is None:
-        print(result.verdict.value)
-    else:
-        print(f"{result.verdict.value}\t{result.witness}")
+def _emit_verdict(witness, out_path) -> None:
+    print("Inconclusive" if witness is None else f"NotToricInterior\t{witness}")
 
 
 def main(argv=None) -> int:

@@ -15,12 +15,11 @@ and their zetas are ``zeta_product_form`` of those sets:
 Since every toric zeta has nonnegative coefficients, a single negative
 coefficient certifies that a domain is not symplectomorphic to the
 interior of any star-shaped toric domain; ``distinguish_from_toric``
-reports the smallest such exponent as a witness.
+returns the smallest such exponent, the witness, or None.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -122,35 +121,13 @@ def s1_invariant_zeta(morse: MorseData, cutoff: RatioLike) -> NovikovSeries:
     return zeta_product_form(s1_orbit_set(morse), cutoff)
 
 
-class ToricVerdict(enum.Enum):
-    NOT_TORIC_INTERIOR = "NotToricInterior"
-    INCONCLUSIVE = "Inconclusive"
+def distinguish_from_toric(zeta: NovikovSeries) -> Fraction | None:
+    """The witness against the toric form: the smallest exponent carrying
+    a negative coefficient below the series cutoff, or None.
 
-
-class DistinguishResult(namedtuple("DistinguishResult", "verdict witness",
-                                   defaults=(None,))):
-    """A ``ToricVerdict`` and, for NOT_TORIC_INTERIOR, the witness: the
-    smallest exponent with a negative coefficient (a Fraction), else None."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        if self.witness is None:
-            return self.verdict.value
-        return f"{self.verdict.value} witness {self.witness}"
-
-
-def distinguish_from_toric(zeta: NovikovSeries) -> DistinguishResult:
-    """Test a zeta function against the toric form.
-
-    Toric zetas have only nonnegative coefficients, so the smallest
-    exponent carrying a negative coefficient (if any, below the series
-    cutoff) rules out a toric interior and is returned as the witness.
-    A nonnegative truncation is always inconclusive: agreement below a
-    cutoff never certifies toric-ness.
+    Toric zetas have only nonnegative coefficients, so a witness rules
+    out a toric interior.  None is inconclusive: agreement below a cutoff
+    never certifies toric-ness.
     """
     negative = [n for n, c in zeta._terms.items() if c < 0]
-    if negative:
-        return DistinguishResult(ToricVerdict.NOT_TORIC_INTERIOR,
-                                 Fraction(min(negative), zeta._q))
-    return DistinguishResult(ToricVerdict.INCONCLUSIVE)
+    return Fraction(min(negative), zeta._q) if negative else None

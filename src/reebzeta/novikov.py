@@ -511,7 +511,7 @@ def exp(a: NovikovSeries) -> NovikovSeries:
     # (j, j * a[j]), an int with no Fraction product when it is whole
     weighted = [(j, _quotient(c.numerator * j, c.denominator))
                 for j, c in sorted(a._terms.items())]
-    f = {0: 1}
+    f = {0: 1} if a._bound >= 0 else {}   # a negative cutoff keeps no t^0
     if reach and 4 * len(reach) >= reach[-1] and 4 * len(keys) >= keys[-1]:
         # dense: w[j - 1] = j * a[j] and g[n] = f[n]
         w = list(map(dict(weighted).get, range(1, keys[-1] + 1), repeat(0)))

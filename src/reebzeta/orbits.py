@@ -5,6 +5,8 @@ orbits below any action level.  Each simple orbit carries an action A > 0
 and two Z/2 Lefschetz parities: eps1 for the orbit itself and eps2 for its
 double cover.  Those two bits determine the parity of every d-fold cover
 (eps1 for d odd, eps2 for d even), hence every signed count used below.
+The three orbit types of a 3D flow are just parity pairs: ``elliptic``
+(0, 0), ``positive_hyperbolic`` (1, 1) and ``negative_hyperbolic`` (0, 1).
 
 Three equivalent computations of the zeta function are provided:
 
@@ -22,7 +24,6 @@ core consistency check of the library.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -33,24 +34,13 @@ from .errors import (NonPositiveAction, NotThreeDimensional, echo,
 from .novikov import NovikovSeries, RatioLike, as_ratio
 
 
-class OrbitType3D(enum.Enum):
-    """Nondegenerate simple-orbit types in a 3-dimensional flow, by the
-    eigenvalues of the linearized return map."""
-
-    ELLIPTIC = "elliptic"                    # eigenvalues on the unit circle
-    POSITIVE_HYPERBOLIC = "pos-hyperbolic"   # positive real eigenvalues
-    NEGATIVE_HYPERBOLIC = "neg-hyperbolic"   # negative real eigenvalues
-
-    @property
-    def parities(self) -> tuple[int, int]:
-        """(eps1, eps2) for this orbit type."""
-        return _TYPE_PARITIES[self]
-
-
+# The nondegenerate simple-orbit types of a 3-dimensional flow, by the
+# eigenvalues of the linearized return map (on the unit circle, positive
+# real, negative real), as named in orbit files: (eps1, eps2) each.
 _TYPE_PARITIES = {
-    OrbitType3D.ELLIPTIC: (0, 0),
-    OrbitType3D.POSITIVE_HYPERBOLIC: (1, 1),
-    OrbitType3D.NEGATIVE_HYPERBOLIC: (0, 1),
+    "elliptic": (0, 0),
+    "pos-hyperbolic": (1, 1),
+    "neg-hyperbolic": (0, 1),
 }
 
 
@@ -69,12 +59,6 @@ class SimpleOrbit(namedtuple("SimpleOrbit", "label action eps1 eps2")):
             raise ValueError(f"orbit {echo(label)}: parities must be 0 or 1")
         return super().__new__(cls, label, action, eps1, eps2)
 
-    @classmethod
-    def of_type(cls, label: str, action: RatioLike,
-                kind: OrbitType3D) -> "SimpleOrbit":
-        eps1, eps2 = kind.parities
-        return cls(label, as_ratio(action), eps1, eps2)
-
     @property
     def is_hyperbolic(self) -> bool:
         """Hyperbolic in the 3D classification: eps2 = 1."""
@@ -82,15 +66,15 @@ class SimpleOrbit(namedtuple("SimpleOrbit", "label action eps1 eps2")):
 
 
 def elliptic(label: str, action: RatioLike) -> SimpleOrbit:
-    return SimpleOrbit.of_type(label, action, OrbitType3D.ELLIPTIC)
+    return SimpleOrbit(label, action, *_TYPE_PARITIES["elliptic"])
 
 
 def positive_hyperbolic(label: str, action: RatioLike) -> SimpleOrbit:
-    return SimpleOrbit.of_type(label, action, OrbitType3D.POSITIVE_HYPERBOLIC)
+    return SimpleOrbit(label, action, *_TYPE_PARITIES["pos-hyperbolic"])
 
 
 def negative_hyperbolic(label: str, action: RatioLike) -> SimpleOrbit:
-    return SimpleOrbit.of_type(label, action, OrbitType3D.NEGATIVE_HYPERBOLIC)
+    return SimpleOrbit(label, action, *_TYPE_PARITIES["neg-hyperbolic"])
 
 
 class OrbitSet:
@@ -123,16 +107,13 @@ class OrbitSet:
         return f"OrbitSet({list(self.orbits)!r})"
 
 
-def _on_grid(orbit_set: OrbitSet, cutoff: Fraction):
-    """The orbits of action <= cutoff in ascending action, then label; the
+def _on_grid(orbit_set: Iterable[SimpleOrbit], cutoff: Fraction):
+    """The orbits of action <= cutoff, read once, in the order given; the
     grid (q, keys) of their actions; and the cutoff's bound
-    floor(q * cutoff).  Sorts (key, label, orbit) rows, the same order on
-    ints: labels are distinct."""
+    floor(q * cutoff)."""
     orbits = [o for o in orbit_set if o.action <= cutoff]
     q, keys = novikov.grid([o.action for o in orbits])
-    rows = sorted(zip(keys, [o.label for o in orbits], orbits))
-    return ([o for _, _, o in rows], q, [a for a, _, _ in rows],
-            cutoff.numerator * q // cutoff.denominator)
+    return orbits, q, keys, cutoff.numerator * q // cutoff.denominator
 
 
 def iterate_parity(orbit: SimpleOrbit, d: int) -> int:
@@ -207,21 +188,23 @@ def ech_generators(orbit_set: OrbitSet, cutoff: RatioLike) -> list[EchGenerator]
     orbit extends only the generators with room left for it, so the pass
     is linear in the generators plus the orbits, before the sort.
     """
-    cutoff = as_ratio(cutoff)
-    for o in orbit_set:
+    cutoff, orbits = as_ratio(cutoff), list(orbit_set)
+    for o in orbits:
         if (o.eps1, o.eps2) == (1, 0):
             raise NotThreeDimensional(
                 f"orbit {echo(o.label)} has parities (1, 0)")
     if cutoff < 0:
         return []
-    orbits, q, keys, bound = _on_grid(orbit_set, cutoff)
+    orbits, q, keys, bound = _on_grid(orbits, cutoff)
+    # ascending action (keys order as the actions do), then label
+    rows = sorted(zip(keys, [o.label for o in orbits], orbits))
     # Rows (int total action, labels, multiplicities, pairs, grading);
     # labels and pairs grow in grid order, so a plain sort is the order of
     # (total action, labels, multiplicities).  Actions ascend, so a row
     # with no room for one orbit has none for any later one.
     found = [(0, (), (), (), 0)]
     room = found[:]
-    for o, a in zip(orbits, keys):
+    for a, _, o in rows:
         room = [row for row in room if row[0] + a <= bound]
         # eps1 is 1 exactly for positive hyperbolic orbits
         new = [(total + m * a, labels + (o.label,), mults + (m,),

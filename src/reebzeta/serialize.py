@@ -32,7 +32,7 @@ from .domains import MorseData
 from .errors import (DuplicateLabel, ReebZetaError, TooManyDigits,
                      UnknownLabel, echo)
 from .novikov import NovikovSeries, _norm_coeff
-from .orbits import OrbitSet, OrbitType3D, SimpleOrbit
+from .orbits import _TYPE_PARITIES, OrbitSet, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
 
 _LINE_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$", re.MULTILINE)
@@ -227,14 +227,12 @@ def series_from_obj(obj) -> NovikovSeries:
 
 # -- orbit sets -----------------------------------------------------------
 
-_TYPE_NAMES = {kind.value: kind for kind in OrbitType3D}
-
-
-def _orbit_type(name) -> OrbitType3D:
-    if _string(name) not in _TYPE_NAMES:
+def _orbit_type(name) -> tuple[int, int]:
+    """The (eps1, eps2) of an orbit type name."""
+    if _string(name) not in _TYPE_PARITIES:
         raise ValueError(f"unknown orbit type {echo(name)}; expected one "
-                         f"of {sorted(_TYPE_NAMES)}")
-    return _TYPE_NAMES[name]
+                         f"of {sorted(_TYPE_PARITIES)}")
+    return _TYPE_PARITIES[name]
 
 
 _TYPED = {"label": _string, "action": _ratio, "type": _orbit_type}
@@ -246,7 +244,7 @@ def _orbit_fields(entry) -> dict:
 
 
 def orbit_set_from_obj(obj) -> OrbitSet:
-    return OrbitSet(SimpleOrbit.of_type(*row) if len(row) == 3
+    return OrbitSet(SimpleOrbit(*row[:2], *row[2]) if len(row) == 3
                     else SimpleOrbit(*row)
                     for row in _records(obj, "orbits", _orbit_fields))
 

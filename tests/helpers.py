@@ -10,8 +10,9 @@ from fractions import Fraction as F
 import pytest
 
 from reebzeta import (Bar, Barcode, EchGenerator, FilteredComplex,
-                      NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
-                      is_good, iterate_parity, mobius, novikov)
+                      NovikovSeries, OrbitSet, SimpleOrbit, elliptic, is_good,
+                      iterate_parity, mobius, negative_hyperbolic, novikov,
+                      positive_hyperbolic)
 from reebzeta.errors import (FiltrationViolation, GradingViolation,
                              NotSquareZero, echo)
 from reebzeta.serialize import (_DIFFERENTIAL, _GENERATOR, _TERM, SchemaError,
@@ -462,8 +463,8 @@ def random_3d_orbit_set(rng, max_orbits=5, max_den=12) -> OrbitSet:
     for i in range(rng.randint(1, max_orbits)):
         den = rng.randint(1, max_den)
         action = F(rng.randint(den, 4 * den), den)
-        kind = rng.choice(list(OrbitType3D))
-        orbits.append(SimpleOrbit.of_type(f"g{i}", action, kind))
+        make = rng.choice([elliptic, positive_hyperbolic, negative_hyperbolic])
+        orbits.append(make(f"g{i}", action))
     return OrbitSet(orbits)
 
 

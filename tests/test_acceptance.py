@@ -17,7 +17,7 @@ from helpers import (PARITY_PAIRS, fresh_rng, planted_complex, probe_levels,
                      random_3d_orbit_set, random_complex, random_orbit_set,
                      random_series, stored)
 from reebzeta import (MorseData, NovikovSeries, OrbitSet, SimpleOrbit,
-                      ToricDomain, ToricVerdict, barcode_decompose,
+                      ToricDomain, barcode_decompose,
                       distinguish_from_toric, ech_generators, elliptic,
                       euler_jump, exp, homology_dims, log, mobius,
                       mobius_product, negative_hyperbolic,
@@ -169,17 +169,15 @@ def test_criterion_7_distinguisher():
             den_a, den_b = rng.randint(1, 8), rng.randint(1, 8)
             a = F(rng.randint(den_a, 4 * den_a), den_a)
             b = F(rng.randint(den_b, 4 * den_b), den_b)
-            verdict = distinguish_from_toric(toric_zeta(ToricDomain(a, b), 10))
-            assert verdict.verdict is ToricVerdict.INCONCLUSIVE
+            assert distinguish_from_toric(
+                toric_zeta(ToricDomain(a, b), 10)) is None
 
         # min action 1, saddle 3/2, max 3; the padding minimum sits above
         # the cutoff so the series below cutoff 2 is exactly that of the
         # stated three-point configuration.
         morse = MorseData([("min", 1, 0), ("sad", F(3, 2), 1),
                            ("max", 3, 2), ("pad", 4, 0)])
-        result = distinguish_from_toric(s1_invariant_zeta(morse, 2))
-        assert result.verdict is ToricVerdict.NOT_TORIC_INTERIOR
-        assert result.witness == F(3, 2)
+        assert distinguish_from_toric(s1_invariant_zeta(morse, 2)) == F(3, 2)
 
 
 def test_criterion_8_novikov_algebra():

@@ -272,6 +272,13 @@ class TestExp:
     def test_exp_of_zero(self):
         assert exp(NovikovSeries.zero(4)) == NovikovSeries.one(4)
 
+    def test_exp_at_a_negative_cutoff_is_one_there(self):
+        # one at a negative cutoff stores no t^0: the window holds nothing
+        for cutoff in (F(-1), F(-1, 3)):
+            assert stored(exp(NovikovSeries.zero(cutoff))) == \
+                stored(NovikovSeries.one(cutoff))
+            assert exp(S({F(1, 2): 1}, cutoff)) == NovikovSeries.one(cutoff)
+
     def test_exp_of_t(self):
         assert exp(S({1: 1}, 2)) == S({0: 1, 1: 1, 2: F(1, 2)}, 2)
 

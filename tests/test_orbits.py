@@ -10,11 +10,11 @@ from helpers import (PARITY_PAIRS, counting_powers, ech_generators_reference,
                      fresh_rng, good_orbit_count_reference,
                      random_3d_orbit_set, random_orbit_set, stored,
                      zeta_good_orbits_reference)
-from reebzeta import (NovikovSeries, OrbitSet, OrbitType3D, SimpleOrbit,
-                      ech_generators, elliptic, good_orbit_count, is_good,
-                      iterate_parity, negative_hyperbolic, orbits,
-                      positive_hyperbolic, zeta_ech_form, zeta_exp_form,
-                      zeta_good_orbits, zeta_product_form, zeta_via_mobius)
+from reebzeta import (NovikovSeries, OrbitSet, SimpleOrbit, ech_generators,
+                      elliptic, good_orbit_count, is_good, iterate_parity,
+                      negative_hyperbolic, orbits, positive_hyperbolic,
+                      zeta_ech_form, zeta_exp_form, zeta_good_orbits,
+                      zeta_product_form, zeta_via_mobius)
 from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
                              NotThreeDimensional)
 
@@ -23,12 +23,27 @@ def S(terms, cutoff):
     return NovikovSeries(terms, cutoff)
 
 
-class TestOrbitModel:
-    def test_parity_table(self):
-        assert OrbitType3D.ELLIPTIC.parities == (0, 0)
-        assert OrbitType3D.POSITIVE_HYPERBOLIC.parities == (1, 1)
-        assert OrbitType3D.NEGATIVE_HYPERBOLIC.parities == (0, 1)
+# The 3D orbit-type constructors in the order of the type table
+TYPES = (elliptic, positive_hyperbolic, negative_hyperbolic)
 
+
+class TestOrbitTypes:
+    def test_parity_table(self):
+        assert orbits._TYPE_PARITIES == {"elliptic": (0, 0),
+                                         "pos-hyperbolic": (1, 1),
+                                         "neg-hyperbolic": (0, 1)}
+        # the order random orbit sets draw their types in
+        assert list(orbits._TYPE_PARITIES) == \
+            ["elliptic", "pos-hyperbolic", "neg-hyperbolic"]
+
+    def test_constructor_parities(self):
+        assert [(o.eps1, o.eps2) for o in (make("g", 1) for make in TYPES)] \
+            == [(0, 0), (1, 1), (0, 1)]
+        assert negative_hyperbolic("g", F(3, 2)) == \
+            SimpleOrbit("g", F(3, 2), 0, 1)
+
+
+class TestOrbitModel:
     def test_action_must_be_positive(self):
         with pytest.raises(NonPositiveAction):
             SimpleOrbit("x", 0, 0, 0)
@@ -152,12 +167,12 @@ class TestZetaProductForm:
         a = F(3, 2)
         cutoff = F(7, 2)
         expected = {
-            OrbitType3D.ELLIPTIC: S({0: 1, a: 1, 2 * a: 1}, cutoff),
-            OrbitType3D.POSITIVE_HYPERBOLIC: S({0: 1, a: -1}, cutoff),
-            OrbitType3D.NEGATIVE_HYPERBOLIC: S({0: 1, a: 1}, cutoff),
+            elliptic: S({0: 1, a: 1, 2 * a: 1}, cutoff),
+            positive_hyperbolic: S({0: 1, a: -1}, cutoff),
+            negative_hyperbolic: S({0: 1, a: 1}, cutoff),
         }
-        for kind, series in expected.items():
-            single = OrbitSet([SimpleOrbit.of_type("g", a, kind)])
+        for make, series in expected.items():
+            single = OrbitSet([make("g", a)])
             assert zeta_product_form(single, cutoff) == series
 
     def test_empty_product(self):
@@ -352,15 +367,16 @@ def orbit_sets_3d(draw):
     for i in range(draw(st.integers(0, 4))):
         den = draw(st.integers(1, 7))
         action = F(draw(st.integers(den, 3 * den)), den)
-        kind = draw(st.sampled_from(list(OrbitType3D)))
-        orbits.append(SimpleOrbit.of_type(f"g{i}", action, kind))
+        orbits.append(draw(st.sampled_from(TYPES))(f"g{i}", action))
     return OrbitSet(orbits)
 
 
 class TestFormAgreementProperties:
     @settings(derandomize=True, max_examples=100, deadline=None)
-    # cutoff 0 too, where the one generator is the empty one
-    @given(orbit_sets_3d(), st.sampled_from((F(0), F(4), F(7, 2), F(10, 3))))
+    # cutoff 0 too, where the one generator is the empty one, and negative
+    # cutoffs, where every route is 0
+    @given(orbit_sets_3d(), st.sampled_from((F(-1), F(-1, 3), F(0), F(4),
+                                             F(7, 2), F(10, 3))))
     def test_exp_product_and_ech_agree(self, orbit_set, cutoff):
         product = zeta_product_form(orbit_set, cutoff)
         assert zeta_exp_form(orbit_set, cutoff) == product
@@ -368,6 +384,21 @@ class TestFormAgreementProperties:
 
 
 ROUTES = (zeta_exp_form, zeta_product_form, zeta_ech_form, zeta_via_mobius)
+
+
+class TestRoutesReadOnce:
+    def test_an_iterator_gives_the_same_zeta(self):
+        # each route reads its orbits once, so an iterator stands for the set
+        rng = fresh_rng(370)
+        for _ in range(20):
+            orbit_set = random_3d_orbit_set(rng)
+            for route in ROUTES:
+                assert stored(route(iter(orbit_set), 4)) == \
+                    stored(route(orbit_set, 4))
+
+    def test_ech_counts_every_elliptic_power(self):
+        assert zeta_ech_form(iter([elliptic("a", 1)]), 3) == \
+            S({0: 1, 1: 1, 2: 1, 3: 1}, 3)
 
 
 def bifurcate(orbit_set, move, index, action, fresh):
@@ -424,9 +455,9 @@ class TestBifurcationInvariance:
         # Every route reads the parities, so the routes still agree with
         # each other; only the period-doubling identity sees the fault.
         table = orbits._TYPE_PARITIES
-        ell, pos = OrbitType3D.ELLIPTIC, OrbitType3D.POSITIVE_HYPERBOLIC
-        for kind, parities in {ell: table[pos], pos: table[ell]}.items():
-            monkeypatch.setitem(table, kind, parities)
+        ell, pos = "elliptic", "pos-hyperbolic"
+        for name, parities in {ell: table[pos], pos: table[ell]}.items():
+            monkeypatch.setitem(table, name, parities)
         before = OrbitSet([elliptic("e", 1)])
         after = OrbitSet([negative_hyperbolic("e", 1), elliptic("e2", 2)])
         for orbit_set in (before, after):

@@ -1,14 +1,13 @@
 """The small values of the library are immutable tuples of their fields.
 
-The six value types, ``SimpleOrbit``, ``EchGenerator``, ``Bar``,
-``ToricDomain``, ``MorseCriticalPoint`` and ``DistinguishResult``, are
-namedtuple classes, on purpose: a value equals and hashes as the plain
-tuple of its coerced fields (so ``Bar(1, 2, 0) == (1, 2, 0)``), its repr
-names every field, assignment raises ``AttributeError``, construction by
-keyword works, and every check runs in ``__new__`` however the fields are
-passed.  The reprs and error messages below are those the frozen
-dataclasses printed.  A cold CLI start loads none of ``dataclasses``,
-``inspect`` and ``typing``.
+The five value types, ``SimpleOrbit``, ``EchGenerator``, ``Bar``,
+``ToricDomain`` and ``MorseCriticalPoint``, are namedtuple classes, on
+purpose: a value equals and hashes as the plain tuple of its coerced
+fields (so ``Bar(1, 2, 0) == (1, 2, 0)``), its repr names every field,
+assignment raises ``AttributeError``, construction by keyword works, and
+every check runs in ``__new__`` however the fields are passed.  The reprs
+and error messages below are those the frozen dataclasses printed.  A
+cold CLI start loads none of ``dataclasses``, ``inspect`` and ``typing``.
 """
 
 import os
@@ -20,9 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from reebzeta import (Bar, DistinguishResult, EchGenerator,
-                      MorseCriticalPoint, SimpleOrbit, ToricDomain,
-                      ToricVerdict)
+from reebzeta import (Bar, EchGenerator, MorseCriticalPoint, SimpleOrbit,
+                      ToricDomain)
 from reebzeta.errors import NonPositiveAction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,15 +44,6 @@ VALUES = [
      "ToricDomain(a=Fraction(1, 1), b=Fraction(3, 2))"),
     (MorseCriticalPoint, dict(label="m", action=2, index=0), ("m", F(2), 0),
      "MorseCriticalPoint(label='m', action=Fraction(2, 1), index=0)"),
-    (DistinguishResult, dict(verdict=ToricVerdict.INCONCLUSIVE, witness=None),
-     (ToricVerdict.INCONCLUSIVE, None),
-     "DistinguishResult(verdict=<ToricVerdict.INCONCLUSIVE: 'Inconclusive'>, "
-     "witness=None)"),
-    (DistinguishResult,
-     dict(verdict=ToricVerdict.NOT_TORIC_INTERIOR, witness=F(3, 2)),
-     (ToricVerdict.NOT_TORIC_INTERIOR, F(3, 2)),
-     "DistinguishResult(verdict=<ToricVerdict.NOT_TORIC_INTERIOR: "
-     "'NotToricInterior'>, witness=Fraction(3, 2))"),
 ]
 
 # (type, fields, error type, message)
