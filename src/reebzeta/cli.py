@@ -8,7 +8,7 @@ barcodes as JSON, comparisons as EQUAL or the first differing exponent.
 Exit codes: 0 success; 1 parse or validation error (bad flags, unreadable
 or schema-violating files); 2 violated mathematical precondition (e.g.
 inverting a non-unit, level on the spectrum, BeyondValidity); 3 the program
-is wrong, an ``InternalError`` (exp and product forms disagree, or a
+is wrong, an ``InternalError`` (zeta routes or decoder passes disagree, or a
 reduction keeps its pivot row).  Only ``main`` maps errors to exit codes.
 """
 

@@ -87,5 +87,4 @@ def zeta_via_mobius(orbit_set, cutoff: RatioLike) -> NovikovSeries:
     """Zeta of an orbit set through the good-orbit count series: the
     Moebius product transform applied to ``zeta_good_orbits``.  Agrees
     exactly with ``zeta_product_form``."""
-    cutoff = as_ratio(cutoff)
     return mobius_product(_orbits.zeta_good_orbits(orbit_set, cutoff), cutoff)

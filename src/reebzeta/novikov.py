@@ -7,17 +7,17 @@ with exponent greater than a fixed rational cutoff.  Addition is pointwise,
 multiplication is convolution of exponents, units are inverted key by key
 in ascending order, and exp/log connect additive and multiplicative pictures.
 ``_binomial_product`` merges and multiplies the factors (1 - c * t^a)^k,
-on int keys, that every product-formula zeta in the library is made of.
+on int keys within the cutoff, behind every product-formula zeta.
 Everything is exact: equality of two series is equality of their terms,
 never an approximation.
 
 Exponents are stored on an integer grid: a series keeps an int q and a
 dict {n: coefficient} where key n stands for t^(n/q), plus its cutoff and
-the int bound floor(q * cutoff), so a term is inside the truncation window
-exactly when n <= bound.  ``grid`` is the one function that puts rationals
-on such a grid.  The inner loops of *, inverse, exp and log run on int
-keys only; Fraction exponents exist at the API edge (construction,
-``items``, ``coefficient``, ``min_exponent`` and ``repr``).
+the int bound floor(q * cutoff) of ``_bound``, so a term is inside the
+truncation window exactly when n <= bound.  ``grid`` is the one function
+that puts rationals on such a grid.  The inner loops of *, inverse, exp
+and log run on int keys only; Fraction exponents exist at the API edge
+(construction, ``items``, ``coefficient``, ``min_exponent`` and ``repr``).
 Dense work leaves the dicts for one packed kernel on int lists,
 ``_kronecker``: one big-int multiply (Kronecker substitution) and a
 window of its slots: each list packs as one buffer of two's complement
@@ -143,8 +143,7 @@ class NovikovSeries:
 
     def _set(self, q: int, terms: dict, cutoff: Fraction) -> None:
         self._q, self._terms, self._cutoff = q, terms, cutoff
-        # key n <= bound exactly when n/q <= cutoff
-        self._bound = cutoff.numerator * q // cutoff.denominator
+        self._bound = _bound(q, cutoff)
 
     # -- inspection ----------------------------------------------------
 
@@ -198,8 +197,9 @@ class NovikovSeries:
         return a == b
 
     def __hash__(self):
-        # Hash on the coarsest grid holding every key, so that equal
-        # series stored on different grids hash alike.
+        # constants hash as the numbers they equal, others on the coarsest grid
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         g = math.gcd(self._q, *self._terms)
         return hash((self._cutoff, self._q // g,
                      frozenset((n // g, c) for n, c in self._terms.items())))
@@ -346,15 +346,18 @@ class NovikovSeries:
         return NovikovSeries._raw(self._q, terms, self._cutoff)
 
 
+def _bound(q: int, cutoff: Fraction) -> int:
+    """floor(q * cutoff): key n is within the cutoff exactly when n <= it."""
+    return cutoff.numerator * q // cutoff.denominator
+
+
 def _binomial_product(q: int, factors, cutoff: Fraction) -> NovikovSeries:
-    """prod (1 - c * t^(n/q))^k over (n, c, k) triples in any order, on the
-    1/q grid: drops keys above the cutoff, merges equal (n, c) by summing
-    k, skips a merged k of 0 and applies the rest in ascending (n, c)."""
-    bound = cutoff.numerator * q // cutoff.denominator
+    """prod (1 - c * t^(n/q))^k over (n, c, k) triples in any order, keys n
+    within the cutoff, on the 1/q grid: merges equal (n, c) by summing k,
+    skips a merged k of 0 and applies the rest in ascending (n, c)."""
     merged = {}
     for n, c, k in factors:
-        if n <= bound:
-            merged[n, c] = merged.get((n, c), 0) + k
+        merged[n, c] = merged.get((n, c), 0) + k
     result = None   # the first factor starts the product: no * by one
     for (n, c), k in sorted(item for item in merged.items() if item[1]):
         power = NovikovSeries([(0, 1), (Fraction(n, q), -c)], cutoff) ** k

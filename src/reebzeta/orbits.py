@@ -109,17 +109,18 @@ class OrbitSet:
 
 def _on_grid(orbit_set: Iterable[SimpleOrbit], cutoff: Fraction):
     """The orbits of action <= cutoff, read once, in the order given; the
-    grid (q, keys) of their actions; and the cutoff's bound
-    floor(q * cutoff)."""
+    grid (q, keys) of their actions; and the cutoff's bound on that grid."""
     orbits = [o for o in orbit_set if o.action <= cutoff]
     q, keys = novikov.grid([o.action for o in orbits])
-    return orbits, q, keys, cutoff.numerator * q // cutoff.denominator
+    return orbits, q, keys, novikov._bound(q, cutoff)
 
 
 def iterate_parity(orbit: SimpleOrbit, d: int) -> int:
     """Lefschetz parity of the d-fold cover: eps1 for d odd, eps2 for d
     even (the parity of the count of return-map eigenvalues in (0,1),
     resp. (-1,1))."""
+    if type(d) is not int:
+        raise ValueError(f"covering multiplicity must be an int, got {d!r}")
     if d < 1:
         raise ValueError(f"covering multiplicity must be >= 1, got {d}")
     return orbit.eps1 if d % 2 else orbit.eps2
@@ -159,11 +160,11 @@ def zeta_product_form(orbit_set: OrbitSet, cutoff: RatioLike) -> NovikovSeries:
     cutoff contribute 1.  The result always has integer coefficients and
     constant term 1.
     """
-    orbits = list(orbit_set)
-    q, keys = novikov.grid([o.action for o in orbits])
+    cutoff = as_ratio(cutoff)
+    orbits, q, keys, _ = _on_grid(orbit_set, cutoff)
     return novikov._binomial_product(
         q, [(n, -1 if (o.eps1 + o.eps2) % 2 else 1, 1 if o.eps2 else -1)
-            for n, o in zip(keys, orbits)], as_ratio(cutoff))
+            for n, o in zip(keys, orbits)], cutoff)
 
 
 class EchGenerator(namedtuple("EchGenerator", "pairs grading total_action")):

@@ -44,8 +44,8 @@ from fractions import Fraction
 
 from .errors import (FiltrationViolation, GradingViolation, InternalError,
                      NotSquareZero, UnknownLabel, echo, refuse_repeats)
-from .novikov import (NovikovSeries, RatioLike, _norm_coeff, _quotient,
-                      as_ratio, grid)
+from .novikov import (NovikovSeries, RatioLike, _bound, _norm_coeff,
+                      _quotient, as_ratio, grid)
 
 
 class FilteredComplex:
@@ -260,9 +260,7 @@ class Barcode:
     def graded_dims(self, level: RatioLike) -> tuple[int, int]:
         """(even, odd) counts of bars alive at the level, i.e. with
         birth <= level < death, compared as keys."""
-        level = as_ratio(level)
-        bound = level.numerator * self.q // level.denominator
-        dims = [0, 0]
+        bound, dims = _bound(self.q, as_ratio(level)), [0, 0]
         for b, d, e in self.rows:
             if b <= bound and (d is None or bound < d):
                 dims[e] += 1
@@ -337,7 +335,7 @@ def zeta_persistence(complex_: FilteredComplex,
     the tests compare.
     """
     cutoff, q = as_ratio(cutoff), complex_.q
-    bound, counts = cutoff.numerator * q // cutoff.denominator, {}
+    bound, counts = _bound(q, cutoff), {}
     for n, e in zip(complex_.keys, complex_.eps):
         if n <= bound:
             counts[n] = counts.get(n, 0) + 1 - 2 * e

@@ -10,11 +10,11 @@ One loop, ``_records``, decodes every list of entries, each an object with
 no keys outside an ordered {key: parser} table.  Parsers raise location-free
 ValueErrors; the loop builds "where[k].key" only when one does.  Quoted
 values go through ``errors.echo``, which cuts them to 80 characters.
-Series and complex files first take a direct pass, one regex scan a
-column of ratios (one match and ``int`` a text for whole coefficients),
-which gives up on anything not well formed; that loop alone words errors.
-Both passes go from digits straight to int grid keys, through one helper
-``_grid``, with no Fraction per term or generator.  Series and barcode
+Series and complex files are built only by a direct pass, one regex scan
+a column of ratios (one match and ``int`` a text for whole coefficients),
+from digits straight to int grid keys through ``_grid``, no Fraction per
+term or generator; the record loop words the first fault of a file it
+refuses, or raises InternalError on finding none.  Series and barcode
 files are written from fixed templates, byte for byte the json module's
 indent=2 text, ratios from int keys by ``_key_texts``, one gcd a key.
 """
@@ -29,9 +29,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .domains import MorseData
-from .errors import (DuplicateLabel, ReebZetaError, TooManyDigits,
-                     UnknownLabel, echo)
-from .novikov import NovikovSeries, _norm_coeff
+from .errors import (DuplicateLabel, InternalError, ReebZetaError,
+                     TooManyDigits, UnknownLabel, echo, refuse_repeats)
+from .novikov import NovikovSeries, _bound, _norm_coeff
 from .orbits import _TYPE_PARITIES, OrbitSet, SimpleOrbit
 from .persistence import Bar, Barcode, FilteredComplex
 
@@ -180,7 +180,7 @@ def _coeffs(texts) -> list:
 
 
 def _series_direct(obj):
-    """The series of a well-formed file, straight on int keys; None when
+    """The series of a valid file, straight on int keys; None when
     anything is off, so that ``series_from_obj`` finds and words it."""
     try:
         terms, cutoff = obj.get("terms", []), _ratio(obj["cutoff"])
@@ -190,9 +190,9 @@ def _series_direct(obj):
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
     if (obj.keys() <= {"terms", "cutoff"} and type(terms) is list
-            and cutoff > 0 and set(map(len, terms)) == {2}
+            and cutoff > 0 and {*map(len, terms)} <= {2}
             and all(coeffs) and all(map(operator.lt, keys, keys[1:]))
-            and keys[-1] <= cutoff.numerator * q // cutoff.denominator):
+            and (not keys or keys[-1] <= _bound(q, cutoff))):
         return NovikovSeries._raw(q, dict(zip(keys, coeffs)), cutoff)
     return None
 
@@ -207,7 +207,6 @@ def series_from_obj(obj) -> NovikovSeries:
     cutoff = parse_ratio(obj["cutoff"], "series.cutoff")
     if cutoff <= 0:
         raise SchemaError("series.cutoff", f"must be positive, got {cutoff}")
-    terms = []
     previous = None
     for k, (s, c) in enumerate(_records(obj.get("terms", []), "series.terms",
                                         _TERM)):
@@ -219,10 +218,9 @@ def series_from_obj(obj) -> NovikovSeries:
             problem = f"exponent {s} exceeds cutoff {cutoff}"
         else:
             previous = s
-            terms.append((s, c))
             continue
         raise SchemaError(f"series.terms[{k}]", problem)
-    return NovikovSeries(terms, cutoff)
+    raise InternalError("the direct pass refused a valid series file")
 
 
 # -- orbit sets -----------------------------------------------------------
@@ -289,19 +287,18 @@ def complex_from_obj(obj) -> FilteredComplex:
     if complex_ is not None:
         return complex_
     _object(obj, {"generators", "differential"}, "complex")
-    generators = list(_records(obj.get("generators", []),
-                               "complex.generators", _GENERATOR))
-    labels = {g[0] for g in generators}
-    entries = []
-    for k, (x, y, coeff) in enumerate(_records(obj.get("differential", []),
-                                               "complex.differential",
-                                               _DIFFERENTIAL)):
+    labels = [row[0] for row in _records(obj.get("generators", []),
+                                         "complex.generators", _GENERATOR)]
+    known = set(labels)
+    for k, (x, y, _) in enumerate(_records(obj.get("differential", []),
+                                           "complex.differential",
+                                           _DIFFERENTIAL)):
         for label in (x, y):
-            if label not in labels:
+            if label not in known:
                 raise SchemaError(f"complex.differential[{k}]",
                                   f"unknown generator {echo(label)}")
-        entries.append((x, y, coeff))
-    return FilteredComplex(generators, entries)
+    refuse_repeats(labels, "generator")
+    raise InternalError("the direct pass refused a valid complex file")
 
 
 # -- barcodes -------------------------------------------------------------

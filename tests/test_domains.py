@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fresh_rng, random_series, stored
+from helpers import counting_powers, fresh_rng, random_series, stored
 from reebzeta import (MorseData, NovikovSeries, OrbitSet, ToricDomain,
                       distinguish_from_toric, elliptic,
                       mobius_product, positive_hyperbolic, s1_invariant_zeta,
@@ -62,6 +62,15 @@ class TestToricZeta:
 
     def test_cutoff_below_both_actions(self):
         assert toric_zeta(ToricDomain(2, 3), 1) == NovikovSeries.one(1)
+
+    def test_axis_above_the_cutoff_costs_nothing(self):
+        # the axis at 7/2 lies above the cutoff 3: one power, for the axis
+        # at 1, and the result keeps that axis' grid
+        with counting_powers() as powers:
+            result = toric_zeta(ToricDomain(1, F(7, 2)), 3)
+        assert powers == [-1]
+        alone = zeta_product_form(OrbitSet([elliptic("a", 1)]), 3)
+        assert stored(result) == stored(alone) and result._q == alone._q == 1
 
     def test_positive_axes_required(self):
         with pytest.raises(NonPositiveAction):

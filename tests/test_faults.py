@@ -15,7 +15,9 @@ The ECH, barcode and circle-invariant routes have no partner at run
 time, so their faults are caught by the golden stdout.  A wrong pivot
 quotient in ``persistence._reduce`` leaves the pivot row in the column;
 the guard after each subtraction raises InternalError, and the CLI
-exits 3.
+exits 3.  A file decoder's direct pass that refuses a valid file leaves
+its record loop with no fault to word, which raises InternalError: exit
+3 as well.
 """
 
 import inspect
@@ -27,7 +29,7 @@ from reebzeta import cli, domains, novikov, orbits, persistence, serialize
 from test_golden import CASES, DATA, GOLDEN
 
 COMPARISON, GOLDEN_DIFF = "the --form both comparison", "the golden stdout"
-GUARD = "the reduction guard"
+GUARD, DECODER = "the reduction guard", "the decoder's record loop"
 
 # (fault, module or class, function, line as written, the line with the fault,
 # golden case, check that catches, exp and product routes of the case's
@@ -83,6 +85,10 @@ FAULTS = [
      "factor = _quotient(col[low], pivot[low])",
      "factor = _quotient(pivot[low], col[low])",
      "barcode-spelled", GUARD, set()),
+    # complex_pair.json has two odd generators
+    ("complex direct pass refuses odd generators", serialize,
+     "_complex_direct", "{*eps} <= {0, 1}", "{*eps} <= {0}",
+     "barcode", DECODER, set()),
 ]
 
 
@@ -137,6 +143,10 @@ def test_each_fault_is_caught(monkeypatch, capsys, tmp_path, fault):
         assert code == 3, f"{name}: exit {code}, missed by {check}"
         assert err.startswith("reebzeta: error: InternalError: column "
                               "reduction left pivot row")
+    elif check == DECODER:
+        assert code == 3, f"{name}: exit {code}, missed by {check}"
+        assert err.startswith("reebzeta: error: InternalError: the direct "
+                              "pass refused a valid")
     else:
         assert code == 0
         assert out != (GOLDEN / f"{case}.stdout").read_text(), \

@@ -14,6 +14,7 @@ import random
 from pathlib import Path
 
 from reebzeta import cli, serialize
+from reebzeta.errors import ReebZetaError
 from reebzeta.serialize import SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,3 +188,33 @@ def test_mangled_barcodes_decode_or_raise_schema_errors():
         except SchemaError as exc:
             assert str(exc).startswith("barcode"), exc
     assert 0 < decoded < len(variants)
+
+
+def test_direct_passes_refuse_exactly_what_the_decoders_reject():
+    # Every demo and golden JSON file, and mangles of each, through both
+    # direct passes: one returns None exactly when its decoder raises a
+    # SchemaError or another ReebZetaError, and the decoder never raises
+    # InternalError, which would fail this test.  A valid file that breaks
+    # a rule of complexes raises from the direct pass itself.
+    rng = random.Random(20261022)
+    pairs = [(serialize._series_direct, serialize.series_from_obj),
+             (serialize._complex_direct, serialize.complex_from_obj)]
+    built = refused = 0
+    for source in sorted((ROOT / "demos" / "data").glob("*.json")) + \
+            sorted((ROOT / "tests" / "golden").glob("*.json")):
+        doc = json.loads(source.read_bytes())
+        for variant in [doc] + [mangle_value(rng, doc) for _ in range(40)]:
+            for direct, decode in pairs:
+                try:
+                    none = direct(variant) is None
+                except ReebZetaError:
+                    continue
+                try:
+                    decode(variant)
+                    rejected = False
+                except ReebZetaError:   # SchemaError is one
+                    rejected = True
+                assert none == rejected, (source.name, variant)
+                built += not none
+                refused += none
+    assert built and refused

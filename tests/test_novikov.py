@@ -143,13 +143,6 @@ class TestBinomialProduct:
         assert binomials(1, [], 3) == NovikovSeries.one(3)
         assert binomials(6, [], F(5, 2)) == NovikovSeries.one(F(5, 2))
 
-    def test_factors_above_the_cutoff_are_skipped(self):
-        # keys 10, 7 and 6 on the 1/2 grid: exponents 5, 7/2 and 3
-        with counting_powers() as powers:
-            result = binomials(2, [(10, 1, -1), (7, 3, 2), (6, 1, 4)], 3)
-        assert powers == [4]
-        assert result == S({0: 1, 3: -4}, 3)
-
     def test_coincident_factors_merge(self):
         # one key with one c: the powers -1 and 3 merge into a single square
         with counting_powers() as powers:
@@ -201,8 +194,8 @@ class TestBinomialProduct:
     def test_factor_order_does_not_matter(self):
         rng = fresh_rng(108)
         for _ in range(40):
-            # exponents n/den with n in 1-12, as keys on the 1/12 grid
-            factors = [(rng.randint(1, 12) * (12 // den),
+            # exponents n/den up to the cutoff 4, as keys on the 1/12 grid
+            factors = [(rng.randint(1, 4 * den) * (12 // den),
                         rng.choice((1, -1, 2, F(1, 2))), rng.randint(-3, 3))
                        for den in rng.choices((1, 2, 3, 4),
                                               k=rng.randint(0, 8))]
@@ -445,6 +438,23 @@ class TestProperties:
         assert log(exp(a)) == a
         one_plus = 1 + a
         assert exp(log(one_plus)) == one_plus
+
+    # Every constant on grids 1/1 to 1/6: ``==`` coerces a number to the
+    # constant series, so the two must hash alike.  Cutoffs stay >= 0:
+    # below 0 the window holds no t^0, and the empty series equals every
+    # number, which no hash can match.
+    @PROPERTY
+    @given(st.fractions(-9, 9, max_denominator=4),
+           st.sampled_from((0, *CUTOFFS)), st.sampled_from((1, 2, 3, 6)))
+    def test_constants_hash_as_their_number(self, c, cutoff, q):
+        # the zero term at 1/q puts the constant on the 1/q grid
+        constant = S([(0, c), (F(1, q), 0)], cutoff)
+        assert constant._q == q
+        for number in (c, c.numerator) if c.denominator == 1 else (c,):
+            assert constant == number and hash(constant) == hash(number)
+            assert len({constant, number}) == 1
+        assert hash(NovikovSeries.one(cutoff)) == hash(1)
+        assert hash(NovikovSeries.zero(cutoff)) == hash(0)
 
     @PROPERTY
     @given(triples())

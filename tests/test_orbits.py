@@ -85,6 +85,16 @@ class TestIterateParity:
         with pytest.raises(ValueError):
             iterate_parity(elliptic("e", 1), 0)
 
+    @pytest.mark.parametrize("check", [iterate_parity, is_good])
+    def test_rejects_a_multiplicity_that_is_not_an_int(self, check):
+        # a float would read as odd or even by its value; a bool is refused
+        # as it is for a parity bit
+        for d in (1.5, 2.0, F(2), True):
+            with pytest.raises(ValueError) as info:
+                check(negative_hyperbolic("n", 1), d)
+            assert str(info.value) == \
+                f"covering multiplicity must be an int, got {d!r}"
+
 
 class TestGoodBad:
     def test_negative_hyperbolic_double_cover_is_bad(self):
@@ -203,6 +213,18 @@ class TestZetaProductForm:
         orbits = [elliptic("e", 1), positive_hyperbolic("h", F(3, 2))]
         assert zeta_product_form(iter(orbits), 3) == \
             zeta_product_form(OrbitSet(orbits), 3) != NovikovSeries.one(3)
+
+    def test_orbits_above_the_cutoff_cost_nothing(self):
+        # actions 5 and 7/2 lie above the cutoff 3: only the elliptic
+        # orbit at 3 takes a power, and no factor on the 1/2 grid is
+        # built, so the result keeps the grid of the orbit at 3
+        below = [elliptic("e", 3)]
+        above = [positive_hyperbolic("h", 5), negative_hyperbolic("n", F(7, 2))]
+        with counting_powers() as powers:
+            result = zeta_product_form(OrbitSet(above + below), 3)
+        assert powers == [-1]
+        alone = zeta_product_form(OrbitSet(below), 3)
+        assert stored(result) == stored(alone) and result._q == alone._q == 1
 
     def test_orbit_order_does_not_matter(self):
         rng = fresh_rng(212)

@@ -22,9 +22,10 @@ from reebzeta import (Bar, Barcode, FilteredComplex, MorseCriticalPoint,
                       barcode_decompose, ech_generators, elliptic,
                       negative_hyperbolic, novikov, positive_hyperbolic,
                       s1_invariant_zeta, zeta_persistence)
-from reebzeta.errors import (DuplicateLabel, NonPositiveAction,
-                             NotThreeDimensional, TooManyDigits)
-from reebzeta import cli
+from reebzeta.errors import (DuplicateLabel, InternalError, NonPositiveAction,
+                             NotThreeDimensional, ReebZetaError,
+                             TooManyDigits)
+from reebzeta import cli, serialize
 from reebzeta.serialize import (_LINE_RE, SchemaError, _barcode_text,
                                 _coeffs, _complex_direct, _ratio,
                                 _series_direct, barcode_from_obj, barcode_to_obj,
@@ -626,7 +627,8 @@ def spell(draw, value: F) -> str:
 def series_files(draw):
     """A well-formed series file: strictly increasing exponents, some
     negative, over mixed denominators, at or below a positive cutoff, and
-    nonzero coefficients, every value spelled in a random valid form."""
+    nonzero coefficients, every value spelled in a random valid form;
+    with no terms, the list may be left out."""
     exponents = set()
     for _ in range(draw(st.integers(0, 8))):
         den = draw(st.sampled_from(IO_DENOMINATORS))
@@ -640,27 +642,41 @@ def series_files(draw):
                   draw(st.sampled_from((1, 1, 2, 3, 999_999_937))))
         file_terms.append({"exponent": spell(draw, exponent),
                            "coefficient": spell(draw, coeff)})
-    return {"terms": file_terms, "cutoff": spell(draw, cutoff)}
+    obj = {"terms": file_terms, "cutoff": spell(draw, cutoff)}
+    if not file_terms and draw(st.booleans()):
+        del obj["terms"]
+    return obj
 
 
-def last_exponent(obj) -> F:
-    return F(obj["terms"][-1]["exponent"])
-
-
-def retext(field, text):
+def in_list(key, change):
+    """A mangle of entry k of obj[key]; a no-op when that list is empty."""
     def mangle(obj, k):
-        obj["terms"][k][field] = text
+        entries = obj.get(key)
+        if entries:
+            change(entries, k % len(entries))
     return mangle
+
+
+def field(key, name, value):
+    return in_list(key, lambda entries, k: entries[k].__setitem__(name, value))
+
+
+def rename(key, old, new):
+    return in_list(key, lambda entries, k: entries[k].__setitem__(
+        new, entries[k].pop(old)))
+
+
+def retext(name, text):
+    return field("terms", name, text)
 
 
 def set_cutoff(obj, k):
     # Positive and below the last exponent, so only the terms are wrong.
-    if last_exponent(obj) > 0:
-        obj["cutoff"] = format_ratio(last_exponent(obj) / 2)
+    if obj.get("terms") and F(obj["terms"][-1]["exponent"]) > 0:
+        obj["cutoff"] = format_ratio(F(obj["terms"][-1]["exponent"]) / 2)
 
 
-def swap(obj, k):
-    terms = obj["terms"]
+def swap_next(terms, k):
     if k + 1 < len(terms):
         terms[k], terms[k + 1] = terms[k + 1], terms[k]
 
@@ -671,10 +687,11 @@ def swap(obj, k):
 ARABIC_ONE = retext("exponent", "\u0661")
 RESPELLED = retext("coefficient", "4/2")
 
-# Each changes term k (or the whole file) of a well-formed file.  The
-# result may still be well formed (a swap at the last term does nothing,
-# and RESPELLED changes only the spelling), and then both decoders must
-# give the same series.
+# Each changes term k (or the whole file) of a well-formed file, and a
+# term mangle of a file with no terms does nothing.  The result may still
+# be well formed (a swap at the last term does nothing, RESPELLED changes
+# only the spelling, and an empty or missing list of terms is valid), and
+# then both decoders must give the same series.
 MANGLES = [
     retext("exponent", "1.5"), retext("exponent", None),
     retext("exponent", "1\n"), retext("exponent", "1\n2"),
@@ -683,16 +700,19 @@ MANGLES = [
     retext("coefficient", 1),
     retext("coefficient", "0"), retext("coefficient", "-0/7"),
     retext("coefficient", ""), retext("coefficient", " 1"),
-    lambda obj, k: obj["terms"][k].update(power=2),
-    lambda obj, k: obj["terms"][k].pop("coefficient"),
-    lambda obj, k: obj["terms"].__setitem__(k, "1"),
-    lambda obj, k: obj["terms"].insert(k, dict(obj["terms"][k])),
-    swap, set_cutoff,
+    field("terms", "power", 2),
+    in_list("terms", lambda terms, k: terms[k].pop("coefficient")),
+    in_list("terms", lambda terms, k: terms.__setitem__(k, "1")),
+    in_list("terms", lambda terms, k: terms.insert(k, dict(terms[k]))),
+    in_list("terms", swap_next), set_cutoff,
     lambda obj, k: obj.update(cutoff=2),
     lambda obj, k: obj.update(extra=1),
     lambda obj, k: obj.pop("cutoff"),
-    lambda obj, k: obj.update(terms=tuple(obj["terms"])),
+    lambda obj, k: obj.update(terms=tuple(obj.get("terms", []))),
     lambda obj, k: obj.update(terms={}),
+    lambda obj, k: obj.update(terms=None),
+    lambda obj, k: obj.update(terms=[]),
+    lambda obj, k: obj.pop("terms", None),
 ]
 
 
@@ -737,10 +757,23 @@ class TestSeriesIntGrid:
                         {"exponent": "1/1000000007", "coefficient": "-2"}],
               "cutoff": "1"})
     @example({"cutoff": "1"})
+    @example({"terms": [], "cutoff": "1/2"})
     def test_decode_matches_the_checked_loop(self, obj):
-        assert _series_direct(obj) is not None or not obj.get("terms")
+        assert _series_direct(obj) is not None
         assert decoded(series_from_obj, obj) == \
             decoded(series_from_obj_reference, obj)
+
+    def test_files_with_no_terms_skip_the_record_loop(self, monkeypatch):
+        # the zero series of a file with no terms, or none listed, comes
+        # from the direct pass alone
+        def spy(*args):
+            raise AssertionError("the record loop was entered")
+
+        monkeypatch.setattr(serialize, "_records", spy)
+        empty = serialize.load_json(str(GOLDEN / "zeta-persistence-empty.json"))
+        for obj, cutoff in [(empty, F(1, 2)), ({"cutoff": "3"}, 3)]:
+            assert stored(series_from_obj(obj)) == \
+                stored(NovikovSeries.zero(cutoff))
 
     def test_mangles_reach_both_branches(self):
         for mangle, expected in [
@@ -757,14 +790,13 @@ class TestSeriesIntGrid:
     # the mangles were never met.
     @pytest.mark.parametrize("mangle", MANGLES)
     @settings(IO_PROPERTY, max_examples=20)
-    @given(obj=series_files().filter(lambda obj: obj["terms"]),
-           k=st.integers(0, 7))
+    @given(obj=series_files(), k=st.integers(0, 7))
     def test_mangled_files_get_the_checked_loop_message(self, mangle, obj, k):
-        mangle(obj, k % len(obj["terms"]))
+        mangle(obj, k)
         expected = decoded(series_from_obj_reference, obj)
         assert decoded(series_from_obj, obj) == expected
-        if isinstance(expected, str):
-            assert _series_direct(obj) is None
+        # the direct pass refuses exactly the files the loop words
+        assert (_series_direct(obj) is None) == isinstance(expected, str)
 
 
 # -- complex files, a column at a time --------------------------------------
@@ -815,24 +847,6 @@ def complex_outcome(decode, obj):
         return complex_bits(decode(obj))
     except Exception as exc:
         return type(exc).__name__, str(exc)
-
-
-def in_list(key, change):
-    """A mangle of entry k of obj[key]; a no-op when that list is empty."""
-    def mangle(obj, k):
-        entries = obj.get(key)
-        if entries:
-            change(entries, k % len(entries))
-    return mangle
-
-
-def field(key, name, value):
-    return in_list(key, lambda entries, k: entries[k].__setitem__(name, value))
-
-
-def rename(key, old, new):
-    return in_list(key, lambda entries, k: entries[k].__setitem__(
-        new, entries[k].pop(old)))
 
 
 GENS, EDGES = "generators", "differential"
@@ -889,8 +903,56 @@ class TestComplexDirect:
         mangle(obj, k)
         expected = complex_outcome(complex_from_obj_reference, obj)
         assert complex_outcome(complex_from_obj, obj) == expected
-        if expected[0] == "SchemaError":
-            assert _complex_direct(obj) is None
+        # The direct pass refuses exactly the files the record loop words:
+        # a schema fault or a repeated label.  A file that breaks a rule
+        # of complexes raises the constructor's error in both.
+        try:
+            refused = _complex_direct(obj) is None
+        except ReebZetaError:
+            refused = False
+        assert refused == (expected[0] in ("SchemaError", "DuplicateLabel"))
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the record loop built a value")
+
+
+@pytest.mark.parametrize("decode, direct, obj, what", [
+    (series_from_obj, "_series_direct",
+     {"terms": [{"exponent": "1", "coefficient": "3"}], "cutoff": "2"},
+     "series"),
+    (series_from_obj, "_series_direct", {"cutoff": "2"}, "series"),
+    (complex_from_obj, "_complex_direct",
+     json.loads((DATA / "complex_pair.json").read_text()), "complex"),
+])
+def test_a_valid_file_the_direct_pass_refuses_is_an_internal_error(
+        monkeypatch, decode, direct, obj, what):
+    # The record loop builds nothing: it finds no fault, and says that the
+    # two passes disagree.
+    monkeypatch.setattr(serialize, direct, lambda obj: None)
+    for cls, builders in [(NovikovSeries, ("__init__", "_raw")),
+                          (FilteredComplex, ("__init__", "_build"))]:
+        for name in builders:
+            monkeypatch.setattr(cls, name, forbidden)
+    with pytest.raises(InternalError) as info:
+        decode(obj)
+    assert str(info.value) == f"the direct pass refused a valid {what} file"
+
+
+def test_the_complex_record_loop_words_a_repeated_label(monkeypatch):
+    # with no FilteredComplex built (the direct pass builds through
+    # ``_from_keys``), after the differential's own faults
+    monkeypatch.setattr(FilteredComplex, "__init__", forbidden)
+    generators = [{"label": x, "eps": 0, "filtration": "1"}
+                  for x in ("a", "b", "a")]
+    with pytest.raises(DuplicateLabel) as info:
+        complex_from_obj({"generators": generators})
+    assert str(info.value) == "generator label 'a' repeated"
+    with pytest.raises(SchemaError) as info:
+        complex_from_obj({"generators": generators, "differential": [
+            {"from": "a", "to": "ghost", "coeff": "1"}]})
+    assert str(info.value) == \
+        "complex.differential[0]: unknown generator 'ghost'"
 
 
 # -- complexes on the int grid ----------------------------------------------
